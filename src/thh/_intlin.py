@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .padic import nu
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
@@ -40,39 +42,36 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 class SmithForm:
-    """Smith normal form D = P * M * Q with P, Q unimodular (and inverses)."""
+    """Smith normal form D = P * M * Q with P, Q unimodular; Qinv is the inverse of Q."""
 
     def __init__(self, rows: list[list[int]], ncols: int, transforms: bool = True):
         m = len(rows)
         n = ncols
         for row in rows:
-            assert len(row) == n
+            if len(row) != n:
+                raise ValueError(f"row of length {len(row)} in a {n}-column matrix")
         self.m, self.n = m, n
         D = [row[:] for row in rows]
-        self.transforms = transforms
         if transforms:
-            P, Pinv = identity_matrix(m), identity_matrix(m)
+            P = identity_matrix(m)
             Q, Qinv = identity_matrix(n), identity_matrix(n)
         else:
-            P = Pinv = Q = Qinv = None
+            P = Q = Qinv = None
 
         def row_combine(i, j, a, b, c, d):
             # (Ri, Rj) <- (a Ri + b Rj, c Ri + d Rj), with det ad - bc = +-1
-            det = a * d - b * c
-            assert det in (1, -1)
+            if a * d - b * c not in (1, -1):
+                raise ArithmeticError("row operation is not unimodular")
             for mat in (D, P) if transforms else (D,):
                 ri, rj = mat[i], mat[j]
                 for t in range(len(ri)):
                     ri[t], rj[t] = a * ri[t] + b * rj[t], c * ri[t] + d * rj[t]
-            if transforms:
-                # Pinv <- Pinv * E^{-1}; E^{-1} = det^{-1} [[d, -b], [-c, a]]
-                for r in Pinv:
-                    r[i], r[j] = (d * r[i] - c * r[j]) // det, (-b * r[i] + a * r[j]) // det
 
         def col_combine(i, j, a, b, c, d):
             # (Ci, Cj) <- (a Ci + b Cj, c Ci + d Cj), det ad - bc = +-1
             det = a * d - b * c
-            assert det in (1, -1)
+            if det not in (1, -1):
+                raise ArithmeticError("column operation is not unimodular")
             for mat in (D, Q) if transforms else (D,):
                 for r in mat:
                     r[i], r[j] = a * r[i] + b * r[j], c * r[i] + d * r[j]
@@ -140,12 +139,9 @@ class SmithForm:
             if D[t][t] < 0:
                 for mat in (D, P) if transforms else (D,):
                     mat[t] = [-v for v in mat[t]]
-                if transforms:
-                    for r in Pinv:
-                        r[t] = -r[t]
             t += 1
         self.D = D
-        self.P, self.Pinv, self.Q, self.Qinv = P, Pinv, Q, Qinv
+        self.P, self.Q, self.Qinv = P, Q, Qinv
 
     def diagonal(self) -> list[int]:
         return [self.D[i][i] for i in range(min(self.m, self.n))]
@@ -224,7 +220,8 @@ def row_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 def _mod_inverse(a: int, m: int) -> int:
     g, x, _ = xgcd(a % m, m)
-    assert g == 1
+    if g != 1:
+        raise ValueError(f"{a} has no inverse modulo {m}")
     return x % m
 
 
@@ -253,7 +250,8 @@ class SubQuot:
         rel_coords = []
         for row in rel_rows:
             c = solve_in_lattice(self.basis, self.pivots, row, p)
-            assert c is not None, "relation row escapes its own lattice"
+            if c is None:
+                raise ArithmeticError("relation row escapes its own lattice")
             # rows of the lattice have integer coordinates in the HNF basis
             rel_coords.append([int(x) for x in c])
         # quotient Z^k / span(rel_coords); Smith over the relation matrix
@@ -279,14 +277,7 @@ class SubQuot:
 
     def total_order_exponent(self) -> int:
         """Sum of p-exponents of the torsion (log_p of torsion subgroup order)."""
-        out = 0
-        for o, _ in self.summands:
-            if o:
-                v = o
-                while v > 1:
-                    v //= self.p
-                    out += 1
-        return out
+        return sum(nu(self.p, o) for o, _ in self.summands if o)
 
     def generator_vector(self, idx: int) -> list[int]:
         """Representative in Z^n of the idx-th summand generator."""
@@ -326,9 +317,6 @@ class SubQuot:
         if e is None:
             return False
         return all(not x for x in e)
-
-    def same_group(self, other: "SubQuot") -> bool:
-        return self.free_rank() == other.free_rank() and self.torsion() == other.torsion()
 
 
 def group_invariants(rel_rows: list[list[int]], n: int, p: int) -> tuple[int, list[int]]:

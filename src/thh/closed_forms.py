@@ -10,8 +10,8 @@ from __future__ import annotations
 from .graded import (GradedModulePresentation, Generator, ModuleMap, Relation,
                      RingSpec, submodule_presentation)
 from .padic import (PrimeContext, TorsionWord, all_words, b_degree, g_word_degree,
-                    lambda_degree, lambda_monomial, mu_degree, nu, r_truncation,
-                    x_degree, x_prime_degree)
+                    lambda_degree, mu_degree, nu, r_truncation, x_degree,
+                    x_prime_degree)
 
 
 def ell_ring(p: int) -> RingSpec:
@@ -104,12 +104,10 @@ def torsion_block_shifts(p: int, window: int):
     return out
 
 
-def thh_ell(ctx: PrimeContext, window: int | None = None,
+def thh_ell(ctx: PrimeContext, window: int,
             reduced: bool = True) -> GradedModulePresentation:
     """Integral answer for l: free chain suspended by |lambda_1| plus torsion blocks."""
     p = ctx.p
-    if window is None:
-        window = ctx.window_hint or 4 * p**3
     parts = []
     if not reduced:
         unit = GradedModulePresentation(ell_ring(p), [Generator("iota", 0, "iota")], [])
@@ -149,6 +147,14 @@ def hfp_monomials(p: int, window: int):
         i += 1
     out.sort()
     return out
+
+
+def monomial_label(e1: int, e2: int, i: int) -> str:
+    """Printable name of the monomial e(l1)^e1 e(l2)^e2 mu^i."""
+    parts = [s for s, e in (("l1", e1), ("l2", e2)) if e]
+    if i:
+        parts.append(f"mu^{i}" if i > 1 else "mu")
+    return "*".join(parts) or "1"
 
 
 def thh_ell_HFp(ctx: PrimeContext, window: int) -> dict[int, int]:
@@ -357,19 +363,6 @@ def build_Fko(window: int, prefix: str = "Fko:") -> GradedModulePresentation:
                 else:
                     mod.add_relation(Relation(((1, 1, f"{prefix}eu{i}"), (-1, 0, nxt))))
     return mod
-
-
-def fko_eta_map(fko: GradedModulePresentation, prefix: str = "Fko:") -> ModuleMap:
-    """Multiplication by eta on the torsion-free ko part."""
-    images = {}
-    for gid in fko.generators:
-        if gid.startswith(prefix + "u"):
-            i = int(gid[len(prefix) + 1:])
-            tgt = f"{prefix}eu{i}"
-            images[gid] = ((1, 0, tgt),) if tgt in fko.generators else ()
-        else:
-            images[gid] = ()
-    return ModuleMap(fko, fko, images, degree_shift=1)
 
 
 def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:

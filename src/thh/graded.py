@@ -8,7 +8,7 @@ factors reduced to their p-parts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._intlin import SubQuot, group_invariants, p_part, row_kernel
 
@@ -82,7 +82,8 @@ class GradedModulePresentation:
 
     def term_degree(self, terms) -> int:
         degs = {self.generators[g].degree + e * self.ring.v_degree for _, e, g in terms}
-        assert len(degs) == 1, f"inhomogeneous element: {terms}"
+        if len(degs) != 1:
+            raise ValueError(f"inhomogeneous element: {terms}")
         return degs.pop()
 
     # -- degree slices -----------------------------------------------------
@@ -219,12 +220,13 @@ class GradedModulePresentation:
 
     @staticmethod
     def direct_sum(parts: list["GradedModulePresentation"]) -> "GradedModulePresentation":
-        assert parts, "direct_sum of nothing"
+        if not parts:
+            raise ValueError("direct_sum of nothing")
         ring = parts[0].ring
         gens: list[Generator] = []
-        out = None
         for part in parts:
-            assert part.ring == ring
+            if part.ring != ring:
+                raise ValueError(f"direct_sum over different rings {ring} and {part.ring}")
             gens.extend(part.generators.values())
         out = GradedModulePresentation(ring, gens, [], None)
         for part in parts:
@@ -239,7 +241,6 @@ class GradedModulePresentation:
 
         Every degree in the window must be finite.
         """
-        p = self.ring.p
         vd = self.ring.v_degree
         summands: dict[int, list[int]] = {}
         for d in range(lo, hi + 1):
@@ -254,12 +255,7 @@ class GradedModulePresentation:
         out = GradedModulePresentation(self.ring, gens, [], None)
         for d in range(lo, hi + 1):
             for k, order in enumerate(summands[d]):
-                exp = 0
-                o = order
-                while o > 1:
-                    o //= p
-                    exp += 1
-                out.add_relation(Relation(((p**exp, 0, f"{prefix}[{d},{k}]"),)))
+                out.add_relation(Relation(((order, 0, f"{prefix}[{d},{k}]"),)))
         # dual generators whose v-image would come from below the window: kill v
         for d in range(lo, min(lo + vd, hi + 1)):
             for k in range(len(summands[d])):
@@ -289,7 +285,8 @@ class GradedModulePresentation:
                     if aj >= bk:
                         c = m * (aj // bk)
                     else:
-                        assert m % (bk // aj) == 0, "v-action fails to dualize"
+                        if m % (bk // aj):
+                            raise ValueError("v-action fails to dualize")
                         c = m // (bk // aj)
                     c %= aj
                     if c:

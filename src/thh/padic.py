@@ -1,7 +1,7 @@
 """p-adic valuations, truncation lengths, and degree bookkeeping for the named classes."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _is_prime(p: int) -> bool:
@@ -17,10 +17,9 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """A fixed prime together with an optional degree window hint."""
+    """A prime p; construction raises ValueError unless p is prime."""
 
     p: int
-    window_hint: int = 0
 
     def __post_init__(self):
         if not _is_prime(self.p):

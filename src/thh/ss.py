@@ -4,9 +4,9 @@ Pages are stored as integer lattices per bidegree slot: Z (cycles) and B
 (boundaries) inside the ambient slot group.  Differentials are supplied as
 explicit rules d_r(source vector) = target vector; a page turn applies all
 same-page rules simultaneously, checks them for consistency, and updates the
-lattices.  After the last page the E_infinity slots are assembled into a
-graded abelian group presentation, resolving filtration jumps through
-declared extension instances.
+lattices.  After the last page the E_infinity slots are assembled into one
+abelian group per degree, resolving filtration jumps through declared
+extension instances.
 
 Conventions: a rule on slot (d, s) has its target in slot (d - 1, s + r),
 i.e. the Bockstein variable carries internal degree |v| with the slot's
@@ -14,19 +14,19 @@ internal degree d already including s * |v| (so d is the total degree of the
 abutment class).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from ._intlin import (
     SubQuot,
+    group_invariants,
     lattice_coordinates,
     row_hermite,
     row_kernel,
     solve_in_lattice,
 )
-from .graded import GradedModulePresentation, Generator, Relation, RingSpec
-from .padic import PrimeContext, a_degree, b_degree, lambda_degree, mu_degree, nu
+from .padic import PrimeContext, a_degree, b_degree, mu_degree, nu
 from . import closed_forms as cf
 
 
@@ -83,22 +83,6 @@ def _nu_frac(x: Fraction | int, p: int) -> int:
     return v
 
 
-def _scale_primitive(row: list[Fraction], p: int) -> list[int]:
-    """Clear denominators and common p-free content, keeping p-parts."""
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        while g % p == 0:
-            g //= p
-        ints = [x // g for x in ints]
-    return ints
-
-
 class _Lattice:
     """p-local membership oracle for the row span of an integer matrix."""
 
@@ -144,10 +128,6 @@ class SpectralSequence:
             self._sq_cache[slot] = SubQuot(self.p, len(self.cells[slot]),
                                            self.Z[slot], self.zero_rows(slot))
         return self._sq_cache[slot]
-
-    def fp_dim(self, slot) -> int:
-        sq = self.subquot(slot)
-        return sq.free_rank() + len(sq.torsion())
 
     # -- page turns ---------------------------------------------------------
 
@@ -209,9 +189,7 @@ class SpectralSequence:
         coords = lattice_coordinates(z_rows + l_rows, dim, vec, self.p)
         if coords is None:
             return None, 1
-        den = 1
-        for c in coords[:len(z_rows)]:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in coords[:len(z_rows)]))
         out = [0] * dim
         for c, row in zip(coords[:len(z_rows)], z_rows):
             ci = int(c * den)
@@ -318,10 +296,7 @@ class SpectralSequence:
                         f"page {r} at {slot}: differential requires division by {p}")
             images.append(img)
         # new cycles: z with image zero modulo the target's zero lattice
-        den = 1
-        for img in images:
-            for v in img:
-                den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for img in images for v in img))
         w_rows = [[int(v * den) for v in img] for img in images]
         scaled_lt = [[den * v for v in row] for row in lt_rows]
         new_z = []
@@ -336,42 +311,42 @@ class SpectralSequence:
     # -- assembly -----------------------------------------------------------
 
     def assemble(self, extensions: list[Extension], lo: int, hi: int,
-                 smax: int, name: str = "E") -> GradedModulePresentation:
+                 smax: int) -> dict[int, tuple[int, list[int]]]:
+        """(free rank, sorted torsion orders) of the abutment in each degree
+        of [lo, hi], from the E_infinity slots of filtration at most smax.
+
+        Each surviving summand is one generator of its degree; each torsion
+        summand contributes the relation order * g = (lift of the extensions
+        declared on it), which only involves generators of the same degree.
+        """
         p = self.p
         exts: dict[tuple[int, int], list[Extension]] = {}
         for ext in extensions:
             exts.setdefault(ext.slot, []).append(ext)
-        meta: dict[tuple[int, int], list[tuple[str, int, list[int]]]] = {}
-        gens = []
+        sqs: dict[tuple[int, int], SubQuot] = {}
+        column: dict[tuple[tuple[int, int], int], int] = {}
+        ngens = dict.fromkeys(range(lo, hi + 1), 0)
         for slot in sorted(self.cells):
             d, s = slot
             if not (lo <= d <= hi and s <= smax):
                 continue
             sq = self.subquot(slot)
-            entries = []
-            for i, order in enumerate(sq.orders):
-                gid = f"{name}[{d},{s}]#{i}"
-                gvec = sq.generator_vector(i)
-                label = self._summand_label(slot, gvec, s)
-                gens.append(Generator(gid, d, label))
-                entries.append((gid, order, gvec))
-            if entries:
-                meta[slot] = entries
+            if sq.orders:
+                sqs[slot] = sq
+                for i in range(len(sq.orders)):
+                    column[(slot, i)] = ngens[d]
+                    ngens[d] += 1
 
         def to_y(slot, vec):
-            if slot not in meta:
+            if slot not in sqs:
                 if slot in self.cells and not any(
                         self.subquot(slot).orders):
                     return {}
                 raise _Ceiling()
-            coords = self.subquot(slot).express(vec)
+            coords = sqs[slot].express(vec)
             if coords is None:
                 raise EngineError(f"assembly: class at {slot} escapes the cycles")
-            out = {}
-            for (gid, _, _), c in zip(meta[slot], coords):
-                if c:
-                    out[gid] = Fraction(c)
-            return out
+            return {(slot, i): Fraction(c) for i, c in enumerate(coords) if c}
 
         def lift(slot, vec, k):
             if not any(vec):
@@ -385,49 +360,34 @@ class SpectralSequence:
                     continue
                 for coeff, slot2, vec2 in ext.targets:
                     sub = lift(slot2, [coeff * v for v in vec2], k - 1)
-                    for gid, val in sub.items():
-                        out[gid] = out.get(gid, Fraction(0)) + u * val
+                    for gen, val in sub.items():
+                        out[gen] = out.get(gen, Fraction(0)) + u * val
             return out
 
-        mod = GradedModulePresentation(RingSpec(p, 2), gens, [],
-                                       complete_below=hi + 1)
-        for gen in gens:
-            mod.add_relation(Relation(((1, 1, gen.gid),)))
-        for slot, entries in meta.items():
-            for gid, order, gvec in entries:
+        rows: dict[int, list[list[int]]] = {d: [] for d in ngens}
+        for slot, sq in sqs.items():
+            d = slot[0]
+            for i, order in enumerate(sq.orders):
                 if order == 0:
                     continue
-                m = 0
-                o = order
-                while o > 1:
-                    o //= p
-                    m += 1
                 try:
-                    rhs = lift(slot, gvec, m)
+                    rhs = lift(slot, sq.generator_vector(i), nu(p, order))
                 except _Ceiling:
                     continue  # the tower leaves the window: no relation
-                terms = {gid: Fraction(order)}
-                for g2, val in rhs.items():
-                    terms[g2] = terms.get(g2, Fraction(0)) - val
-                den = 1
-                for val in terms.values():
-                    den = den * val.denominator // gcd(den, val.denominator)
+                terms = {(slot, i): Fraction(order)}
+                for gen, val in rhs.items():
+                    if gen[0][0] != d:
+                        raise EngineError(
+                            f"assembly: extension at {slot} leaves degree {d}")
+                    terms[gen] = terms.get(gen, Fraction(0)) - val
+                den = lcm(*(val.denominator for val in terms.values()))
                 if den % p == 0:
                     raise EngineError(f"assembly: non-local relation at {slot}")
-                rel = tuple((int(val * den), 0, g2)
-                            for g2, val in terms.items() if val)
-                if rel:
-                    mod.add_relation(Relation(rel))
-        return mod
-
-    def _summand_label(self, slot, gvec, s) -> str:
-        cells = self.cells[slot]
-        best = min((j for j in range(len(cells)) if gvec[j]),
-                   key=lambda j: _nu_frac(gvec[j], self.p),
-                   default=0)
-        coeff = gvec[best]
-        pre = "" if abs(coeff) == 1 else f"{abs(coeff)}*"
-        return f"{pre}{cells[best].label}@{s}"
+                row = [0] * ngens[d]
+                for gen, val in terms.items():
+                    row[column[gen]] = int(val * den)
+                rows[d].append(row)
+        return {d: group_invariants(rows[d], ngens[d], p) for d in ngens}
 
     def _class_unit_ratio(self, slot, veca, vecb):
         """A p-adic unit u with [veca] = u * [vecb], or None."""
@@ -469,9 +429,7 @@ class SpectralSequence:
         if cand == 0 or _nu_frac(cand, p) != 0:
             return None
         diff = [Fraction(x) - cand * y for x, y in zip(veca, vecb)]
-        den = 1
-        for v in diff:
-            den = den * v.denominator // gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in diff))
         if den % p == 0:
             return None
         scaled = [int(v * den) for v in diff]
@@ -494,10 +452,7 @@ def _step_count(e: int) -> int:
 
 
 def _int_coords(coords, p: int) -> list[int]:
-    den = 1
-    for c in coords:
-        c = Fraction(c)
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(Fraction(c).denominator for c in coords))
     if den % p == 0:
         raise EngineError("class has non-local coordinates")
     return [int(Fraction(c) * den) for c in coords]
@@ -512,7 +467,7 @@ class EngineSetup:
     window: int
     chain_smax: int
 
-    def run(self, audit: bool = True) -> GradedModulePresentation:
+    def run(self, audit: bool = True) -> dict[int, tuple[int, list[int]]]:
         self.ss.run(self.rules, self.last_page, audit=audit)
         return self.ss.assemble(self.extensions, 0, self.window, self.chain_smax)
 
@@ -526,17 +481,6 @@ class EngineSetup:
 
 
 # -- integral-coefficient sequence over the mod-p page ---------------------------
-
-
-def _monomial_label(p: int, e1: int, e2: int, i: int) -> str:
-    parts = []
-    if e1:
-        parts.append("l1")
-    if e2:
-        parts.append("l2")
-    if i:
-        parts.append(f"mu^{i}" if i > 1 else "mu")
-    return "*".join(parts) or "1"
 
 
 def v0_tower_setup(ctx: PrimeContext, window: int, chain_smax: int = 10) -> EngineSetup:
@@ -553,7 +497,7 @@ def v0_tower_setup(ctx: PrimeContext, window: int, chain_smax: int = 10) -> Engi
     smax = chain_smax + last_page
     cells = {}
     for d, mons in by_deg.items():
-        row = [Cell(_monomial_label(p, *m), p) for m in mons]
+        row = [Cell(cf.monomial_label(*m), p) for m in mons]
         for s in range(smax + 1):
             cells[(d, s)] = row
     rules = []
@@ -569,7 +513,7 @@ def v0_tower_setup(ctx: PrimeContext, window: int, chain_smax: int = 10) -> Engi
             tgt = tuple(1 if m == (e1, 1, i - 1) else 0 for m in tgt_mons)
             for s in range(smax - page + 1):
                 rules.append(Rule(page, (d, s), src, tgt,
-                                  f"d{page}({_monomial_label(p, e1, e2, i)})"))
+                                  f"d{page}({cf.monomial_label(e1, e2, i)})"))
     exts = []
     for d, mons in by_deg.items():
         for j in range(len(mons)):

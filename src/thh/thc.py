@@ -62,19 +62,6 @@ def thc_ell_HFp_dims(ctx: PrimeContext, window: int) -> dict[int, int]:
     return dims
 
 
-def thc_bp_dims(ctx: PrimeContext, window: int) -> dict[int, int]:
-    """Per-degree dimensions of F_p[e_1, e_2, ...] with |e_i| = 2 p^(i+1)."""
-    p = ctx.p
-    counts = [1] + [0] * window
-    i = 1
-    while 2 * p ** (i + 1) <= window:
-        step = 2 * p ** (i + 1)
-        for d in range(step, window + 1):
-            counts[d] += counts[d - step]
-        i += 1
-    return {d: c for d, c in enumerate(counts) if c}
-
-
 # -- the integral-coefficient answer ---------------------------------------------
 
 

@@ -104,13 +104,6 @@ def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[LemmaCheck]:
 # -- reconstruction of the first matching ----------------------------------------
 
 
-def _monomial_label(e1: int, e2: int, i: int) -> str:
-    parts = [s for s, e in (("l1", e1), ("l2", e2)) if e]
-    if i:
-        parts.append(f"mu^{i}" if i > 1 else "mu")
-    return "*".join(parts) or "1"
-
-
 @dataclass
 class MatchingReport:
     """A differential pattern on the exterior-times-polynomial basis.
@@ -159,7 +152,7 @@ def matching_B1(ctx: PrimeContext, window: int) -> MatchingReport:
 
     for d, e1, e2, i in cf.hfp_monomials(p, window):
         key = (e1, e2, i)
-        label = _monomial_label(e1, e2, i)
+        label = cf.monomial_label(e1, e2, i)
         if key == (0, 0, 0):
             continue
         if key in gens:
@@ -307,7 +300,7 @@ def dueling_comparison(ctx: PrimeContext, window: int) -> list[IdentityCheck]:
     out = []
     for n in range(window + 1):
         out.append(IdentityCheck("assembled-vs-closed", n,
-                                 assembled.group_at(n), ell.group_at(n)))
+                                 assembled[n], ell.group_at(n)))
         need = _dim_mod_p(ell, n) + _dim_tor(ell, n - 1)
         have = len(enumerate_k1_basis(ctx, n).entries)
         out.append(IdentityCheck("scan-budget", n, (have,), (need,)))

@@ -41,7 +41,7 @@ def test_criterion_02_dueling_reproduction():
         out = ss.v1_tower_setup(ctx, window).run()
         ref = cf.thh_ell(ctx, window)
         for d in range(window + 1):
-            got, want = out.group_at(d), ref.group_at(d)
+            got, want = out[d], ref.group_at(d)
             assert (got[0], sorted(got[1])) == (want[0], sorted(want[1])), d
 
 
@@ -52,7 +52,7 @@ def test_criterion_03_p_tower_reproduction():
         out = ss.v0_tower_setup(ctx, window).run()
         ref = cf.thh_ell_HZ(ctx, window, reduced=False)
         for d in range(window + 1):
-            got, want = out.group_at(d), ref.group_at(d)
+            got, want = out[d], ref.group_at(d)
             assert (got[0], sorted(got[1])) == (want[0], sorted(want[1])), d
 
 
@@ -98,11 +98,11 @@ def test_criterion_08_kummer_and_unit_claims():
 def test_criterion_09_ko_chain():
     base = ss.ko_base_setup(40).run()
     for d in range(41):
-        assert base.group_at(d) == cf.ko_homotopy(d)
+        assert base[d] == cf.ko_homotopy(d)
     out = ss.eta_tower_setup(92).run()
     ref = cf.thh_ko(92)
     for d in range(93):
-        got, want = out.group_at(d), ref.group_at(d)
+        got, want = out[d], ref.group_at(d)
         assert (got[0], sorted(got[1])) == (want[0], sorted(want[1])), d
     assert ref.group_at(5) == (1, [])
     assert ref.group_at(20) == (0, [2])

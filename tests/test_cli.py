@@ -74,8 +74,56 @@ def test_unknown_suite_is_usage_error():
 
 
 def test_composite_prime_is_usage_error():
-    code, _ = run(["group", "--prime", "6", "--degree", "0"])
-    assert code == 2
+    for argv in (["group", "--prime", "6", "--degree", "0"],
+                 ["verify", "--suite", "section4", "--prime", "6"],
+                 ["chart", "torsion", "--prime", "6", "--max-degree", "10"]):
+        code, _ = run(argv)
+        assert code == 2, argv
+
+
+def test_unavailable_format_is_usage_error(capsys):
+    for argv in (["group", "--degree", "0", "--format", "xml"],
+                 ["verify", "--suite", "section4", "--format", "csv"],
+                 ["chart", "torsion", "--max-degree", "10", "--format", "csv"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format" in captured.err
+
+
+def test_negative_max_degree_is_usage_error(capsys):
+    for argv in (["group", "--max-degree", "-1"],
+                 ["verify", "--suite", "section4", "--max-degree", "-1"]):
+        assert cli.main(argv) == 2, argv
+        assert "--max-degree: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_negative_level_is_usage_error(capsys):
+    assert cli.main(["verify", "--suite", "section4", "--level", "-1"]) == 2
+    assert "--level: must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_all_suite_runs_mod_eta_rows_once():
+    code, out = run(["verify", "--suite", "all", "--prime", "2",
+                     "--max-degree", "16", "--level", "1", "--format", "json"])
+    assert code == 0
+    tags = [r["check"] for r in json.loads(out) if r["check"].endswith(":mod-eta")]
+    assert tags == ["cofiber:mod-eta"] * 17
+
+
+def test_hfp_group_json_is_pinned():
+    # the mod-p answer at p = 3: one class in each degree of
+    # E(l1, l2) (x) P(mu) with |l1| = 5, |l2| = 17, |mu| = 18
+    code, out = run(["group", "--prime", "3", "--coefficients", "HFp",
+                     "--max-degree", "40", "--format", "json"])
+    assert code == 0
+    dims = dict.fromkeys((0, 5, 17, 18, 22, 23, 35, 36, 40), 1)
+    want = [{"prime": 3, "target": "ell", "coefficients": "HFp", "degree": d,
+             "free_rank": 0, "torsion": [3] * dims.get(d, 0),
+             "generators": [{"label": f"x{i}", "order": 3}
+                            for i in range(dims.get(d, 0))]}
+            for d in range(41)]
+    assert out == json.dumps(want, indent=2) + "\n"
 
 
 def test_verify_exit_zero_on_clean_suite():

@@ -115,3 +115,34 @@ def test_submodule_presentation_matches_by_hand():
 def test_isomorphic_on_self(p, e, deg):
     m = cyclic(RingSpec(p, 2), e, degree=deg)
     assert m.isomorphic_on(m, range(0, 11))
+
+
+def test_invariant_checks_survive_optimized_mode():
+    # python -O strips assert statements; these checks must still raise
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from fractions import Fraction\n"
+        "from thh._intlin import frac_mod\n"
+        "from thh.graded import Generator, GradedModulePresentation, RingSpec\n"
+        "m = GradedModulePresentation(RingSpec(2, 2),\n"
+        "                             [Generator('a', 0), Generator('b', 1)], [])\n"
+        "for call in (lambda: m.term_degree([(1, 0, 'a'), (1, 0, 'b')]),\n"
+        "             lambda: GradedModulePresentation.direct_sum([]),\n"
+        "             lambda: frac_mod(Fraction(1, 2), 4)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "    else:\n"
+        "        print('silent')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3

@@ -1,40 +1,54 @@
-"""Exact integer linear algebra used by the graded-module and spectral-sequence layers.
+"""Exact p-local integer linear algebra used by the graded-module and spectral-sequence layers.
 
-Everything here works over plain Python ints (rows are vectors in Z^n).  The
-only slightly unusual piece is that group bookkeeping is p-local: invariant
-factors are reduced to their p-parts, and membership / coordinate questions are
-answered over Z_(p), i.e. denominators prime to p are allowed.
+Rows are vectors in Z^n of plain Python ints, but every question asked here is
+p-local: invariant factors are read through their p-parts, and membership and
+coordinate questions are answered over Z_(p), i.e. denominators prime to p are
+allowed.  So one elimination step serves every routine, and it needs no gcd
+(Dumas-Saunders-Villard, J. Symb. Comput. 32 (2001); Cohen, GTM 138, 2.4):
+
+- pivot on the entry of least p-valuation; ties go to the smallest |entry|,
+  then to the first entry in row-major order;
+- clear an entry b against the pivot a with the exact quotient b // a when a
+  divides b over Z, and otherwise with the p-unit-scaled combination
+  u * b - w * a, where a = p^e * u and b = p^e * w.
+
+`SmithForm` applies the step to rows and then to columns, `row_hermite` to
+rows only.  Their transforms have p-unit determinants, so spans, kernels and
+invariant factors are exact over Z_(p), not over Z.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .padic import nu
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
+def _pivot(D: list[list[int]], rows, cols, p: int) -> tuple[int, int] | None:
+    """Position of the pivot among D[i][j], i in rows, j in cols; None if all vanish."""
+    best = at = None
+    for i in rows:
+        row = D[i]
+        for j in cols:
+            v = row[j]
+            if v:
+                if v % p:
+                    if v == 1 or v == -1:
+                        return i, j
+                    key = (0, abs(v))
+                else:
+                    key = (nu(p, v), abs(v))
+                if best is None or key < best:
+                    best, at = key, (i, j)
+    return at
 
 
-def p_part(d: int, p: int) -> int:
-    """Largest power of p dividing d (for d != 0)."""
-    d = abs(d)
-    out = 1
-    while d % p == 0:
-        d //= p
-        out *= p
-    return out
+def _step(a: int, b: int, p: int) -> tuple[int, int]:
+    """(u, w) with u * b == w * a and u a p-unit, for a pivot a with nu(a) <= nu(b)."""
+    if b % a == 0:
+        return 1, b // a
+    s = p ** nu(p, a)
+    return a // s, b // s
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -42,9 +56,15 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 class SmithForm:
-    """Smith normal form D = P * M * Q with P, Q unimodular; Qinv is the inverse of Q."""
+    """Smith normal form D = P * M * Q over Z_(p); Qinv is the inverse of Q.
 
-    def __init__(self, rows: list[list[int]], ncols: int, transforms: bool = True):
+    The nonzero diagonal entries of D have non-decreasing p-valuations.  P and
+    Qinv are integer matrices and P, Q have p-unit determinants; Q holds
+    p-local Fractions only when some column step had to scale by a unit.
+    """
+
+    def __init__(self, rows: list[list[int]], ncols: int, *, p: int,
+                 transforms: bool = True):
         m = len(rows)
         n = ncols
         for row in rows:
@@ -57,89 +77,57 @@ class SmithForm:
             Q, Qinv = identity_matrix(n), identity_matrix(n)
         else:
             P = Q = Qinv = None
-
-        def row_combine(i, j, a, b, c, d):
-            # (Ri, Rj) <- (a Ri + b Rj, c Ri + d Rj), with det ad - bc = +-1
-            if a * d - b * c not in (1, -1):
-                raise ArithmeticError("row operation is not unimodular")
-            for mat in (D, P) if transforms else (D,):
-                ri, rj = mat[i], mat[j]
-                for t in range(len(ri)):
-                    ri[t], rj[t] = a * ri[t] + b * rj[t], c * ri[t] + d * rj[t]
-
-        def col_combine(i, j, a, b, c, d):
-            # (Ci, Cj) <- (a Ci + b Cj, c Ci + d Cj), det ad - bc = +-1
-            det = a * d - b * c
-            if det not in (1, -1):
-                raise ArithmeticError("column operation is not unimodular")
-            for mat in (D, Q) if transforms else (D,):
-                for r in mat:
-                    r[i], r[j] = a * r[i] + b * r[j], c * r[i] + d * r[j]
-            if transforms:
-                # Qinv <- F^{-1} * Qinv: row op on Qinv
-                ri, rj = Qinv[i], Qinv[j]
-                for t in range(n):
-                    ri[t], rj[t] = (d * ri[t] - c * rj[t]) // det, (-b * ri[t] + a * rj[t]) // det
-
-        t = 0
-        bound = min(m, n)
-        while t < bound:
-            # find a pivot of smallest absolute value in the trailing submatrix
-            piv = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    v = D[i][j]
-                    if v != 0 and (best is None or abs(v) < best):
-                        best = abs(v)
-                        piv = (i, j)
+        scaled = False
+        for t in range(min(m, n)):
+            piv = _pivot(D, range(t, m), range(t, n), p)
             if piv is None:
                 break
             pi, pj = piv
             if pi != t:
-                row_combine(t, pi, 0, 1, 1, 0)
-            if pj != t:
-                col_combine(t, pj, 0, 1, 1, 0)
-            while True:
-                # clear column t
-                for i in range(t + 1, m):
-                    a, b = D[t][t], D[i][t]
-                    if b == 0:
-                        continue
-                    if b % a == 0:
-                        row_combine(t, i, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        row_combine(t, i, x, y, -(b // g), a // g)
-                # clear row t
-                dirty = False
-                for j in range(t + 1, n):
-                    a, b = D[t][t], D[t][j]
-                    if b == 0:
-                        continue
-                    if b % a == 0:
-                        col_combine(t, j, 1, 0, -(b // a), 1)
-                    else:
-                        g, x, y = xgcd(a, b)
-                        col_combine(t, j, x, y, -(b // g), a // g)
-                        dirty = True
-                if not dirty and all(D[i][t] == 0 for i in range(t + 1, m)):
-                    # enforce divisibility of the remaining submatrix by the pivot
-                    offender = None
-                    for i in range(t + 1, m):
-                        for j in range(t + 1, n):
-                            if D[i][j] % D[t][t] != 0:
-                                offender = i
-                                break
-                        if offender is not None:
-                            break
-                    if offender is None:
-                        break
-                    row_combine(t, offender, 1, 1, 0, 1)
-            if D[t][t] < 0:
                 for mat in (D, P) if transforms else (D,):
-                    mat[t] = [-v for v in mat[t]]
-            t += 1
+                    mat[t], mat[pi] = mat[pi], mat[t]
+            if pj != t:
+                for mat in (D, Q) if transforms else (D,):
+                    for r in mat:
+                        r[t], r[pj] = r[pj], r[t]
+                if transforms:
+                    Qinv[t], Qinv[pj] = Qinv[pj], Qinv[t]
+            a = D[t][t]
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    u, w = _step(a, D[i][t], p)
+                    for mat in (D, P) if transforms else (D,):
+                        mat[i][:] = [u * x - w * y for x, y in zip(mat[i], mat[t])]
+            # column t of D is now zero off the pivot, so the column step
+            # col_j <- u col_j - w col_t only clears D[t][j] and scales the
+            # rest of column j by u; Qinv takes the inverse row step
+            for j in range(t + 1, n):
+                if not D[t][j]:
+                    continue
+                u, w = _step(a, D[t][j], p)
+                D[t][j] = 0
+                if u != 1:
+                    scaled = True
+                    for i in range(t + 1, m):
+                        D[i][j] *= u
+                if transforms:
+                    for r in Q:
+                        r[j] = u * r[j] - w * r[t]
+                    c = w if u == 1 else Fraction(w, u)
+                    Qinv[t][:] = [x + c * y for x, y in zip(Qinv[t], Qinv[j])]
+                    if u != 1:
+                        Qinv[j][:] = [Fraction(y) / u for y in Qinv[j]]
+        if transforms and scaled:
+            # move the p-unit denominator of each row i of Qinv into column i
+            # of Q and row i of P; D is diagonal, so P * M * Q is unchanged
+            for i, row in enumerate(Qinv):
+                den = lcm(*(x.denominator for x in row))
+                if den > 1:
+                    Qinv[i] = [int(x * den) for x in row]
+                    for r in Q:
+                        r[i] = Fraction(r[i], den)
+                    if i < m:
+                        P[i] = [den * x for x in P[i]]
         self.D = D
         self.P, self.Q, self.Qinv = P, Q, Qinv
 
@@ -147,8 +135,13 @@ class SmithForm:
         return [self.D[i][i] for i in range(min(self.m, self.n))]
 
 
-def row_hermite(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Triangular Z-basis of the row span.  Returns (basis_rows, pivot_columns)."""
+def row_hermite(rows: list[list[int]], ncols: int,
+                p: int) -> tuple[list[list[int]], list[int]]:
+    """Echelon Z_(p)-basis of the row span, with pivots in increasing columns.
+
+    Returns (basis_rows, pivot_columns); each basis row vanishes before its
+    pivot column.
+    """
     work = [row[:] for row in rows if any(row)]
     basis: list[list[int]] = []
     pivots: list[int] = []
@@ -156,24 +149,14 @@ def row_hermite(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], lis
         active = [r for r in work if r[j] != 0]
         if not active:
             continue
-        lead = active[0]
-        for r in active[1:]:
-            a, b = lead[j], r[j]
-            if b % a == 0:
-                q = b // a
-                for t in range(j, ncols):
-                    r[t] -= q * lead[t]
-            else:
-                g, x, y = xgcd(a, b)
-                u, v = -(b // g), a // g
-                for t in range(j, ncols):
-                    lead[t], r[t] = x * lead[t] + y * r[t], u * lead[t] + v * r[t]
-        if lead[j] < 0:
-            for t in range(j, ncols):
-                lead[t] = -lead[t]
-        basis.append(lead[:])
+        lead = active[_pivot(active, range(len(active)), (j,), p)[0]]
+        for r in active:
+            if r is not lead:
+                u, w = _step(lead[j], r[j], p)
+                r[:] = [u * x - w * y for x, y in zip(r, lead)]
+        basis.append(lead)
         pivots.append(j)
-        work = [r for r in work if r is not lead and any(r[t] for t in range(j + 1, ncols))]
+        work = [r for r in work if r is not lead and any(r[j + 1:])]
     return basis, pivots
 
 
@@ -183,7 +166,7 @@ def solve_in_lattice(
     v: list[int],
     p: int,
 ) -> list[Fraction] | None:
-    """Coordinates of v w.r.t. a triangular basis, over Z_(p).
+    """Coordinates of v w.r.t. an echelon basis from `row_hermite`, over Z_(p).
 
     Returns Fractions whose denominators are prime to p, or None when v is not
     in the Z_(p)-span of the basis rows.
@@ -204,12 +187,12 @@ def solve_in_lattice(
     return coords
 
 
-def row_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of { x in Z^m : x * M == 0 } for the m-row matrix M."""
+def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Z_(p)-basis of { x : x * M == 0 } for the m-row matrix M, as integer rows."""
     m = len(rows)
     if m == 0:
         return []
-    sf = SmithForm(rows, ncols, transforms=True)
+    sf = SmithForm(rows, ncols, p=p, transforms=True)
     diag = sf.diagonal()
     out = []
     for i in range(m):
@@ -218,19 +201,11 @@ def row_kernel(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return out
 
 
-def _mod_inverse(a: int, m: int) -> int:
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m}")
-    return x % m
-
-
 def frac_mod(c: Fraction, order: int) -> int:
     """Value of a p-local fraction in Z/order (order a p-power)."""
     if order == 1:
         return 0
-    den = c.denominator % order
-    return (c.numerator % order) * _mod_inverse(den, order) % order
+    return c.numerator * pow(c.denominator, -1, order) % order
 
 
 class SubQuot:
@@ -244,7 +219,7 @@ class SubQuot:
         self.p = p
         self.n = n
         lattice = [r[:] for r in gen_rows] + [r[:] for r in rel_rows]
-        self.basis, self.pivots = row_hermite(lattice, n)
+        self.basis, self.pivots = row_hermite(lattice, n, p)
         k = len(self.basis)
         self.dim = k
         rel_coords = []
@@ -252,15 +227,16 @@ class SubQuot:
             c = solve_in_lattice(self.basis, self.pivots, row, p)
             if c is None:
                 raise ArithmeticError("relation row escapes its own lattice")
-            # rows of the lattice have integer coordinates in the HNF basis
-            rel_coords.append([int(x) for x in c])
+            # a p-unit multiple of the row spans the same Z_(p)-line
+            den = lcm(*[x.denominator for x in c])
+            rel_coords.append([int(x * den) for x in c])
         # quotient Z^k / span(rel_coords); Smith over the relation matrix
-        self._sf = SmithForm(rel_coords, k, transforms=True) if k else None
+        self._sf = SmithForm(rel_coords, k, p=p, transforms=True) if k else None
         diag = self._sf.diagonal() if k else []
         self.summands: list[tuple[int, int]] = []  # (p-local order, coordinate index), order 0 = free
         for i in range(k):
             d = diag[i] if i < len(diag) else 0
-            order = 0 if d == 0 else p_part(d, p)
+            order = 0 if d == 0 else p ** nu(p, d)
             if order != 1:
                 self.summands.append((order, i))
 
@@ -321,10 +297,10 @@ class SubQuot:
 
 def group_invariants(rel_rows: list[list[int]], n: int, p: int) -> tuple[int, list[int]]:
     """(free rank, sorted p-local torsion orders) of Z^n / rowspan(rel_rows)."""
-    sf = SmithForm([r for r in rel_rows if any(r)], n, transforms=False)
+    sf = SmithForm([r for r in rel_rows if any(r)], n, p=p, transforms=False)
     diag = [d for d in sf.diagonal() if d != 0]
     free = n - len(diag)
-    torsion = sorted(p_part(d, p) for d in diag if p_part(d, p) > 1)
+    torsion = sorted(q for q in (p ** nu(p, d) for d in diag) if q > 1)
     return free, torsion
 
 
@@ -343,7 +319,7 @@ def lattice_coordinates(
     m = len(rows)
     if m == 0:
         return [] if not any(v) else None
-    sf = SmithForm(rows, ncols, transforms=True)
+    sf = SmithForm(rows, ncols, p=p, transforms=True)
     diag = sf.diagonal()
     vq = [sum(v[j] * sf.Q[j][i] for j in range(ncols)) for i in range(ncols)]
     w = [Fraction(0)] * m

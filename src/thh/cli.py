@@ -69,9 +69,8 @@ def group_records(p: int, target: str, coefficients: str, degrees,
             rank, torsion = 0, [p] * dim
             gens = [{"label": f"x{i}", "order": p} for i in range(dim)]
         else:
-            rank, torsion = mod.group_at(d)
-            torsion = sorted(torsion)
             sq = mod.subquot_at(d)
+            rank, torsion = sq.free_rank(), sq.torsion()
             labels = mod.summand_labels(d)
             gens = [{"label": lbl, "order": o}
                     for lbl, (o, _) in zip(labels, sq.summands)]

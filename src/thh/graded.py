@@ -9,8 +9,10 @@ factors reduced to their p-parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from ._intlin import SubQuot, group_invariants, p_part, row_kernel
+from ._intlin import SubQuot, group_invariants, row_kernel
+from .padic import nu
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ class GradedModulePresentation:
     # -- degree slices -----------------------------------------------------
 
     def slice_cells(self, d: int) -> list[tuple[str, int]]:
-        """Cells (generator, v-exponent) spanning the degree-d slice of the free cover."""
+        """The (generator, v-exponent) cells spanning the degree-d slice of the free cover."""
         return self._slice(d)[0]
 
     def _slice(self, d: int):
@@ -157,16 +159,14 @@ class GradedModulePresentation:
     def order_of(self, d: int, terms) -> int:
         """p-local order of a homogeneous element (0 for infinite order)."""
         sq = self.subquot_at(d)
-        vec = self.element_vector(d, terms)
-        if sq.is_zero(vec):
-            return 1
         order = 1
-        p = self.ring.p
-        while order <= p ** 60:
-            order *= p
-            if sq.is_zero([order * x for x in vec]):
-                return order
-        return 0
+        for c, o in zip(sq.express(self.element_vector(d, terms)), sq.orders):
+            if o == 0:
+                if c:
+                    return 0
+            else:
+                order = max(order, o // gcd(c, o))
+        return order
 
     def summand_labels(self, d: int) -> list[str]:
         """A printable label for each cyclic summand of the degree-d group."""
@@ -183,7 +183,7 @@ class GradedModulePresentation:
             if pick is None:
                 for i, c in enumerate(vec):
                     if c:
-                        pick = (p_part(c, self.ring.p), i, c)
+                        pick = (self.ring.p ** nu(self.ring.p, c), i, c)
                         break
             mult, i, _ = pick
             gid, e = cells[i]
@@ -395,7 +395,7 @@ def submodule_presentation(module: GradedModulePresentation,
         tgt_rows = module.slice_relation_rows(d)
         n_tgt = len(module.slice_cells(d))
         stacked = mat + tgt_rows
-        kernel = row_kernel(stacked, n_tgt)
+        kernel = row_kernel(stacked, n_tgt, ring.p)
         have = sub.slice_relation_rows(d)
         n_src = len(cells)
         have_sq = SubQuot(ring.p, n_src, have, []) if have else None

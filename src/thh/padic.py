@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 def _is_prime(p: int) -> bool:
@@ -48,10 +49,12 @@ class TorsionWord:
         return "g_" + ("".join(str(d) for d in self.digits) or "e")
 
 
-def nu(p: int, m: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+def nu(p: int, m: int | Fraction) -> int:
+    """p-adic valuation of a nonzero integer or Fraction."""
     if m == 0:
         raise ValueError("nu(p, 0) is undefined")
+    if isinstance(m, Fraction):
+        return nu(p, m.numerator) - nu(p, m.denominator)
     m = abs(m)
     out = 0
     while m % p == 0:

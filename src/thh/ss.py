@@ -26,7 +26,7 @@ from ._intlin import (
     row_kernel,
     solve_in_lattice,
 )
-from .padic import PrimeContext, a_degree, b_degree, mu_degree, nu
+from .padic import PrimeContext, a_degree, b_degree, mu_degree, nu, staircase
 from . import closed_forms as cf
 
 
@@ -36,12 +36,6 @@ class EngineError(Exception):
 
 class _Ceiling(Exception):
     """An extension chain left the assembled filtration range."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    label: str
-    order: int  # ambient order (a p-power), 0 for a free cell
 
 
 @dataclass(frozen=True)
@@ -67,38 +61,10 @@ class Extension:
     targets: tuple[tuple[int, tuple[int, int], tuple[int, ...]], ...]
 
 
-def _nu_frac(x: Fraction | int, p: int) -> int:
-    x = Fraction(x)
-    if x == 0:
-        return 10**9
-    v = 0
-    n = x.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-class _Lattice:
-    """p-local membership oracle for the row span of an integer matrix."""
-
-    def __init__(self, rows: list[list[int]], dim: int, p: int):
-        self.p = p
-        self.dim = dim
-        self.basis, self.pivots = row_hermite(rows, dim)
-
-    def contains(self, vec: list[int]) -> bool:
-        if not any(vec):
-            return True
-        return solve_in_lattice(self.basis, self.pivots, vec, self.p) is not None
-
-
 class SpectralSequence:
-    def __init__(self, p: int, cells: dict[tuple[int, int], list[Cell]]):
+    """Each slot's cells are given by their ambient orders (a p-power, 0 if free)."""
+
+    def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
         self.p = p
         self.cells = cells
         self.Z = {slot: [self._unit(len(cs), i) for i in range(len(cs))]
@@ -114,9 +80,9 @@ class SpectralSequence:
 
     def ambient_rows(self, slot) -> list[list[int]]:
         rows = []
-        for i, c in enumerate(self.cells[slot]):
-            if c.order:
-                rows.append([c.order if j == i else 0
+        for i, o in enumerate(self.cells[slot]):
+            if o:
+                rows.append([o if j == i else 0
                              for j in range(len(self.cells[slot]))])
         return rows
 
@@ -206,26 +172,29 @@ class SpectralSequence:
             return None
         dim_s = len(self.cells[slot])
         dim_t = len(self.cells[tgt_slot])
-        z_lat = _Lattice(self.Z[slot], dim_s, p)
-        zt_lat = _Lattice(self.Z[tgt_slot], dim_t, p)
         ls_rows = self.zero_rows(slot)
         lt_rows = self.zero_rows(tgt_slot)
-        ls_lat = _Lattice(ls_rows, dim_s, p)
-        lt_lat = _Lattice(lt_rows, dim_t, p)
+        z_lat = row_hermite(self.Z[slot], dim_s, p)
+        ls_lat = row_hermite(ls_rows, dim_s, p)
+        lt_lat = row_hermite(lt_rows, dim_t, p)
+        zt_lat = row_hermite(self.Z[tgt_slot] + lt_rows, dim_t, p)
+
+        def spans(lat, vec):
+            return solve_in_lattice(*lat, vec, p) is not None
+
         X, Y = [], []
         for rule in slot_rules:
             src, tgt = list(rule.source), list(rule.target)
-            if not any(src) or ls_lat.contains(src):
+            if not any(src) or spans(ls_lat, src):
                 continue  # vacuous: the source class is already zero
             src, den = self._cycle_part(src, self.Z[slot], ls_rows, dim_s)
             if src is None:
                 raise EngineError(f"{rule.name}: source is not a cycle")
             tgt = [den * v for v in tgt]
             if any(tgt):
-                if not zt_lat.contains(tgt) and not _Lattice(
-                        self.Z[tgt_slot] + lt_rows, dim_t, p).contains(tgt):
+                if not spans(zt_lat, tgt):
                     raise EngineError(f"{rule.name}: target is not a cycle")
-                if lt_lat.contains(tgt):
+                if spans(lt_lat, tgt):
                     raise EngineError(f"{rule.name}: target class is already zero")
             # an all-zero target is an explicit d(x) = 0 statement; it still
             # pins the differential on the source's span
@@ -238,18 +207,18 @@ class SpectralSequence:
         # target's zero lattice; they join the elimination as constraints
         # with zero image and can force values on directions no rule names
         for row in ls_rows:
-            if any(row) and z_lat.contains(row):
+            if any(row) and spans(z_lat, row):
                 X.append(list(row))
                 Y.append([0] * dim_t)
         # combinations of sources that vanish as classes must have vanishing
         # image classes, otherwise the rules are not a homomorphism
-        for row in row_kernel(X + ls_rows, dim_s):
+        for row in row_kernel(X + ls_rows, dim_s, p):
             lam = row[:len(X)]
             if not any(lam):
                 continue
             img = [sum(lam[t] * Y[t][j] for t in range(len(X)))
                    for j in range(dim_t)]
-            if not lt_lat.contains(img):
+            if not spans(lt_lat, img):
                 raise EngineError(
                     f"page {r} at {slot}: inconsistent differentials")
         # build the linear differential by elimination; rows with the least
@@ -272,10 +241,10 @@ class SpectralSequence:
             if not reduced:
                 break
             best = min(reduced,
-                       key=lambda lr: min(_nu_frac(v, p) for v in lr[0] if v))
+                       key=lambda lr: min(nu(p, v) for v in lr[0] if v))
             left, right = best
             col = min((j for j in range(dim_s) if left[j]),
-                      key=lambda j: _nu_frac(left[j], p))
+                      key=lambda j: nu(p, left[j]))
             c = left[col]
             left = [a / c for a in left]
             right = [a / c for a in right]
@@ -300,7 +269,7 @@ class SpectralSequence:
         w_rows = [[int(v * den) for v in img] for img in images]
         scaled_lt = [[den * v for v in row] for row in lt_rows]
         new_z = []
-        for row in row_kernel(w_rows + scaled_lt, dim_t):
+        for row in row_kernel(w_rows + scaled_lt, dim_t, p):
             mu = row[:len(images)]
             if any(mu):
                 vec = [sum(mu[i] * self.Z[slot][i][j] for i in range(len(mu)))
@@ -413,7 +382,7 @@ class SpectralSequence:
             for i, (bi, o) in enumerate(zip(b, orders)):
                 if o == 0 or bi % o == 0:
                     continue
-                v = _nu_frac(bi, p)
+                v = nu(p, bi)
                 key = o // p**v
                 if best is None or key > best[0]:
                     best = (key, i, v)
@@ -421,12 +390,12 @@ class SpectralSequence:
                 return None
             _, i, v = best
             o = orders[i]
-            if _nu_frac(a[i], p) != v:
+            if not a[i] or nu(p, a[i]) != v:
                 return None
             red = o // p**v
             inv = pow((b[i] // p**v) % red, -1, red) if red > 1 else 0
             cand = Fraction(((a[i] // p**v) * inv) % red if red > 1 else 1)
-        if cand == 0 or _nu_frac(cand, p) != 0:
+        if cand == 0 or nu(p, cand) != 0:
             return None
         diff = [Fraction(x) - cand * y for x, y in zip(veca, vecb)]
         den = lcm(*(v.denominator for v in diff))
@@ -439,16 +408,6 @@ class SpectralSequence:
 
 
 # -- shared helpers --------------------------------------------------------------
-
-
-def _step_count(e: int) -> int:
-    """Number of k >= 1 with 2^(k+1) - 3 <= e (ko-side staircase height)."""
-    out = 0
-    k = 1
-    while 2 ** (k + 1) - 3 <= e:
-        out += 1
-        k += 1
-    return out
 
 
 def _int_coords(coords, p: int) -> list[int]:
@@ -497,9 +456,8 @@ def v0_tower_setup(ctx: PrimeContext, window: int, chain_smax: int = 10) -> Engi
     smax = chain_smax + last_page
     cells = {}
     for d, mons in by_deg.items():
-        row = [Cell(cf.monomial_label(*m), p) for m in mons]
         for s in range(smax + 1):
-            cells[(d, s)] = row
+            cells[(d, s)] = [p] * len(mons)
     rules = []
     for d, mons in by_deg.items():
         for j, (e1, e2, i) in enumerate(mons):
@@ -551,7 +509,7 @@ def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
         for s in range(smax + 1):
             d = deg + s * vd
             if d <= window + 1:
-                cells[(d, s)] = [Cell(gid, order)]
+                cells[(d, s)] = [order]
                 slot_of[(gid, s)] = (d, s)
     rules = []
     n = 1
@@ -618,17 +576,13 @@ def _bprime_gid(m: int) -> str:
 
 
 class _KuClasses:
-    """Cell coordinates of named classes in the ku-coefficient answer."""
+    """Summand coordinates of named classes in the ku-coefficient answer."""
 
     def __init__(self, window: int):
         self.mod = cf.thh_ko_ku(window, reduced=True)
-        self.window = window
-        self._free_idx: dict[int, int] = {}
 
-    def summands(self, d: int) -> list[Cell]:
-        sq = self.mod.subquot_at(d)
-        labels = self.mod.summand_labels(d)
-        return [Cell(lab, o) for lab, o in zip(labels, sq.orders)]
+    def orders(self, d: int) -> list[int]:
+        return self.mod.subquot_at(d).orders
 
     def free_gen(self, d: int) -> tuple[int, ...]:
         sq = self.mod.subquot_at(d)
@@ -653,7 +607,7 @@ def eta_tower_setup(window: int, chain_smax: int = 6) -> EngineSetup:
     ku = _KuClasses(window + 1)
     cells = {}
     for deg in range(window + 2):
-        row = ku.summands(deg)
+        row = ku.orders(deg)
         if not row:
             continue
         for s in range(smax + 1):
@@ -664,7 +618,7 @@ def eta_tower_setup(window: int, chain_smax: int = 6) -> EngineSetup:
     e = 1
     while 5 + 2 * e <= window + 1:
         deg = 5 + 2 * e
-        coeff = 2 ** (_step_count(e - 1) - _step_count(e) + 1)
+        coeff = 2 ** (staircase(2, e) - staircase(2, e + 1) + 1)
         src = ku.free_gen(deg)
         tgt = tuple(coeff * t for t in ku.free_gen(deg - 2))
         for s in range(smax):
@@ -693,7 +647,7 @@ def eta_tower_setup(window: int, chain_smax: int = 6) -> EngineSetup:
                 coeff = 2 ** (nu(2, a - 1) - 1)
                 terms.append((coeff, 2 ** (kv + 2) - 1 + t, _bprime_gid(m - 2**kv)))
             tgt = ku.element(deg - 2, tuple(terms)) if terms else None
-            tgt = tgt or tuple([0] * len(ku.summands(deg - 2)))
+            tgt = tgt or tuple([0] * len(ku.orders(deg - 2)))
             for s in range(smax):
                 rules.append(Rule(1, (deg + s, s), src, tgt, f"d1(v^{t}b'{m})"))
             t += 1
@@ -709,7 +663,7 @@ def eta_tower_setup(window: int, chain_smax: int = 6) -> EngineSetup:
             if src is None:
                 break
             ee = 2 ** (n + 2) - 2 + 2 * j
-            coeff = 2 ** (_step_count(ee) - n - 1)
+            coeff = 2 ** (staircase(2, ee + 1) - n - 1)
             tgt = tuple(coeff * v for v in ku.free_gen(deg - 3))
             for s in range(smax - 1):
                 rules.append(Rule(2, (deg + s, s), src, tgt, f"d2(v^{2*j}b'{2**n})"))
@@ -740,11 +694,10 @@ def ko_base_setup(window: int, chain_smax: int = 10) -> EngineSetup:
     smax = chain_smax + last_page
     cells = {}
     for j in range(window // 2 + 2):
-        label = f"v^{j}" if j else "1"
         for s in range(smax + 1):
             d = 2 * j + s
             if d <= window + 1:
-                cells[(d, s)] = [Cell(label, 0)]
+                cells[(d, s)] = [0]
     rules = []
     for j in range(window // 2 + 2):
         for s in range(smax):

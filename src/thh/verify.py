@@ -181,7 +181,7 @@ def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     if n_tgt == 0:
         rows = [[1 if i == j else 0 for j in range(n_src)] for i in range(n_src)]
     else:
-        rows = [k[:n_src] for k in row_kernel(mat + tgt_rels, n_tgt)]
+        rows = [k[:n_src] for k in row_kernel(mat + tgt_rels, n_tgt, p)]
     return SubQuot(p, n_src, rows, mp.source.slice_relation_rows(d))
 
 

@@ -157,3 +157,16 @@ def test_chart_json_dots():
     data = json.loads(out)
     assert set(data) == {"dots", "lines"}
     assert [5, 0, "free"] in data["dots"]
+
+
+def test_ku_group_json_is_pinned():
+    # the ku-coefficient labels come from the summand generators of each
+    # slice and from the kernel rows behind the submodule presentation, so
+    # they pin choices of the elimination kernel that no group invariant shows
+    import pathlib
+    golden = pathlib.Path(__file__).parent / "golden" / "group-ko-ku-p2-w64.json"
+    code, out = run(["group", "--prime", "2", "--target", "ko",
+                     "--coefficients", "ku", "--max-degree", "64",
+                     "--format", "json"])
+    assert code == 0
+    assert out == golden.read_text()

@@ -69,6 +69,16 @@ def test_order_of_and_is_zero_at():
     assert m.is_zero_at(0, [(8, 0, "t")])
 
 
+def test_order_of_reads_large_orders():
+    # the order comes from the summand coordinates, not from trying p-powers
+    m = cyclic(R2, 62)
+    assert m.order_of(0, [(1, 0, "t")]) == 2**62
+    assert m.order_of(0, [(6, 0, "t")]) == 2**61
+    free = GradedModulePresentation(R2, [Generator("x", 0)], [])
+    assert free.order_of(0, [(3, 0, "x")]) == 0
+    assert free.order_of(0, [(0, 0, "x")]) == 1
+
+
 def test_dual_reverses_degrees_and_keeps_orders():
     m = cyclic(R2, 1)
     m.add_relation(Relation(((1, 2, "t"),)))  # Z/2 in degrees 0, 2

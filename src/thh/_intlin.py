@@ -13,13 +13,16 @@ allowed.  So one elimination step serves every routine, and it needs no gcd
   u * b - w * a, where a = p^e * u and b = p^e * w.
 
 `SmithForm` applies the step to rows and then to columns, `row_hermite` to
-rows only.  Their transforms have p-unit determinants, so spans, kernels and
-invariant factors are exact over Z_(p), not over Z.
+rows only, `solve_in_lattice` to back-substitution against a `row_hermite`
+basis.  Their transforms have p-unit determinants, so spans, kernels and
+invariant factors are exact over Z_(p), not over Z.  Membership and
+coordinates are fraction-free: integer coordinates over one positive p-unit
+common denominator, (nums, den).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .padic import nu
 
@@ -165,26 +168,33 @@ def solve_in_lattice(
     pivots: list[int],
     v: list[int],
     p: int,
-) -> list[Fraction] | None:
+) -> tuple[list[int], int] | None:
     """Coordinates of v w.r.t. an echelon basis from `row_hermite`, over Z_(p).
 
-    Returns Fractions whose denominators are prime to p, or None when v is not
-    in the Z_(p)-span of the basis rows.
+    Returns (nums, den) with den * v == sum(nums[k] * basis[k]) and den a
+    positive p-unit, or None when v is not in the Z_(p)-span of the basis rows.
     """
-    rem = [Fraction(x) for x in v]
-    coords: list[Fraction] = []
+    rem = list(v)
+    nums: list[int] = []
+    den = 1
     for row, j in zip(basis, pivots):
-        c = rem[j] / row[j]
-        coords.append(c)
-        if c:
-            for t in range(j, len(rem)):
-                rem[t] -= c * row[t]
+        a, b = row[j], rem[j]
+        # the coordinate b / (a * den) is p-local iff nu(a) <= nu(b)
+        if b % a and b % p ** nu(p, a):
+            return None
+        u, w = _step(a, b, p)
+        if u < 0:
+            u, w = -u, -w
+        if u != 1:
+            den *= u
+            nums = [u * x for x in nums]
+        nums.append(w)
+        if w:
+            # rem[:j] is left unscaled: only whether it vanishes matters
+            rem[j:] = [u * x - w * y for x, y in zip(rem[j:], row[j:])]
     if any(rem):
         return None
-    for c in coords:
-        if c.denominator % p == 0:
-            return None
-    return coords
+    return nums, den
 
 
 def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
@@ -201,11 +211,10 @@ def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     return out
 
 
-def frac_mod(c: Fraction, order: int) -> int:
-    """Value of a p-local fraction in Z/order (order a p-power)."""
-    if order == 1:
-        return 0
-    return c.numerator * pow(c.denominator, -1, order) % order
+def _column(Q: list[list], i: int) -> tuple[list[int], int]:
+    """Column i of Q as (integer entries, positive common denominator)."""
+    den = lcm(*[r[i].denominator for r in Q])
+    return [r[i].numerator * (den // r[i].denominator) for r in Q], den
 
 
 class SubQuot:
@@ -218,27 +227,30 @@ class SubQuot:
     def __init__(self, p: int, n: int, gen_rows: list[list[int]], rel_rows: list[list[int]]):
         self.p = p
         self.n = n
-        lattice = [r[:] for r in gen_rows] + [r[:] for r in rel_rows]
-        self.basis, self.pivots = row_hermite(lattice, n, p)
+        self.basis, self.pivots = row_hermite(gen_rows + rel_rows, n, p)
         k = len(self.basis)
-        self.dim = k
         rel_coords = []
         for row in rel_rows:
-            c = solve_in_lattice(self.basis, self.pivots, row, p)
-            if c is None:
+            sol = solve_in_lattice(self.basis, self.pivots, row, p)
+            if sol is None:
                 raise ArithmeticError("relation row escapes its own lattice")
             # a p-unit multiple of the row spans the same Z_(p)-line
-            den = lcm(*[x.denominator for x in c])
-            rel_coords.append([int(x * den) for x in c])
+            nums, den = sol
+            g = gcd(den, *nums)
+            rel_coords.append([x // g for x in nums])
         # quotient Z^k / span(rel_coords); Smith over the relation matrix
-        self._sf = SmithForm(rel_coords, k, p=p, transforms=True) if k else None
-        diag = self._sf.diagonal() if k else []
+        sf = SmithForm(rel_coords, k, p=p, transforms=True) if k else None
+        diag = sf.diagonal() if k else []
         self.summands: list[tuple[int, int]] = []  # (p-local order, coordinate index), order 0 = free
         for i in range(k):
             d = diag[i] if i < len(diag) else 0
             order = 0 if d == 0 else p ** nu(p, d)
             if order != 1:
                 self.summands.append((order, i))
+        # the relation lattice is diagonal in the coordinates z -> z*Q: summand
+        # i reads column i of Q, and its generator is row i of Qinv
+        self._cols = [_column(sf.Q, i) for _, i in self.summands]
+        self._gens = [sf.Qinv[i] for _, i in self.summands]
 
     @property
     def orders(self) -> list[int]:
@@ -257,15 +269,11 @@ class SubQuot:
 
     def generator_vector(self, idx: int) -> list[int]:
         """Representative in Z^n of the idx-th summand generator."""
-        _, i = self.summands[idx]
-        # the relation lattice is diagonal in the coordinates z -> z*Q, so the
-        # i-th summand generator is row i of Qinv, pushed back through the basis
-        x = [self._sf.Qinv[i][j] for j in range(self.dim)]
         out = [0] * self.n
-        for j, c in enumerate(x):
+        for c, row in zip(self._gens[idx], self.basis):
             if c:
                 for t in range(self.n):
-                    out[t] += c * self.basis[j][t]
+                    out[t] += c * row[t]
         return out
 
     def express(self, v: list[int]):
@@ -274,18 +282,15 @@ class SubQuot:
         Torsion coordinates come back as ints mod the order; free coordinates as
         p-local Fractions.
         """
-        c = solve_in_lattice(self.basis, self.pivots, v, self.p)
-        if c is None:
+        sol = solve_in_lattice(self.basis, self.pivots, v, self.p)
+        if sol is None:
             return None
-        # summand coordinates are (c * Q)_i
+        nums, den = sol
         out = []
-        for order, i in self.summands:
-            y = Fraction(0)
-            for j, cj in enumerate(c):
-                q = self._sf.Q[j][i]
-                if q and cj:
-                    y += q * cj
-            out.append(frac_mod(y, order) if order else y)
+        for (order, _), (col, cden) in zip(self.summands, self._cols):
+            y = sum(q * c for q, c in zip(col, nums))
+            out.append(y * pow(den * cden, -1, order) % order if order
+                       else Fraction(y, den * cden))
         return out
 
     def is_zero(self, v: list[int]) -> bool:
@@ -309,29 +314,29 @@ def lattice_coordinates(
     ncols: int,
     v: list[int],
     p: int,
-) -> list[Fraction] | None:
+) -> tuple[list[int], int] | None:
     """Coordinates of v as a Z_(p)-combination of the given rows.
 
     Unlike solve_in_lattice this works with an arbitrary (possibly dependent)
-    row list and returns one coordinate per input row.  Returns None when v is
-    not in the Z_(p)-span.
+    row list and returns one coordinate per input row, in the same (nums, den)
+    form.  Returns None when v is not in the Z_(p)-span.
     """
-    m = len(rows)
-    if m == 0:
-        return [] if not any(v) else None
     sf = SmithForm(rows, ncols, p=p, transforms=True)
     diag = sf.diagonal()
-    vq = [sum(v[j] * sf.Q[j][i] for j in range(ncols)) for i in range(ncols)]
-    w = [Fraction(0)] * m
+    # x = (v * Q) * D^-1 * P, where coordinate i of v * Q is s / qden
+    nums, den = [0] * len(rows), 1
     for i in range(ncols):
+        col, qden = _column(sf.Q, i)
+        s = sum(x * q for x, q in zip(v, col))
+        if not s:
+            continue
         d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if vq[i] != 0:
-                return None
-        elif i < m:
-            w[i] = Fraction(vq[i], d)
-            if w[i].denominator % p == 0:
-                return None
-        elif vq[i] != 0:
+        pe = p ** nu(p, d) if d else 0
+        if not pe or s % pe:
             return None
-    return [sum(w[i] * sf.P[i][j] for i in range(m)) for j in range(m)]
+        unit = qden * d // pe
+        k = lcm(den, unit) // den
+        den *= k
+        c = s // pe * (den // unit)
+        nums = [k * x + c * y for x, y in zip(nums, sf.P[i])]
+    return nums, den

@@ -16,7 +16,7 @@ abutment class).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from ._intlin import (
     SubQuot,
@@ -152,17 +152,13 @@ class SpectralSequence:
         Returns (cycle vector, denominator) with [vec] = [cycle]/den, den a
         p-unit, or (None, 1) when the class is not represented by a cycle.
         """
-        coords = lattice_coordinates(z_rows + l_rows, dim, vec, self.p)
-        if coords is None:
+        sol = lattice_coordinates(z_rows + l_rows, dim, vec, self.p)
+        if sol is None:
             return None, 1
-        den = lcm(*(c.denominator for c in coords[:len(z_rows)]))
-        out = [0] * dim
-        for c, row in zip(coords[:len(z_rows)], z_rows):
-            ci = int(c * den)
-            if ci:
-                for j in range(dim):
-                    out[j] += ci * row[j]
-        return out, den
+        nums, den = sol[0][:len(z_rows)], sol[1]
+        g = gcd(den, *nums)
+        return [sum(c * row[j] for c, row in zip(nums, z_rows)) // g
+                for j in range(dim)], den // g
 
     def _slot_differential(self, r: int, slot, slot_rules):
         p = self.p

@@ -170,3 +170,19 @@ def test_ku_group_json_is_pinned():
                      "--format", "json"])
     assert code == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--prime", "3", "--target", "ell", "--max-degree", "120"],
+     "group-ell-p3-w120.json"),
+    # the ko labels go through the dual of the ku presentation, so through
+    # SubQuot.express and generator_vector
+    (["--prime", "2", "--target", "ko", "--max-degree", "64"],
+     "group-ko-p2-w64.json"),
+])
+def test_group_json_labels_are_pinned(argv, name):
+    import pathlib
+    golden = pathlib.Path(__file__).parent / "golden" / name
+    code, out = run(["group", *argv, "--format", "json"])
+    assert code == 0
+    assert out == golden.read_text()

@@ -135,14 +135,11 @@ def test_invariant_checks_survive_optimized_mode():
     import sys
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     code = (
-        "from fractions import Fraction\n"
-        "from thh._intlin import frac_mod\n"
         "from thh.graded import Generator, GradedModulePresentation, RingSpec\n"
         "m = GradedModulePresentation(RingSpec(2, 2),\n"
         "                             [Generator('a', 0), Generator('b', 1)], [])\n"
         "for call in (lambda: m.term_degree([(1, 0, 'a'), (1, 0, 'b')]),\n"
-        "             lambda: GradedModulePresentation.direct_sum([]),\n"
-        "             lambda: frac_mod(Fraction(1, 2), 4)):\n"
+        "             lambda: GradedModulePresentation.direct_sum([])):\n"
         "    try:\n"
         "        call()\n"
         "    except ValueError:\n"
@@ -155,4 +152,4 @@ def test_invariant_checks_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 3
+    assert proc.stdout.split() == ["raised"] * 2

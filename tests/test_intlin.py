@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thh._intlin import (SmithForm, SubQuot, frac_mod, group_invariants,
-                         row_hermite, row_kernel, solve_in_lattice)
+from thh import _intlin
+from thh._intlin import (SmithForm, SubQuot, group_invariants,
+                         lattice_coordinates, row_hermite, row_kernel,
+                         solve_in_lattice)
 from thh.padic import nu
 
 PRIMES = (2, 3, 5)
@@ -148,6 +152,8 @@ def test_subquot_orders_match_group_invariants(case):
 @given(p_matrices(6, 3), st.integers(0, 6))
 # the pivot 10 does not divide 18 over Z, so the column step scales by 5
 @example((2, [[1, 0], [0, 1], [10, 18]]), 2)
+# likewise by 2 at p = 3, a unit that is not 1 mod the order 3
+@example((3, [[1, 0], [0, 1], [6, 15]]), 2)
 def test_subquot_express_round_trip(case, k):
     p, rows = case
     sq = SubQuot(p, len(rows[0]), rows[:k], rows[k:])
@@ -159,6 +165,125 @@ def test_subquot_express_round_trip(case, k):
         assert sq.express(vec) == want
 
 
-def test_frac_mod_reduces_rationals():
-    assert frac_mod(Fraction(7, 3), 4) == (7 * pow(3, -1, 4)) % 4
-    assert frac_mod(Fraction(8, 1), 4) == 0
+def solve_reference(basis, pivots, v, p):
+    """Coordinates of v over Z_(p) by Fraction back-substitution, or None."""
+    rem = [Fraction(x) for x in v]
+    coords = []
+    for row, j in zip(basis, pivots):
+        c = rem[j] / row[j]
+        coords.append(c)
+        if c:
+            for t in range(j, len(rem)):
+                rem[t] -= c * row[t]
+    if any(rem):
+        return None
+    for c in coords:
+        if c.denominator % p == 0:
+            return None
+    return coords
+
+
+def check_solve(basis, pivots, v, p):
+    want = solve_reference(basis, pivots, v, p)
+    got = solve_in_lattice(basis, pivots, v, p)
+    if want is None:
+        assert got is None
+        return
+    nums, den = got
+    assert den > 0 and den % p
+    assert all(isinstance(x, int) for x in nums)
+    assert [Fraction(x, den) for x in nums] == want
+
+
+@settings(max_examples=150)
+@given(p_matrices(), st.data())
+def test_solve_in_lattice_matches_fraction_reference(case, data):
+    p, rows = case
+    n = len(rows[0])
+    comb = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows),
+                              max_size=len(rows)))
+    member = [sum(c * r[j] for c, r in zip(comb, rows)) for j in range(n)]
+    off = data.draw(st.lists(entries(p), min_size=n, max_size=n))
+    # over the lattice p * rows, the rows and their combinations mostly need
+    # a p in the denominator
+    for lattice in (rows, [[p * x for x in r] for r in rows]):
+        basis, pivots = row_hermite(lattice, n, p)
+        for v in [*basis, *rows, member, off]:
+            check_solve(basis, pivots, v, p)
+
+
+def test_solve_in_lattice_pinned():
+    # negative non-unit pivot -6 = 2 * (-3): the unit -3 is made positive
+    basis, pivots = row_hermite([[-6, 12]], 2, 2)
+    assert solve_in_lattice(basis, pivots, [-2, 4], 2) == ([1], 3)
+    check_solve(basis, pivots, [-2, 4], 2)
+    # half the row needs a 2 in the denominator; [1, 1] is off the line
+    for v in ([-3, 6], [1, 1]):
+        assert solve_in_lattice(basis, pivots, v, 2) is None
+        check_solve(basis, pivots, v, 2)
+
+
+def lattice_coordinates_reference(rows, ncols, v, p):
+    """Coordinates of v over the given rows through SmithForm, as Fractions."""
+    m = len(rows)
+    sf = SmithForm(rows, ncols, p=p)
+    diag = sf.diagonal()
+    vq = [sum(v[j] * sf.Q[j][i] for j in range(ncols)) for i in range(ncols)]
+    w = [Fraction(0)] * m
+    for i in range(ncols):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            if vq[i] != 0:
+                return None
+        else:
+            w[i] = Fraction(vq[i], d)
+            if w[i].denominator % p == 0:
+                return None
+    return [sum(w[i] * sf.P[i][j] for i in range(m)) for j in range(m)]
+
+
+@settings(max_examples=100)
+@given(p_matrices(), st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+# the pivot 10 does not divide 18 over Z, so Q holds a Fraction
+@example((2, [[10, 18]]), [5, 9, 0, 0])
+def test_lattice_coordinates_match_fraction_reference(case, off):
+    p, rows = case
+    n = len(rows[0])
+    for lattice in (rows, [[p * x for x in r] for r in rows]):
+        for v in [*rows, [sum(col) for col in zip(*rows)], off[:n]]:
+            want = lattice_coordinates_reference(lattice, n, v, p)
+            got = lattice_coordinates(lattice, n, v, p)
+            if want is None:
+                assert got is None
+            else:
+                nums, den = got
+                assert den > 0 and den % p
+                assert [Fraction(x, den) for x in nums] == want
+    assert lattice_coordinates([], n, [0] * n, p) == ([], 1)
+    assert lattice_coordinates([], n, [1] * n, p) is None
+
+
+@pytest.mark.parametrize("p, gens, rels", [
+    (2, [[-6, 1]], [[4, 1]]),            # scaled step at the pivot -6
+    (3, [[0, 4]], [[0, -6]]),            # nums [-6], den 4: divide by 2
+    (3, [[1, 5]], [[3, 3], [-2, 0]]),    # den 10 over two pivots
+])
+def test_subquot_relation_coordinates_pinned(p, gens, rels):
+    seen = []
+
+    def smith(rows, ncols, **kw):
+        seen.append([r[:] for r in rows])
+        return SmithForm(rows, ncols, **kw)
+
+    with mock.patch.object(_intlin, "SmithForm", smith):
+        sq = SubQuot(p, len(gens[0]), gens, rels)
+    # the relation coordinates are the lcm-of-denominators scaling of the
+    # p-local coordinates
+    want = []
+    for row in rels:
+        coords = solve_reference(sq.basis, sq.pivots, row, p)
+        den = lcm(*[c.denominator for c in coords])
+        want.append([int(c * den) for c in coords])
+    assert seen == [want]
+    assert max(solve_in_lattice(sq.basis, sq.pivots, row, p)[1]
+               for row in rels) > 1

@@ -18,9 +18,17 @@ basis.  Their transforms have p-unit determinants, so spans, kernels and
 invariant factors are exact over Z_(p), not over Z.  Membership and
 coordinates are fraction-free: integer coordinates over one positive p-unit
 common denominator, (nums, den).
+
+Each routine records only the transforms it reads (`Track`):
+`group_invariants` none, `row_kernel` the row transform P, `SubQuot` the
+column transform Q with its inverse Qinv, and `lattice_coordinates` both.
+`SubQuot(p, n, None, rels)` takes the generators to be all of Z^n; its
+echelon basis is then the standard one and every vector is its own
+coordinate vector, so it needs no `row_hermite` and no `solve_in_lattice`.
 """
 from __future__ import annotations
 
+from enum import Flag
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -58,16 +66,32 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+class Track(Flag):
+    """The transforms a `SmithForm` records; falsy exactly when it records none."""
+    NONE = 0
+    P = 1    # the row transform P
+    Q = 2    # the column transform Q and its inverse Qinv
+    ALL = 3
+
+
 class SmithForm:
     """Smith normal form D = P * M * Q over Z_(p); Qinv is the inverse of Q.
 
     The nonzero diagonal entries of D have non-decreasing p-valuations.  P and
     Qinv are integer matrices and P, Q have p-unit determinants; Q holds
     p-local Fractions only when some column step had to scale by a unit.
+
+    `transforms` names what is recorded; the others stay None.  When a column
+    step scales by a unit, the full path moves the denominator of each row i
+    of Qinv into column i of Q and row i of P.  Past the rank, row i of Qinv
+    is a unit vector over the product of the unit scalings applied to its
+    column, so with P alone one integer per column tracks that product, and
+    the rows of P past the rank (the kernel rows) come out as with both; the
+    rows before the rank may then differ by a p-unit factor.
     """
 
     def __init__(self, rows: list[list[int]], ncols: int, *, p: int,
-                 transforms: bool = True):
+                 transforms: Track = Track.ALL):
         m = len(rows)
         n = ncols
         for row in rows:
@@ -75,11 +99,14 @@ class SmithForm:
                 raise ValueError(f"row of length {len(row)} in a {n}-column matrix")
         self.m, self.n = m, n
         D = [row[:] for row in rows]
-        if transforms:
-            P = identity_matrix(m)
+        P = identity_matrix(m) if Track.P in transforms else None
+        Q = Qinv = None
+        if Track.Q in transforms:
             Q, Qinv = identity_matrix(n), identity_matrix(n)
-        else:
-            P = Q = Qinv = None
+        row_mats = (D,) if P is None else (D, P)
+        col_mats = (D,) if Q is None else (D, Q)
+        # with P alone: the product of the unit scalings of each column
+        scale = [1] * n if P is not None and Q is None else None
         scaled = False
         for t in range(min(m, n)):
             piv = _pivot(D, range(t, m), range(t, n), p)
@@ -87,19 +114,20 @@ class SmithForm:
                 break
             pi, pj = piv
             if pi != t:
-                for mat in (D, P) if transforms else (D,):
+                for mat in row_mats:
                     mat[t], mat[pi] = mat[pi], mat[t]
             if pj != t:
-                for mat in (D, Q) if transforms else (D,):
+                for mat in col_mats:
                     for r in mat:
                         r[t], r[pj] = r[pj], r[t]
-                if transforms:
-                    Qinv[t], Qinv[pj] = Qinv[pj], Qinv[t]
+                for vec in (Qinv, scale):
+                    if vec is not None:
+                        vec[t], vec[pj] = vec[pj], vec[t]
             a = D[t][t]
             for i in range(t + 1, m):
                 if D[i][t]:
                     u, w = _step(a, D[i][t], p)
-                    for mat in (D, P) if transforms else (D,):
+                    for mat in row_mats:
                         mat[i][:] = [u * x - w * y for x, y in zip(mat[i], mat[t])]
             # column t of D is now zero off the pivot, so the column step
             # col_j <- u col_j - w col_t only clears D[t][j] and scales the
@@ -113,14 +141,16 @@ class SmithForm:
                     scaled = True
                     for i in range(t + 1, m):
                         D[i][j] *= u
-                if transforms:
+                    if scale is not None:
+                        scale[j] *= u
+                if Q is not None:
                     for r in Q:
                         r[j] = u * r[j] - w * r[t]
                     c = w if u == 1 else Fraction(w, u)
                     Qinv[t][:] = [x + c * y for x, y in zip(Qinv[t], Qinv[j])]
                     if u != 1:
                         Qinv[j][:] = [Fraction(y) / u for y in Qinv[j]]
-        if transforms and scaled:
+        if scaled and Q is not None:
             # move the p-unit denominator of each row i of Qinv into column i
             # of Q and row i of P; D is diagonal, so P * M * Q is unchanged
             for i, row in enumerate(Qinv):
@@ -129,8 +159,13 @@ class SmithForm:
                     Qinv[i] = [int(x * den) for x in row]
                     for r in Q:
                         r[i] = Fraction(r[i], den)
-                    if i < m:
+                    if P is not None and i < m:
                         P[i] = [den * x for x in P[i]]
+        elif scaled and scale is not None:
+            # past the rank, row i of Qinv would be e_k / scale[i]: the same move
+            for i in range(min(m, n)):
+                if not D[i][i] and abs(scale[i]) > 1:
+                    P[i] = [abs(scale[i]) * x for x in P[i]]
         self.D = D
         self.P, self.Q, self.Qinv = P, Q, Qinv
 
@@ -202,7 +237,7 @@ def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     m = len(rows)
     if m == 0:
         return []
-    sf = SmithForm(rows, ncols, p=p, transforms=True)
+    sf = SmithForm(rows, ncols, p=p, transforms=Track.P)
     diag = sf.diagonal()
     out = []
     for i in range(m):
@@ -222,24 +257,33 @@ class SubQuot:
 
     Summands are recorded with explicit generator vectors in Z^n so that
     arbitrary lattice vectors can be expressed in summand coordinates.
+    gen_rows=None means the generators are all of Z^n; `basis` is then None,
+    standing for the standard basis.
     """
 
-    def __init__(self, p: int, n: int, gen_rows: list[list[int]], rel_rows: list[list[int]]):
+    def __init__(self, p: int, n: int, gen_rows: list[list[int]] | None,
+                 rel_rows: list[list[int]]):
         self.p = p
         self.n = n
-        self.basis, self.pivots = row_hermite(gen_rows + rel_rows, n, p)
-        k = len(self.basis)
-        rel_coords = []
-        for row in rel_rows:
-            sol = solve_in_lattice(self.basis, self.pivots, row, p)
-            if sol is None:
-                raise ArithmeticError("relation row escapes its own lattice")
-            # a p-unit multiple of the row spans the same Z_(p)-line
-            nums, den = sol
-            g = gcd(den, *nums)
-            rel_coords.append([x // g for x in nums])
+        if gen_rows is None:
+            # every relation row is its own coordinate vector (den 1)
+            self.basis = self.pivots = None
+            k = n
+            rel_coords = rel_rows
+        else:
+            self.basis, self.pivots = row_hermite(gen_rows + rel_rows, n, p)
+            k = len(self.basis)
+            rel_coords = []
+            for row in rel_rows:
+                sol = solve_in_lattice(self.basis, self.pivots, row, p)
+                if sol is None:
+                    raise ArithmeticError("relation row escapes its own lattice")
+                # a p-unit multiple of the row spans the same Z_(p)-line
+                nums, den = sol
+                g = gcd(den, *nums)
+                rel_coords.append([x // g for x in nums])
         # quotient Z^k / span(rel_coords); Smith over the relation matrix
-        sf = SmithForm(rel_coords, k, p=p, transforms=True) if k else None
+        sf = SmithForm(rel_coords, k, p=p, transforms=Track.Q) if k else None
         diag = sf.diagonal() if k else []
         self.summands: list[tuple[int, int]] = []  # (p-local order, coordinate index), order 0 = free
         for i in range(k):
@@ -269,6 +313,8 @@ class SubQuot:
 
     def generator_vector(self, idx: int) -> list[int]:
         """Representative in Z^n of the idx-th summand generator."""
+        if self.basis is None:
+            return self._gens[idx][:]
         out = [0] * self.n
         for c, row in zip(self._gens[idx], self.basis):
             if c:
@@ -282,10 +328,13 @@ class SubQuot:
         Torsion coordinates come back as ints mod the order; free coordinates as
         p-local Fractions.
         """
-        sol = solve_in_lattice(self.basis, self.pivots, v, self.p)
-        if sol is None:
-            return None
-        nums, den = sol
+        if self.basis is None:
+            nums, den = v, 1
+        else:
+            sol = solve_in_lattice(self.basis, self.pivots, v, self.p)
+            if sol is None:
+                return None
+            nums, den = sol
         out = []
         for (order, _), (col, cden) in zip(self.summands, self._cols):
             y = sum(q * c for q, c in zip(col, nums))
@@ -302,7 +351,7 @@ class SubQuot:
 
 def group_invariants(rel_rows: list[list[int]], n: int, p: int) -> tuple[int, list[int]]:
     """(free rank, sorted p-local torsion orders) of Z^n / rowspan(rel_rows)."""
-    sf = SmithForm([r for r in rel_rows if any(r)], n, p=p, transforms=False)
+    sf = SmithForm([r for r in rel_rows if any(r)], n, p=p, transforms=Track.NONE)
     diag = [d for d in sf.diagonal() if d != 0]
     free = n - len(diag)
     torsion = sorted(q for q in (p ** nu(p, d) for d in diag) if q > 1)
@@ -321,7 +370,7 @@ def lattice_coordinates(
     row list and returns one coordinate per input row, in the same (nums, den)
     form.  Returns None when v is not in the Z_(p)-span.
     """
-    sf = SmithForm(rows, ncols, p=p, transforms=True)
+    sf = SmithForm(rows, ncols, p=p, transforms=Track.ALL)
     diag = sf.diagonal()
     # x = (v * Q) * D^-1 * P, where coordinate i of v * Q is s / qden
     nums, den = [0] * len(rows), 1

@@ -186,31 +186,36 @@ def _nonnegative(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags that command reads."""
     ap = argparse.ArgumentParser(prog="thh")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, formats):
         sp.add_argument("--prime", type=int, default=2)
-        sp.add_argument("--target", choices=("ell", "ko"), default="ell")
-        sp.add_argument("--coefficients", default=None)
-        sp.add_argument("--degree", type=int, default=None)
-        sp.add_argument("--max-degree", type=_nonnegative, default=None)
-        sp.add_argument("--reduced", action="store_true")
         sp.add_argument("--format", choices=formats, default=formats[0])
         sp.add_argument("--out", default=None)
-        sp.add_argument("--paper-style", action="store_true")
 
     g = sub.add_parser("group")
     common(g, ("table", "json", "csv"))
+    g.add_argument("--target", choices=("ell", "ko"), default="ell")
+    g.add_argument("--coefficients", default=None)
+    g.add_argument("--reduced", action="store_true")
+    span = g.add_mutually_exclusive_group()
+    span.add_argument("--degree", type=int, default=None)
+    span.add_argument("--max-degree", type=_nonnegative, default=None)
 
     v = sub.add_parser("verify")
     common(v, ("table", "json"))
+    v.add_argument("--max-degree", type=_nonnegative, default=None)
     v.add_argument("--suite", choices=SUITES, required=True)
     v.add_argument("--level", type=_nonnegative, default=3)
 
     c = sub.add_parser("chart")
     c.add_argument("kind", choices=charts.CHART_KINDS)
     common(c, ("svg", "json"))
+    c.add_argument("--degree", type=int, default=None)
+    c.add_argument("--max-degree", type=_nonnegative, default=None)
+    c.add_argument("--paper-style", action="store_true")
     return ap
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ._intlin import SubQuot, group_invariants, row_kernel
+from ._intlin import (SubQuot, group_invariants, row_hermite, row_kernel,
+                      solve_in_lattice)
 from .padic import nu
 
 
@@ -147,10 +148,8 @@ class GradedModulePresentation:
     def subquot_at(self, d: int) -> SubQuot:
         """Summand-level structure of the degree-d group, with generator vectors."""
         if d not in self._subquot_cache:
-            cells = self.slice_cells(d)
-            n = len(cells)
-            gens = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            self._subquot_cache[d] = SubQuot(self.ring.p, n, gens, self.slice_relation_rows(d))
+            n = len(self.slice_cells(d))
+            self._subquot_cache[d] = SubQuot(self.ring.p, n, None, self.slice_relation_rows(d))
         return self._subquot_cache[d]
 
     def is_zero_at(self, d: int, terms) -> bool:
@@ -396,19 +395,17 @@ def submodule_presentation(module: GradedModulePresentation,
         n_tgt = len(module.slice_cells(d))
         stacked = mat + tgt_rows
         kernel = row_kernel(stacked, n_tgt, ring.p)
-        have = sub.slice_relation_rows(d)
         n_src = len(cells)
-        have_sq = SubQuot(ring.p, n_src, have, []) if have else None
+        have = row_hermite(sub.slice_relation_rows(d), n_src, ring.p)
         for kv in kernel:
-            row = kv[: len(cells)]
+            row = kv[:n_src]
             if not any(row):
                 continue
-            if have_sq is not None and have_sq.express(row) is not None:
+            if solve_in_lattice(*have, row, ring.p) is not None:
                 continue
             terms = tuple(
                 (c, e, gid) for (gid, e), c in zip(cells, row) if c
             )
             sub.add_relation(Relation(terms))
-            have = sub.slice_relation_rows(d)
-            have_sq = SubQuot(ring.p, n_src, have, [])
+            have = row_hermite(sub.slice_relation_rows(d), n_src, ring.p)
     return sub

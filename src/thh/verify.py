@@ -178,10 +178,8 @@ def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     n_src = len(mat)
     tgt_rels = mp.target.slice_relation_rows(d + mp.degree_shift)
     n_tgt = len(mp.target.slice_cells(d + mp.degree_shift))
-    if n_tgt == 0:
-        rows = [[1 if i == j else 0 for j in range(n_src)] for i in range(n_src)]
-    else:
-        rows = [k[:n_src] for k in row_kernel(mat + tgt_rels, n_tgt, p)]
+    rows = (None if n_tgt == 0 else
+            [k[:n_src] for k in row_kernel(mat + tgt_rels, n_tgt, p)])
     return SubQuot(p, n_src, rows, mp.source.slice_relation_rows(d))
 
 
@@ -190,8 +188,7 @@ def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     p = mp.target.ring.p
     mat = mp.matrix(d)
     n_tgt = len(mp.target.slice_cells(d + mp.degree_shift))
-    eye = [[1 if i == j else 0 for j in range(n_tgt)] for i in range(n_tgt)]
-    return SubQuot(p, n_tgt, eye,
+    return SubQuot(p, n_tgt, None,
                    mp.target.slice_relation_rows(d + mp.degree_shift) + mat)
 
 

@@ -126,6 +126,49 @@ def test_hfp_group_json_is_pinned():
     assert out == json.dumps(want, indent=2) + "\n"
 
 
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys):
+    for argv in (["verify", "--suite", "all", "--target", "ko"],
+                 ["verify", "--suite", "section4", "--coefficients", "HZ"],
+                 ["verify", "--suite", "section4", "--degree", "3"],
+                 ["verify", "--suite", "section4", "--reduced"],
+                 ["verify", "--suite", "section4", "--paper-style"],
+                 ["chart", "torsion", "--target", "ko"],
+                 ["chart", "torsion", "--coefficients", "HZ"],
+                 ["chart", "torsion", "--reduced"],
+                 ["group", "--degree", "4", "--paper-style"]):
+        assert cli.main(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_group_degree_and_max_degree_are_exclusive(capsys):
+    assert cli.main(["group", "--degree", "5", "--max-degree", "3"]) == 2
+    assert "not allowed with argument --degree" in capsys.readouterr().err
+
+
+def test_group_table_runs_no_lattice_solves(monkeypatch):
+    # every slice of a group table is a subquotient of all of Z^n, so it
+    # needs no echelon basis and no membership solve
+    import sys
+    from thh import _intlin
+    calls = {"row_hermite": 0, "solve_in_lattice": 0}
+    for name in calls:
+        orig = getattr(_intlin, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        for key, mod in list(sys.modules.items()):
+            if mod is not None and (key == "thh" or key.startswith("thh.")):
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, counted)
+    code, out = run(["group", "--prime", "2", "--max-degree", "64",
+                     "--format", "json"])
+    assert code == 0 and len(json.loads(out)) == 65
+    assert calls == {"row_hermite": 0, "solve_in_lattice": 0}
+
+
 def test_verify_exit_zero_on_clean_suite():
     code, out = run(["verify", "--suite", "section4", "--prime", "2",
                      "--level", "2"])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thh import _intlin
-from thh._intlin import (SmithForm, SubQuot, group_invariants,
-                         lattice_coordinates, row_hermite, row_kernel,
-                         solve_in_lattice)
+from thh._intlin import (SmithForm, SubQuot, Track, group_invariants,
+                         identity_matrix, lattice_coordinates, row_hermite,
+                         row_kernel, solve_in_lattice)
 from thh.padic import nu
 
 PRIMES = (2, 3, 5)
@@ -86,7 +86,7 @@ def test_smith_form_p_parts_match_sympy():
     @given(p_matrices())
     def check(case):
         p, rows = case
-        sf = SmithForm(rows, len(rows[0]), p=p, transforms=False)
+        sf = SmithForm(rows, len(rows[0]), p=p, transforms=Track.NONE)
         ours = sorted(p ** nu(p, d) for d in sf.diagonal() if d)
         theirs = sorted(p ** nu(p, int(d)) for d in
                         normalforms.invariant_factors(Matrix(rows), domain=ZZ)
@@ -120,8 +120,69 @@ def test_row_kernel_annihilates(case):
         for j in range(n):
             assert sum(c * rows[i][j] for i, c in enumerate(comb)) == 0
     # and it spans the rational kernel: its size is the row nullity
-    rank = sum(1 for d in SmithForm(rows, n, p=p, transforms=False).diagonal() if d)
+    rank = sum(1 for d in SmithForm(rows, n, p=p, transforms=Track.NONE).diagonal() if d)
     assert len(ker) == len(rows) - rank
+
+
+@settings(max_examples=150)
+@given(p_matrices(6, 4))
+# a column step scaled by 5 leaves a kernel row past the rank
+@example((2, [[10, 18], [20, 36]]))
+# column 2 is scaled by 3, then swapped into column 1, before the rank
+@example((2, [[2, 0, 0], [0, 0, 0], [3, 0, 4]]))
+def test_transform_subsets_match_the_full_path(case):
+    p, rows = case
+    n = len(rows[0])
+    full = SmithForm(rows, n, p=p, transforms=Track.ALL)
+    rank = sum(1 for d in full.diagonal() if d)
+    assert row_kernel(rows, n, p) == full.P[rank:]
+    p_only = SmithForm(rows, n, p=p, transforms=Track.P)
+    assert p_only.D == full.D and p_only.Q is p_only.Qinv is None
+    assert p_only.P[rank:] == full.P[rank:]
+    q_only = SmithForm(rows, n, p=p, transforms=Track.Q)
+    assert (q_only.D, q_only.Q, q_only.Qinv) == (full.D, full.Q, full.Qinv)
+    assert q_only.P is None
+    none = SmithForm(rows, n, p=p, transforms=Track.NONE)
+    assert none.D == full.D and none.P is none.Q is none.Qinv is None
+
+
+def test_row_kernel_pinned_scaled_steps():
+    # the pivot 10 = 2 * 5 clears 18 with 5 * 18 - 9 * 10, so column 1 and
+    # with it the kernel row past the rank carry the unit 5
+    assert row_kernel([[10, 18], [20, 36]], 2, 2) == [[-10, 5]]
+    # the unit 3 of column 2 moves to column 1 with a swap, so the kernel
+    # row past the rank stays unscaled
+    assert row_kernel([[2, 0, 0], [0, 0, 0], [3, 0, 4]], 3, 2) == [[0, 1, 0]]
+    # bench/spans.py tells invariants-only Smith forms apart by truthiness
+    assert not Track.NONE and Track.P and Track.Q and Track.ALL
+
+
+@settings(max_examples=150)
+@given(p_matrices(5, 4), st.data())
+# orders 3 and 81, and 5 and 625, over a column denominator 2: the torsion
+# coordinates of express need the inverse of a unit other than +-1
+@example((3, [[9, 0, 0], [6, 27, 0], [0, 3, 2]]), None)
+@example((5, [[25, 0, 0], [10, 125, 0]]), None)
+# order 25 beside a free summand
+@example((5, [[2, 0, 0], [0, 75, 0], [0, 0, 0]]), None)
+def test_whole_lattice_subquot_matches_identity_generators(case, data):
+    p, rows = case
+    n = len(rows[0])
+    whole = SubQuot(p, n, None, rows)
+    eye = SubQuot(p, n, identity_matrix(n), rows)
+    assert whole.basis is None
+    assert whole.summands == eye.summands
+    orders = whole.orders
+    for i in range(len(orders)):
+        vec = whole.generator_vector(i)
+        assert vec == eye.generator_vector(i)
+        assert whole.express(vec) == [int(i == j) % o if o else int(i == j)
+                                      for j, o in enumerate(orders)]
+    vecs = [*rows, *identity_matrix(n), [sum(c) for c in zip(*rows)]]
+    if data is not None:
+        vecs.append(data.draw(st.lists(entries(p), min_size=n, max_size=n)))
+    for v in vecs:
+        assert whole.express(v) == eye.express(v)
 
 
 def test_group_invariants_known_examples():

@@ -16,8 +16,10 @@ allowed.  So one elimination step serves every routine, and it needs no gcd
 rows only, `solve_in_lattice` to back-substitution against a `row_hermite`
 basis.  Their transforms have p-unit determinants, so spans, kernels and
 invariant factors are exact over Z_(p), not over Z.  Membership and
-coordinates are fraction-free: integer coordinates over one positive p-unit
-common denominator, (nums, den).
+coordinates are fraction-free: integer coordinates over one positive common
+denominator, (nums, den).  `solve_in_lattice` answers over Z_(p), so den is
+a p-unit; `lattice_coordinates` answers over Q in lowest terms, so its
+coordinates are p-local exactly when p does not divide den.
 
 Each routine records only the transforms it reads (`Track`):
 `group_invariants` none, `row_kernel` the row transform P, `SubQuot` the
@@ -152,11 +154,12 @@ class SmithForm:
                         Qinv[j][:] = [Fraction(y) / u for y in Qinv[j]]
         if scaled and Q is not None:
             # move the p-unit denominator of each row i of Qinv into column i
-            # of Q and row i of P; D is diagonal, so P * M * Q is unchanged
+            # of Q and row i of P; D is diagonal, so P * M * Q is unchanged.
+            # Every row is rewritten in ints: units can cancel to den 1
             for i, row in enumerate(Qinv):
                 den = lcm(*(x.denominator for x in row))
+                Qinv[i] = [int(x * den) for x in row]
                 if den > 1:
-                    Qinv[i] = [int(x * den) for x in row]
                     for r in Q:
                         r[i] = Fraction(r[i], den)
                     if P is not None and i < m:
@@ -364,11 +367,13 @@ def lattice_coordinates(
     v: list[int],
     p: int,
 ) -> tuple[list[int], int] | None:
-    """Coordinates of v as a Z_(p)-combination of the given rows.
+    """Coordinates of v as a Q-combination of the given rows.
 
     Unlike solve_in_lattice this works with an arbitrary (possibly dependent)
-    row list and returns one coordinate per input row, in the same (nums, den)
-    form.  Returns None when v is not in the Z_(p)-span.
+    row list and returns one coordinate per input row: (nums, den) in lowest
+    terms with den > 0 and den * v == sum(nums[k] * rows[k]).  The coordinates
+    are p-local exactly when p does not divide den.  Returns None when v is
+    not in the Q-span.
     """
     sf = SmithForm(rows, ncols, p=p, transforms=Track.ALL)
     diag = sf.diagonal()
@@ -379,13 +384,12 @@ def lattice_coordinates(
         s = sum(x * q for x, q in zip(v, col))
         if not s:
             continue
-        d = diag[i] if i < len(diag) else 0
-        pe = p ** nu(p, d) if d else 0
-        if not pe or s % pe:
+        if i >= len(diag) or not diag[i]:
             return None
-        unit = qden * d // pe
-        k = lcm(den, unit) // den
+        t = qden * diag[i]
+        k = lcm(den, t) // den
         den *= k
-        c = s // pe * (den // unit)
+        c = s * den // t
         nums = [k * x + c * y for x, y in zip(nums, sf.P[i])]
-    return nums, den
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g

@@ -50,7 +50,7 @@ def build_Tn(ctx: PrimeContext, n: int, prefix: str = "T:") -> GradedModulePrese
         terms: list[tuple[int, int, str]] = [(p, 0, _word_gid(prefix, w))]
         child = w.digits + (0,)
         if child in have:
-            terms.append((-1, 0, prefix + "g_" + "".join(map(str, child))))
+            terms.append((-1, 0, _word_gid(prefix, TorsionWord(child, p))))
         if k >= 1 and w.digits[-1] == p - 1:
             parent = TorsionWord(w.digits[:-1], p)
             terms.append((-1, p ** (n - k + 2), _word_gid(prefix, parent)))

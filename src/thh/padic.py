@@ -46,7 +46,10 @@ class TorsionWord:
         return TorsionWord(tuple(self.p - 1 - d for d in reversed(self.digits)), self.p)
 
     def label(self) -> str:
-        return "g_" + ("".join(str(d) for d in self.digits) or "e")
+        # digits past 9 take two characters; the separator only where they
+        # occur keeps every id at p <= 7 as it was
+        sep = "." if self.p > 10 else ""
+        return "g_" + (sep.join(map(str, self.digits)) or "e")
 
 
 def nu(p: int, m: int | Fraction) -> int:

@@ -11,7 +11,13 @@ extension instances.
 Conventions: a rule on slot (d, s) has its target in slot (d - 1, s + r),
 i.e. the Bockstein variable carries internal degree |v| with the slot's
 internal degree d already including s * |v| (so d is the total degree of the
-abutment class).
+abutment class).  The differential on a page is the Q-linear extension of its
+rules: a cycle outside the Q-span of the rule sources, or one whose image
+needs a p in a denominator, is an `EngineError`.
+
+Every lattice and coordinate question goes to `_intlin`; in particular
+`lattice_coordinates` gives each cycle's image and each unit ratio, so this
+module runs no elimination of its own.
 """
 
 from dataclasses import dataclass
@@ -153,7 +159,7 @@ class SpectralSequence:
         p-unit, or (None, 1) when the class is not represented by a cycle.
         """
         sol = lattice_coordinates(z_rows + l_rows, dim, vec, self.p)
-        if sol is None:
+        if sol is None or sol[1] % self.p == 0:
             return None, 1
         nums, den = sol[0][:len(z_rows)], sol[1]
         g = gcd(den, *nums)
@@ -200,8 +206,8 @@ class SpectralSequence:
             return None
         # rows of the zero lattice that happen to be cycles represent the
         # zero class, so the linear differential must send them into the
-        # target's zero lattice; they join the elimination as constraints
-        # with zero image and can force values on directions no rule names
+        # target's zero lattice; they join the rules as constraints with
+        # zero image and can force values on directions no rule names
         for row in ls_rows:
             if any(row) and spans(z_lat, row):
                 X.append(list(row))
@@ -217,52 +223,24 @@ class SpectralSequence:
             if not spans(lt_lat, img):
                 raise EngineError(
                     f"page {r} at {slot}: inconsistent differentials")
-        # build the linear differential by elimination; rows with the least
-        # p-divisible sources are pivoted first so that p-divisible sources
-        # defer to the rules on their finer companions (dependencies between
-        # rules were already validated by the kernel check above)
-        pivots: list[tuple[int, list[Fraction], list[Fraction]]] = []
-        pending = [([Fraction(v) for v in x], [Fraction(v) for v in y])
-                   for x, y in zip(X, Y)]
-        while pending:
-            reduced = []
-            for left, right in pending:
-                for col, prow_l, prow_r in pivots:
-                    c = left[col]
-                    if c:
-                        left = [a - c * b for a, b in zip(left, prow_l)]
-                        right = [a - c * b for a, b in zip(right, prow_r)]
-                reduced.append((left, right))
-            reduced = [(l, rt) for l, rt in reduced if any(l)]
-            if not reduced:
-                break
-            best = min(reduced,
-                       key=lambda lr: min(nu(p, v) for v in lr[0] if v))
-            left, right = best
-            col = min((j for j in range(dim_s) if left[j]),
-                      key=lambda j: nu(p, left[j]))
-            c = left[col]
-            left = [a / c for a in left]
-            right = [a / c for a in right]
-            pivots.append((col, left, right))
-            pending = [lr for lr in reduced if lr is not best]
+        # the differential is the Q-linear extension of the rules: each
+        # cycle's image is read off its coordinates over the rule sources
         images = []
         for z in self.Z[slot]:
-            left = [Fraction(v) for v in z]
-            img = [Fraction(0)] * dim_t
-            for col, prow_l, prow_r in pivots:
-                c = left[col]
-                if c:
-                    left = [a - c * b for a, b in zip(left, prow_l)]
-                    img = [a + c * b for a, b in zip(img, prow_r)]
-            for v in img:
-                if v.denominator % p == 0:
-                    raise EngineError(
-                        f"page {r} at {slot}: differential requires division by {p}")
-            images.append(img)
+            sol = lattice_coordinates(X, dim_s, z, p)
+            if sol is None:
+                raise EngineError(
+                    f"page {r} at {slot}: a cycle is outside the span of the rules")
+            nums, den = sol
+            img = [sum(c * y[j] for c, y in zip(nums, Y)) for j in range(dim_t)]
+            g = gcd(den, *img)
+            if den // g % p == 0:
+                raise EngineError(
+                    f"page {r} at {slot}: differential requires division by {p}")
+            images.append(([v // g for v in img], den // g))
         # new cycles: z with image zero modulo the target's zero lattice
-        den = lcm(*(v.denominator for img in images for v in img))
-        w_rows = [[int(v * den) for v in img] for img in images]
+        den = lcm(*(d for _, d in images))
+        w_rows = [[v * (den // d) for v in img] for img, d in images]
         scaled_lt = [[den * v for v in row] for row in lt_rows]
         new_z = []
         for row in row_kernel(w_rows + scaled_lt, dim_t, p):
@@ -311,7 +289,7 @@ class SpectralSequence:
             coords = sqs[slot].express(vec)
             if coords is None:
                 raise EngineError(f"assembly: class at {slot} escapes the cycles")
-            return {(slot, i): Fraction(c) for i, c in enumerate(coords) if c}
+            return {(slot, i): c for i, c in enumerate(coords) if c}
 
         def lift(slot, vec, k):
             if not any(vec):
@@ -326,7 +304,7 @@ class SpectralSequence:
                 for coeff, slot2, vec2 in ext.targets:
                     sub = lift(slot2, [coeff * v for v in vec2], k - 1)
                     for gen, val in sub.items():
-                        out[gen] = out.get(gen, Fraction(0)) + u * val
+                        out[gen] = out.get(gen, 0) + u * val
             return out
 
         rows: dict[int, list[list[int]]] = {d: [] for d in ngens}
@@ -339,12 +317,12 @@ class SpectralSequence:
                     rhs = lift(slot, sq.generator_vector(i), nu(p, order))
                 except _Ceiling:
                     continue  # the tower leaves the window: no relation
-                terms = {(slot, i): Fraction(order)}
+                terms = {(slot, i): order}
                 for gen, val in rhs.items():
                     if gen[0][0] != d:
                         raise EngineError(
                             f"assembly: extension at {slot} leaves degree {d}")
-                    terms[gen] = terms.get(gen, Fraction(0)) - val
+                    terms[gen] = terms.get(gen, 0) - val
                 den = lcm(*(val.denominator for val in terms.values()))
                 if den % p == 0:
                     raise EngineError(f"assembly: non-local relation at {slot}")
@@ -357,60 +335,21 @@ class SpectralSequence:
     def _class_unit_ratio(self, slot, veca, vecb):
         """A p-adic unit u with [veca] = u * [vecb], or None."""
         p = self.p
-        sq = self.subquot(slot)
-        a = sq.express(veca)
-        b = sq.express(vecb)
-        if a is None or b is None:
+        sol = lattice_coordinates([vecb] + self.zero_rows(slot),
+                                  len(self.cells[slot]), veca, p)
+        if sol is None or sol[1] % p == 0 or sol[0][0] % p == 0:
             return None
-        orders = sq.orders
-        cand = None
-        # an infinite-order coordinate pins the ratio exactly
-        for ai, bi, o in zip(a, b, orders):
-            if o == 0 and bi:
-                u = Fraction(ai) / Fraction(bi)
-                if cand is not None and u != cand:
-                    return None
-                cand = u
-            elif o == 0 and ai:
-                return None
-        if cand is None:
-            best = None
-            for i, (bi, o) in enumerate(zip(b, orders)):
-                if o == 0 or bi % o == 0:
-                    continue
-                v = nu(p, bi)
-                key = o // p**v
-                if best is None or key > best[0]:
-                    best = (key, i, v)
-            if best is None:
-                return None
-            _, i, v = best
-            o = orders[i]
-            if not a[i] or nu(p, a[i]) != v:
-                return None
-            red = o // p**v
-            inv = pow((b[i] // p**v) % red, -1, red) if red > 1 else 0
-            cand = Fraction(((a[i] // p**v) * inv) % red if red > 1 else 1)
-        if cand == 0 or nu(p, cand) != 0:
-            return None
-        diff = [Fraction(x) - cand * y for x, y in zip(veca, vecb)]
-        den = lcm(*(v.denominator for v in diff))
-        if den % p == 0:
-            return None
-        scaled = [int(v * den) for v in diff]
-        if not sq.is_zero(scaled):
-            return None
-        return cand
+        return Fraction(sol[0][0], sol[1])
 
 
 # -- shared helpers --------------------------------------------------------------
 
 
 def _int_coords(coords, p: int) -> list[int]:
-    den = lcm(*(Fraction(c).denominator for c in coords))
+    den = lcm(*(c.denominator for c in coords))
     if den % p == 0:
         raise EngineError("class has non-local coordinates")
-    return [int(Fraction(c) * den) for c in coords]
+    return [int(c * den) for c in coords]
 
 
 @dataclass
@@ -624,8 +563,8 @@ def eta_tower_setup(window: int, chain_smax: int = 6) -> EngineSetup:
     # multiple of a torsion bottom, and the odd multiples pick up an extra
     # term by the Leibniz rule because the period operator itself drops one
     # step with coefficient two.  Targets that vanish still enter the rule
-    # list as explicit d1 = 0 statements so the elimination cannot misassign
-    # the span of a class that mixes several summands.
+    # list as explicit d1 = 0 statements so the Q-linear extension cannot
+    # misassign the span of a class that mixes several summands.
     m = 1
     while 8 * m + 4 <= window + 1:
         kv = nu(2, m)

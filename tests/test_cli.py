@@ -176,6 +176,14 @@ def test_verify_exit_zero_on_clean_suite():
     assert "0 failures" in out
 
 
+def test_duality_suite_runs_at_prime_eleven():
+    # the words (10,) and (1, 0) need distinct generator ids
+    code, out = run(["verify", "--suite", "duality", "--prime", "11",
+                     "--max-degree", "0", "--level", "2"])
+    assert code == 0
+    assert "0 failures" in out
+
+
 def test_chart_svg_deterministic(tmp_path):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"

@@ -1,8 +1,10 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from thh import closed_forms as cf
 from thh.graded import Generator, GradedModulePresentation, Relation, RingSpec
-from thh.padic import PrimeContext, a_degree, b_degree, lambda_degree, nu
+from thh.padic import (PrimeContext, a_degree, all_words, b_degree,
+                       lambda_degree, nu)
 
 
 def test_torsion_block_one_at_two():
@@ -13,6 +15,13 @@ def test_torsion_block_one_at_two():
         rank, tors = t1.group_at(d)
         assert rank == 0
         assert sorted(tors) == expected.get(d, [])
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_torsion_block_ids_are_distinct_past_digit_nine(p):
+    words = all_words(p, 2)
+    mod = cf.build_Tn(PrimeContext(p), 2)
+    assert len(mod.generators) == len({w.label() for w in words}) == len(words)
 
 
 def test_torsion_block_zero_is_truncated_ring():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -60,10 +60,14 @@ def det(mat):
 
 @settings(max_examples=80)
 @given(p_matrices())
+# the unit denominators of Qinv row 2 cancel to 1
+@example((3, [[-45, 7, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, -9, -5, 0],
+              [-108, -7, 63, 0, -3], [0, -1, 0, -15, 0]]))
 def test_smith_form_diagonalizes(case):
     p, rows = case
     m, n = len(rows), len(rows[0])
     sf = SmithForm(rows, n, p=p)
+    assert all(type(x) is int for mat in (sf.P, sf.Qinv) for row in mat for x in row)
     # P * A * Q equals the recorded diagonal matrix D
     assert matmul(matmul(sf.P, rows), sf.Q) == sf.D
     assert matmul(sf.Q, sf.Qinv) == [[int(i == j) for j in range(n)] for i in range(n)]
@@ -285,7 +289,7 @@ def test_solve_in_lattice_pinned():
 
 
 def lattice_coordinates_reference(rows, ncols, v, p):
-    """Coordinates of v over the given rows through SmithForm, as Fractions."""
+    """Coordinates of v over the given rows through SmithForm, as Fractions over Q."""
     m = len(rows)
     sf = SmithForm(rows, ncols, p=p)
     diag = sf.diagonal()
@@ -298,14 +302,13 @@ def lattice_coordinates_reference(rows, ncols, v, p):
                 return None
         else:
             w[i] = Fraction(vq[i], d)
-            if w[i].denominator % p == 0:
-                return None
     return [sum(w[i] * sf.P[i][j] for i in range(m)) for j in range(m)]
 
 
 @settings(max_examples=100)
 @given(p_matrices(), st.lists(st.integers(-9, 9), min_size=4, max_size=4))
-# the pivot 10 does not divide 18 over Z, so Q holds a Fraction
+# the pivot 10 does not divide 18 over Z, so Q holds a Fraction; [5, 9] is
+# half the row, so its coordinate needs a 2 in the denominator
 @example((2, [[10, 18]]), [5, 9, 0, 0])
 def test_lattice_coordinates_match_fraction_reference(case, off):
     p, rows = case
@@ -318,10 +321,14 @@ def test_lattice_coordinates_match_fraction_reference(case, off):
                 assert got is None
             else:
                 nums, den = got
-                assert den > 0 and den % p
+                assert den > 0 and gcd(den, *nums) == 1
                 assert [Fraction(x, den) for x in nums] == want
+                assert (den % p == 0) == any(c.denominator % p == 0 for c in want)
+                assert [den * x for x in v] == [
+                    sum(c * r[j] for c, r in zip(nums, lattice)) for j in range(n)]
     assert lattice_coordinates([], n, [0] * n, p) == ([], 1)
     assert lattice_coordinates([], n, [1] * n, p) is None
+    assert lattice_coordinates([[10, 18]], 2, [5, 9], 2) == ([1], 2)
 
 
 @pytest.mark.parametrize("p, gens, rels", [

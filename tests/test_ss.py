@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from thh import closed_forms as cf, ss
@@ -82,3 +85,50 @@ def test_audit_catches_rank_growth():
                 for r in [bad] + [r for r in fresh.rules if r.name != first.name]]
     with pytest.raises(ss.EngineError):
         fresh.ss.run(replaced + [first], setup.last_page, audit=True)
+
+
+def test_differential_needing_division_by_p_is_rejected():
+    # d(2x) = y would force d(x) = y / 2
+    seq = ss.SpectralSequence(2, {(1, 0): [0], (0, 1): [0]})
+    rule = ss.Rule(1, (1, 0), (2,), (1,), "d1(2x)")
+    with pytest.raises(ss.EngineError, match="division by 2"):
+        seq.run([rule], 1)
+
+
+def test_cycle_outside_the_rules_span_is_rejected():
+    # the rules on slot (1, 0) say nothing about its second cycle
+    seq = ss.SpectralSequence(2, {(1, 0): [0, 0], (0, 1): [0]})
+    rule = ss.Rule(1, (1, 0), (1, 0), (1,), "d1(x)")
+    with pytest.raises(ss.EngineError, match="outside the span"):
+        seq.run([rule], 1)
+
+
+PAGE_PIN = pathlib.Path(__file__).parent / "golden" / "ss-page-orders.json"
+PAGE_TOWERS = {
+    "v0-p2-w32": lambda: ss.v0_tower_setup(PrimeContext(2), 32),
+    "v1-p3-w80": lambda: ss.v1_tower_setup(PrimeContext(3), 80),
+    "eta-w40": lambda: ss.eta_tower_setup(40),
+    "ko-base-w40": lambda: ss.ko_base_setup(40),
+}
+
+
+def page_orders(make_setup):
+    """{page: {"d,s": SubQuot orders}} after running a fresh setup to each page.
+
+    The orders do not depend on the bases the engine picks for Z and B, so
+    the pin holds across rewrites of the page turn.
+    """
+    pages = sorted({rule.page for rule in make_setup().rules})
+    out = {}
+    for r in pages:
+        setup = make_setup()
+        setup.ss.run(setup.rules, r)
+        out[str(r)] = {f"{d},{s}": setup.ss.subquot((d, s)).orders
+                       for d, s in sorted(setup.ss.cells)}
+    return out
+
+
+@pytest.mark.parametrize("tower", sorted(PAGE_TOWERS))
+def test_page_orders_are_pinned(tower):
+    golden = json.loads(PAGE_PIN.read_text())
+    assert page_orders(PAGE_TOWERS[tower]) == golden[tower]

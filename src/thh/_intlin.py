@@ -7,10 +7,22 @@ allowed.  So one elimination step serves every routine, and it needs no gcd
 (Dumas-Saunders-Villard, J. Symb. Comput. 32 (2001); Cohen, GTM 138, 2.4):
 
 - pivot on the entry of least p-valuation; ties go to the smallest |entry|,
-  then to the first entry in row-major order;
+  then to the first entry in row-major order of the current column order;
 - clear an entry b against the pivot a with the exact quotient b // a when a
   divides b over Z, and otherwise with the p-unit-scaled combination
   u * b - w * a, where a = p^e * u and b = p^e * w.
+
+The degree slices are sparse, so the elimination stores each row as a
+{column: value} dict of its nonzero entries, and a column swap moves no
+entries: it exchanges the positions of two column ids, which is all the
+tie-break reads.  `SmithForm` keeps Q as sparse columns and Qinv and P as
+sparse rows, each an implicit identity to start with: a row or column that no
+step touched is a unit vector and is not stored.  Its accessors read by
+position: `diagonal()` a list of ints, `p_row(i)` and `qinv_row(i)`
+{column: int} dicts, and `q_column(i)` a ({row: int}, den) pair with den > 0
+in lowest terms.  Callers pass dense rows in and get dense vectors back from
+`row_kernel`, `generator_vector` and the solves; only `row_hermite` hands out
+sparse rows, which `solve_in_lattice` reads.
 
 `SmithForm` applies the step to rows and then to columns, `row_hermite` to
 rows only, `solve_in_lattice` to back-substitution against a `row_hermite`
@@ -37,25 +49,6 @@ from math import gcd, lcm
 from .padic import nu
 
 
-def _pivot(D: list[list[int]], rows, cols, p: int) -> tuple[int, int] | None:
-    """Position of the pivot among D[i][j], i in rows, j in cols; None if all vanish."""
-    best = at = None
-    for i in rows:
-        row = D[i]
-        for j in cols:
-            v = row[j]
-            if v:
-                if v % p:
-                    if v == 1 or v == -1:
-                        return i, j
-                    key = (0, abs(v))
-                else:
-                    key = (nu(p, v), abs(v))
-                if best is None or key < best:
-                    best, at = key, (i, j)
-    return at
-
-
 def _step(a: int, b: int, p: int) -> tuple[int, int]:
     """(u, w) with u * b == w * a and u a p-unit, for a pivot a with nu(a) <= nu(b)."""
     if b % a == 0:
@@ -64,8 +57,21 @@ def _step(a: int, b: int, p: int) -> tuple[int, int]:
     return a // s, b // s
 
 
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _scale(row: dict, u: int) -> None:
+    for j in row:
+        row[j] *= u
+
+
+def _combine(row: dict, u: int, w: int, other: dict) -> None:
+    """row <- u * row - w * other on sparse rows, dropping the entries that vanish."""
+    if u != 1:
+        _scale(row, u)
+    for j, y in other.items():
+        x = row.get(j, 0) - w * y
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
 
 
 class Track(Flag):
@@ -76,20 +82,42 @@ class Track(Flag):
     ALL = 3
 
 
+# membership in these tuples is an identity test; `Track.P in transforms`
+# runs Python code of `Flag`, on each of the many tiny Smith forms
+_WITH_P = (Track.P, Track.ALL)
+_WITH_Q = (Track.Q, Track.ALL)
+
+
+def _p_of(prows: dict[int, dict], rid: list[int], i: int) -> dict[int, int]:
+    """Row i of P, stored on its first touch; rid[i] is the row it started as."""
+    r = rid[i]
+    row = prows.get(r)
+    if row is None:
+        row = prows[r] = {r: 1}
+    return row
+
+
 class SmithForm:
     """Smith normal form D = P * M * Q over Z_(p); Qinv is the inverse of Q.
 
     The nonzero diagonal entries of D have non-decreasing p-valuations.  P and
     Qinv are integer matrices and P, Q have p-unit determinants; Q holds
-    p-local Fractions only when some column step had to scale by a unit.
+    p-local fractions only when some column step had to scale by a unit.
 
-    `transforms` names what is recorded; the others stay None.  When a column
-    step scales by a unit, the full path moves the denominator of each row i
-    of Qinv into column i of Q and row i of P.  Past the rank, row i of Qinv
-    is a unit vector over the product of the unit scalings applied to its
-    column, so with P alone one integer per column tracks that product, and
-    the rows of P past the rank (the kernel rows) come out as with both; the
-    rows before the rank may then differ by a p-unit factor.
+    `rows` are dense; the elimination runs on sparse copies.  Columns are not
+    moved: a column swap only exchanges the positions of two column ids, and
+    the pivot tie-break reads those positions.  Q is kept as sparse columns
+    and Qinv and P as sparse rows, each keyed by the column or row it started
+    as; an untouched one is a unit vector and is never stored.  Read them by
+    position with `diagonal`, `p_row`, `q_column` and `qinv_row`.
+
+    `transforms` names what is recorded; reading another raises ValueError.
+    When a column step scales by a unit, the full path moves the denominator
+    of each row i of Qinv into column i of Q and row i of P.  Past the rank,
+    row i of Qinv is a unit vector over the product of the unit scalings
+    applied to its column, so with P alone one integer per column tracks that
+    product, and the rows of P past the rank (the kernel rows) come out as
+    with both; the rows before the rank may then differ by a p-unit factor.
     """
 
     def __init__(self, rows: list[list[int]], ncols: int, *, p: int,
@@ -100,109 +128,177 @@ class SmithForm:
             if len(row) != n:
                 raise ValueError(f"row of length {len(row)} in a {n}-column matrix")
         self.m, self.n = m, n
-        D = [row[:] for row in rows]
-        P = identity_matrix(m) if Track.P in transforms else None
-        Q = Qinv = None
-        if Track.Q in transforms:
-            Q, Qinv = identity_matrix(n), identity_matrix(n)
-        row_mats = (D,) if P is None else (D, P)
-        col_mats = (D,) if Q is None else (D, Q)
-        # with P alone: the product of the unit scalings of each column
-        scale = [1] * n if P is not None and Q is None else None
+        track_p, track_q = transforms in _WITH_P, transforms in _WITH_Q
+        D = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        rid = list(range(m))   # the row of P that sits at each position
+        col = list(range(n))   # the column id at each position
+        pos = col[:]           # the position of each column id
+        prows: dict[int, dict] = {}   # P by starting row
+        qcols: dict[int, dict] = {}   # Q by column id
+        qinv: dict[int, dict] = {}    # Qinv by column id
+        # with P alone: the product of the unit scalings of each column id
+        scale: dict[int, int] | None = {} if track_p and not track_q else None
         scaled = False
+
         for t in range(min(m, n)):
-            piv = _pivot(D, range(t, m), range(t, n), p)
+            piv = _pivot(D, t, pos, p)
             if piv is None:
                 break
-            pi, pj = piv
+            pi, c = piv
             if pi != t:
-                for mat in row_mats:
-                    mat[t], mat[pi] = mat[pi], mat[t]
-            if pj != t:
-                for mat in col_mats:
-                    for r in mat:
-                        r[t], r[pj] = r[pj], r[t]
-                for vec in (Qinv, scale):
-                    if vec is not None:
-                        vec[t], vec[pj] = vec[pj], vec[t]
-            a = D[t][t]
+                D[t], D[pi] = D[pi], D[t]
+                rid[t], rid[pi] = rid[pi], rid[t]
+            k = pos[c]
+            if k != t:
+                ct = col[t]
+                col[t], col[k] = c, ct
+                pos[c], pos[ct] = t, k
+            top = D[t]
+            a = top[c]
+            ptop = _p_of(prows, rid, t) if track_p else None
             for i in range(t + 1, m):
-                if D[i][t]:
-                    u, w = _step(a, D[i][t], p)
-                    for mat in row_mats:
-                        mat[i][:] = [u * x - w * y for x, y in zip(mat[i], mat[t])]
-            # column t of D is now zero off the pivot, so the column step
-            # col_j <- u col_j - w col_t only clears D[t][j] and scales the
+                b = D[i].get(c)
+                if b:
+                    u, w = _step(a, b, p)
+                    _combine(D[i], u, w, top)
+                    if track_p:
+                        _combine(_p_of(prows, rid, i), u, w, ptop)
+            # column c of D is now zero off the pivot, so the column step
+            # col_j <- u col_j - w col_c only clears D[t][j] and scales the
             # rest of column j by u; Qinv takes the inverse row step
-            for j in range(t + 1, n):
-                if not D[t][j]:
-                    continue
-                u, w = _step(a, D[t][j], p)
-                D[t][j] = 0
+            for j in [j for j in top if j != c]:
+                u, w = _step(a, top.pop(j), p)
                 if u != 1:
                     scaled = True
                     for i in range(t + 1, m):
-                        D[i][j] *= u
+                        if j in D[i]:
+                            D[i][j] *= u
                     if scale is not None:
-                        scale[j] *= u
-                if Q is not None:
-                    for r in Q:
-                        r[j] = u * r[j] - w * r[t]
-                    c = w if u == 1 else Fraction(w, u)
-                    Qinv[t][:] = [x + c * y for x, y in zip(Qinv[t], Qinv[j])]
+                        scale[j] = scale.get(j, 1) * u
+                if track_q:
+                    _combine(qcols.setdefault(j, {j: 1}), u, w,
+                             qcols.get(c) or {c: 1})
+                    rj = qinv.setdefault(j, {j: 1})
+                    _combine(qinv.setdefault(c, {c: 1}), 1,
+                             -w if u == 1 else Fraction(-w, u), rj)
                     if u != 1:
-                        Qinv[j][:] = [Fraction(y) / u for y in Qinv[j]]
-        if scaled and Q is not None:
+                        for r in rj:
+                            rj[r] = Fraction(rj[r]) / u
+        self._diag = [D[i].get(col[i], 0) for i in range(min(m, n))]
+        qden: dict[int, int] = {}
+        if scaled and track_q:
             # move the p-unit denominator of each row i of Qinv into column i
             # of Q and row i of P; D is diagonal, so P * M * Q is unchanged.
-            # Every row is rewritten in ints: units can cancel to den 1
-            for i, row in enumerate(Qinv):
-                den = lcm(*(x.denominator for x in row))
-                Qinv[i] = [int(x * den) for x in row]
+            # Every stored row is rewritten in ints: units can cancel to den 1
+            for j, row in qinv.items():
+                den = lcm(*(x.denominator for x in row.values()))
+                qinv[j] = {y: int(x * den) for y, x in row.items()}
                 if den > 1:
-                    for r in Q:
-                        r[i] = Fraction(r[i], den)
-                    if P is not None and i < m:
-                        P[i] = [den * x for x in P[i]]
+                    qden[j] = den
+                    if track_p and pos[j] < m:
+                        _scale(_p_of(prows, rid, pos[j]), den)
         elif scaled and scale is not None:
             # past the rank, row i of Qinv would be e_k / scale[i]: the same move
-            for i in range(min(m, n)):
-                if not D[i][i] and abs(scale[i]) > 1:
-                    P[i] = [abs(scale[i]) * x for x in P[i]]
-        self.D = D
-        self.P, self.Q, self.Qinv = P, Q, Qinv
+            for i, d in enumerate(self._diag):
+                s = abs(scale.get(col[i], 1))
+                if not d and s > 1:
+                    _scale(_p_of(prows, rid, i), s)
+        self._rid, self._col = rid, col
+        self._prows = prows if track_p else None
+        self._qcols, self._qden, self._qinv = (
+            (qcols, qden, qinv) if track_q else (None, None, None))
 
     def diagonal(self) -> list[int]:
-        return [self.D[i][i] for i in range(min(self.m, self.n))]
+        return self._diag[:]
+
+    def p_row(self, i: int) -> dict[int, int]:
+        """Row i of P as {column: int} over its nonzero entries; do not mutate."""
+        if self._prows is None:
+            raise ValueError("the row transform P was not recorded")
+        r = self._rid[i]
+        return self._prows.get(r) or {r: 1}
+
+    def q_column(self, i: int) -> tuple[dict[int, int], int]:
+        """Column i of Q as ({row: int}, den): den > 0 and in lowest terms with the ints."""
+        if self._qcols is None:
+            raise ValueError("the column transform Q was not recorded")
+        c = self._col[i]
+        ints = self._qcols.get(c) or {c: 1}
+        den = self._qden.get(c, 1)
+        g = gcd(den, *ints.values()) if den > 1 else 1
+        if g > 1:
+            return {r: x // g for r, x in ints.items()}, den // g
+        return ints, den
+
+    def qinv_row(self, i: int) -> dict[int, int]:
+        """Row i of Qinv as {column: int} over its nonzero entries; do not mutate."""
+        if self._qinv is None:
+            raise ValueError("the column transform Q was not recorded")
+        c = self._col[i]
+        return self._qinv.get(c) or {c: 1}
+
+
+def _pivot(D: list[dict], t: int, pos, p: int) -> tuple[int, int] | None:
+    """(row, column id) of the pivot among the rows D[t:]; None if all vanish.
+
+    Least p-valuation, then smallest |entry|, then the first entry in
+    row-major order of the current column order, pos[c] giving the position
+    of column id c.
+    """
+    at = None
+    for i in range(t, len(D)):
+        one = None  # the first +-1 of this row: no entry can beat it
+        for c, v in D[i].items():
+            if v == 1 or v == -1:
+                if one is None or pos[c] < pos[one]:
+                    one = c
+                continue
+            if one is not None:
+                continue
+            if v % p:
+                e = 0
+            elif at is not None and e0 == 0:
+                continue
+            else:
+                e, q = 1, v // p
+                while q % p == 0:
+                    e, q = e + 1, q // p
+            a = abs(v)
+            if (at is None or e < e0 or e == e0 and (
+                    a < a0 or a == a0 and i == at[0] and pos[c] < pos[at[1]])):
+                e0, a0, at = e, a, (i, c)
+        if one is not None:
+            return i, one
+    return at
 
 
 def row_hermite(rows: list[list[int]], ncols: int,
-                p: int) -> tuple[list[list[int]], list[int]]:
+                p: int) -> tuple[list[dict[int, int]], list[int]]:
     """Echelon Z_(p)-basis of the row span, with pivots in increasing columns.
 
-    Returns (basis_rows, pivot_columns); each basis row vanishes before its
-    pivot column.
+    Returns (basis_rows, pivot_columns); each basis row is a {column: value}
+    dict of its nonzero entries, all at or after its pivot column.
     """
-    work = [row[:] for row in rows if any(row)]
-    basis: list[list[int]] = []
+    work = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows) if r]
+    basis: list[dict[int, int]] = []
     pivots: list[int] = []
-    for j in range(ncols):
-        active = [r for r in work if r[j] != 0]
-        if not active:
-            continue
-        lead = active[_pivot(active, range(len(active)), (j,), p)[0]]
+    while work:
+        j = min(map(min, work))
+        active = [r for r in work if j in r]
+        # the pivot rule, on column j alone
+        lead = active[_pivot([{j: r[j]} for r in active], 0, {j: 0}, p)[0]]
         for r in active:
             if r is not lead:
                 u, w = _step(lead[j], r[j], p)
-                r[:] = [u * x - w * y for x, y in zip(r, lead)]
+                _combine(r, u, w, lead)
         basis.append(lead)
         pivots.append(j)
-        work = [r for r in work if r is not lead and any(r[j + 1:])]
+        work = [r for r in work if r is not lead and r]
     return basis, pivots
 
 
 def solve_in_lattice(
-    basis: list[list[int]],
+    basis: list[dict[int, int]],
     pivots: list[int],
     v: list[int],
     p: int,
@@ -229,7 +325,10 @@ def solve_in_lattice(
         nums.append(w)
         if w:
             # rem[:j] is left unscaled: only whether it vanishes matters
-            rem[j:] = [u * x - w * y for x, y in zip(rem[j:], row[j:])]
+            if u != 1:
+                rem[j:] = [u * x for x in rem[j:]]
+            for k, y in row.items():
+                rem[k] -= w * y
     if any(rem):
         return None
     return nums, den
@@ -241,18 +340,14 @@ def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     if m == 0:
         return []
     sf = SmithForm(rows, ncols, p=p, transforms=Track.P)
-    diag = sf.diagonal()
+    rank = sum(1 for d in sf.diagonal() if d)
     out = []
-    for i in range(m):
-        if i >= len(diag) or diag[i] == 0:
-            out.append(sf.P[i][:])
+    for i in range(rank, m):
+        row = [0] * m
+        for j, x in sf.p_row(i).items():
+            row[j] = x
+        out.append(row)
     return out
-
-
-def _column(Q: list[list], i: int) -> tuple[list[int], int]:
-    """Column i of Q as (integer entries, positive common denominator)."""
-    den = lcm(*[r[i].denominator for r in Q])
-    return [r[i].numerator * (den // r[i].denominator) for r in Q], den
 
 
 class SubQuot:
@@ -261,7 +356,8 @@ class SubQuot:
     Summands are recorded with explicit generator vectors in Z^n so that
     arbitrary lattice vectors can be expressed in summand coordinates.
     gen_rows=None means the generators are all of Z^n; `basis` is then None,
-    standing for the standard basis.
+    standing for the standard basis.  Otherwise `basis` and `pivots` are the
+    `row_hermite` echelon basis, with sparse rows.
     """
 
     def __init__(self, p: int, n: int, gen_rows: list[list[int]] | None,
@@ -296,8 +392,8 @@ class SubQuot:
                 self.summands.append((order, i))
         # the relation lattice is diagonal in the coordinates z -> z*Q: summand
         # i reads column i of Q, and its generator is row i of Qinv
-        self._cols = [_column(sf.Q, i) for _, i in self.summands]
-        self._gens = [sf.Qinv[i] for _, i in self.summands]
+        self._cols = [sf.q_column(i) for _, i in self.summands]
+        self._gens = [sf.qinv_row(i) for _, i in self.summands]
 
     @property
     def orders(self) -> list[int]:
@@ -316,13 +412,13 @@ class SubQuot:
 
     def generator_vector(self, idx: int) -> list[int]:
         """Representative in Z^n of the idx-th summand generator."""
-        if self.basis is None:
-            return self._gens[idx][:]
         out = [0] * self.n
-        for c, row in zip(self._gens[idx], self.basis):
-            if c:
-                for t in range(self.n):
-                    out[t] += c * row[t]
+        for k, c in self._gens[idx].items():
+            if self.basis is None:
+                out[k] = c
+            else:
+                for t, x in self.basis[k].items():
+                    out[t] += c * x
         return out
 
     def express(self, v: list[int]):
@@ -340,7 +436,7 @@ class SubQuot:
             nums, den = sol
         out = []
         for (order, _), (col, cden) in zip(self.summands, self._cols):
-            y = sum(q * c for q, c in zip(col, nums))
+            y = sum(q * nums[r] for r, q in col.items())
             out.append(y * pow(den * cden, -1, order) % order if order
                        else Fraction(y, den * cden))
         return out
@@ -380,8 +476,8 @@ def lattice_coordinates(
     # x = (v * Q) * D^-1 * P, where coordinate i of v * Q is s / qden
     nums, den = [0] * len(rows), 1
     for i in range(ncols):
-        col, qden = _column(sf.Q, i)
-        s = sum(x * q for x, q in zip(v, col))
+        col, qden = sf.q_column(i)
+        s = sum(v[r] * q for r, q in col.items())
         if not s:
             continue
         if i >= len(diag) or not diag[i]:
@@ -390,6 +486,9 @@ def lattice_coordinates(
         k = lcm(den, t) // den
         den *= k
         c = s * den // t
-        nums = [k * x + c * y for x, y in zip(nums, sf.P[i])]
+        if k != 1:
+            nums = [k * x for x in nums]
+        for r, y in sf.p_row(i).items():
+            nums[r] += c * y
     g = gcd(den, *nums)
     return [x // g for x in nums], den // g

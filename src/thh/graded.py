@@ -4,7 +4,8 @@ A presentation stores finitely many generators (each in a single degree) and
 relation rows whose terms are (coefficient, v-exponent, generator).  Per-degree
 abelian groups come out of Smith normal form on the degree slice, using every
 v-power multiple of every relation that lands in the slice, with invariant
-factors reduced to their p-parts.
+factors reduced to their p-parts.  Relations are indexed by their degree mod
+|v|, so a slice reads only the relations whose v-multiples can land in it.
 """
 from __future__ import annotations
 
@@ -58,7 +59,8 @@ class GradedModulePresentation:
                 raise ValueError(f"duplicate generator id {g.gid}")
             self.generators[g.gid] = g
         self.relations: list[Relation] = []
-        self._rel_base_degrees: list[int] = []
+        # (base degree, relation) by base degree mod |v|, in insertion order
+        self._relations_by_residue: dict[int, list[tuple[int, Relation]]] = {}
         for rel in relations:
             self.add_relation(rel)
         self.complete_below = complete_below
@@ -81,7 +83,8 @@ class GradedModulePresentation:
         if len(degs) != 1:
             raise ValueError(f"inhomogeneous relation: degrees {sorted(degs)} in {rel.terms}")
         self.relations.append(rel)
-        self._rel_base_degrees.append(degs.pop())
+        base = degs.pop()
+        self._relations_by_residue.setdefault(base % self.ring.v_degree, []).append((base, rel))
 
     def term_degree(self, terms) -> int:
         degs = {self.generators[g].degree + e * self.ring.v_degree for _, e, g in terms}
@@ -112,11 +115,10 @@ class GradedModulePresentation:
         cells, index = self._slice(d)
         vd = self.ring.v_degree
         rows = []
-        for rel, base in zip(self.relations, self._rel_base_degrees):
-            rem = d - base
-            if rem < 0 or rem % vd:
+        for base, rel in self._relations_by_residue.get(d % vd, ()):
+            if base > d:
                 continue
-            shift = rem // vd
+            shift = (d - base) // vd
             row = [0] * len(cells)
             for coeff, v_exp, gid in rel.terms:
                 row[index[(gid, v_exp + shift)]] += coeff
@@ -327,7 +329,8 @@ class ModuleMap:
 
     def respects_relations(self, degrees=None) -> bool:
         """Check the images of all source relations vanish in the target."""
-        for rel, base in zip(self.source.relations, self.source._rel_base_degrees):
+        for base, rel in (pair for group in self.source._relations_by_residue.values()
+                          for pair in group):
             if degrees is not None and base not in degrees:
                 continue
             img: list[Term] = []

@@ -111,6 +111,16 @@ def test_all_suite_runs_mod_eta_rows_once():
     assert tags == ["cofiber:mod-eta"] * 17
 
 
+@pytest.mark.parametrize("prime, window", [("5", "600"), ("7", "1000")])
+def test_all_suite_passes_at_odd_primes(prime, window):
+    code, out = run(["verify", "--suite", "all", "--prime", prime,
+                     "--max-degree", window, "--level", "2", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)
+    assert rows
+    assert [r["check"] for r in rows if not r["ok"]] == []
+
+
 def test_hfp_group_json_is_pinned():
     # the mod-p answer at p = 3: one class in each degree of
     # E(l1, l2) (x) P(mu) with |l1| = 5, |l2| = 17, |mu| = 18

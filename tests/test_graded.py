@@ -1,8 +1,14 @@
+import json
+import pathlib
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thh.closed_forms import thh_ell, thh_ko
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
                         Relation, RingSpec, submodule_presentation)
+from thh.padic import PrimeContext
 
 R2 = RingSpec(2, 2)
 R3 = RingSpec(3, 4)
@@ -153,3 +159,33 @@ def test_invariant_checks_survive_optimized_mode():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised"] * 2
+
+
+EXPRESS_PIN = pathlib.Path(__file__).parent / "golden" / "subquot-express.json"
+
+
+def express_table(module, window):
+    """{degree: subquot_at(d).express of each unit vector, each slice relation
+    row and their sum}, with free coordinates as Fraction strings."""
+    out = {}
+    for d in range(window + 1):
+        n = len(module.slice_cells(d))
+        if not n:
+            continue
+        rels = module.slice_relation_rows(d)
+        vecs = [[int(i == j) for j in range(n)] for i in range(n)]
+        vecs += rels + [[sum(c) for c in zip(*rels)] if rels else [0] * n]
+        sq = module.subquot_at(d)
+        out[str(d)] = [None if e is None else
+                       [str(c) if isinstance(c, Fraction) else c for c in e]
+                       for e in map(sq.express, vecs)]
+    return out
+
+
+def test_subquot_express_is_pinned():
+    # the torsion coordinates of express read the column transform Q and the
+    # inverse of its unit denominators, at orders up to 3^4 and 2^5 where
+    # units other than +-1 show; the CLI pins barely reach express
+    want = json.loads(EXPRESS_PIN.read_text())
+    assert express_table(thh_ell(PrimeContext(3), 120), 120) == want["ell-p3-w120"]
+    assert express_table(thh_ko(64), 64) == want["ko-w64"]

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from thh import _intlin
 from thh._intlin import (SmithForm, SubQuot, Track, group_invariants,
-                         identity_matrix, lattice_coordinates, row_hermite,
-                         row_kernel, solve_in_lattice)
+                         lattice_coordinates, row_hermite, row_kernel,
+                         solve_in_lattice)
 from thh.padic import nu
 
 PRIMES = (2, 3, 5)
@@ -33,6 +33,49 @@ def p_matrices(max_rows=4, max_cols=4):
     """(p, matrix) with p in PRIMES."""
     return st.sampled_from(PRIMES).flatmap(
         lambda p: st.tuples(st.just(p), matrices(p, max_rows, max_cols)))
+
+
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def dense_row(row, n):
+    """A sparse {column: value} row as a list of length n."""
+    out = [0] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def dense_transforms(sf, rows, n, track=Track.ALL):
+    """(D, P, Q, Qinv) of a SmithForm as dense lists; None for what it did not record.
+
+    Reading an unrecorded transform must raise.
+    """
+    m = len(rows)
+    diag = sf.diagonal()
+    D = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
+         for i in range(m)]
+    P = Q = Qinv = None
+    if Track.P in track:
+        P = [dense_row(sf.p_row(i), m) for i in range(m)]
+    else:
+        with pytest.raises(ValueError):
+            sf.p_row(0)
+    if Track.Q in track:
+        Q = [[0] * n for _ in range(n)]
+        for i in range(n):
+            col, den = sf.q_column(i)
+            assert den > 0 and gcd(den, *col.values()) == 1
+            for r, x in col.items():
+                Q[r][i] = Fraction(x, den) if den > 1 else x
+        Qinv = [dense_row(sf.qinv_row(i), n) for i in range(n)]
+    else:
+        with pytest.raises(ValueError):
+            sf.q_column(0)
+        with pytest.raises(ValueError):
+            sf.qinv_row(0)
+    return D, P, Q, Qinv
 
 
 def matmul(a, b):
@@ -67,18 +110,20 @@ def test_smith_form_diagonalizes(case):
     p, rows = case
     m, n = len(rows), len(rows[0])
     sf = SmithForm(rows, n, p=p)
-    assert all(type(x) is int for mat in (sf.P, sf.Qinv) for row in mat for x in row)
+    D, P, Q, Qinv = dense_transforms(sf, rows, n)
+    assert all(type(x) is int for mat in (P, Qinv) for row in mat for x in row)
     # P * A * Q equals the recorded diagonal matrix D
-    assert matmul(matmul(sf.P, rows), sf.Q) == sf.D
-    assert matmul(sf.Q, sf.Qinv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    PAQ = matmul(matmul(P, rows), Q)
+    assert PAQ == D
+    assert matmul(Q, Qinv) == eye(n)
     for i in range(m):
         for j in range(n):
             if i != j:
-                assert sf.D[i][j] == 0
+                assert PAQ[i][j] == 0
     # the p-adic divisibility chain
     vals = [nu(p, d) for d in sf.diagonal() if d]
     assert vals == sorted(vals)
-    for mat in (sf.P, sf.Q):
+    for mat in (P, Q):
         assert nu(p, det(mat)) == 0
 
 
@@ -108,6 +153,7 @@ def test_row_hermite_spans_the_rows(case):
     basis, pivots = row_hermite(rows, n, p)
     assert pivots == sorted(set(pivots))
     for row, j in zip(basis, pivots):
+        row = dense_row(row, n)
         assert row[j] and not any(row[:j])
     for r in rows:
         assert solve_in_lattice(basis, pivots, r, p) is not None
@@ -137,17 +183,21 @@ def test_row_kernel_annihilates(case):
 def test_transform_subsets_match_the_full_path(case):
     p, rows = case
     n = len(rows[0])
-    full = SmithForm(rows, n, p=p, transforms=Track.ALL)
-    rank = sum(1 for d in full.diagonal() if d)
-    assert row_kernel(rows, n, p) == full.P[rank:]
-    p_only = SmithForm(rows, n, p=p, transforms=Track.P)
-    assert p_only.D == full.D and p_only.Q is p_only.Qinv is None
-    assert p_only.P[rank:] == full.P[rank:]
-    q_only = SmithForm(rows, n, p=p, transforms=Track.Q)
-    assert (q_only.D, q_only.Q, q_only.Qinv) == (full.D, full.Q, full.Qinv)
-    assert q_only.P is None
-    none = SmithForm(rows, n, p=p, transforms=Track.NONE)
-    assert none.D == full.D and none.P is none.Q is none.Qinv is None
+    full = dense_transforms(SmithForm(rows, n, p=p, transforms=Track.ALL), rows, n)
+    D, P, Q, Qinv = full
+    rank = sum(1 for i in range(min(len(rows), n)) if D[i][i])
+    assert row_kernel(rows, n, p) == P[rank:]
+    p_only = dense_transforms(SmithForm(rows, n, p=p, transforms=Track.P),
+                              rows, n, Track.P)
+    assert p_only[0] == D and p_only[2] is p_only[3] is None
+    assert p_only[1][rank:] == P[rank:]
+    q_only = dense_transforms(SmithForm(rows, n, p=p, transforms=Track.Q),
+                              rows, n, Track.Q)
+    assert (q_only[0], q_only[2], q_only[3]) == (D, Q, Qinv)
+    assert q_only[1] is None
+    none = dense_transforms(SmithForm(rows, n, p=p, transforms=Track.NONE),
+                            rows, n, Track.NONE)
+    assert none[0] == D and none[1] is none[2] is none[3] is None
 
 
 def test_row_kernel_pinned_scaled_steps():
@@ -173,20 +223,20 @@ def test_whole_lattice_subquot_matches_identity_generators(case, data):
     p, rows = case
     n = len(rows[0])
     whole = SubQuot(p, n, None, rows)
-    eye = SubQuot(p, n, identity_matrix(n), rows)
+    ident = SubQuot(p, n, eye(n), rows)
     assert whole.basis is None
-    assert whole.summands == eye.summands
+    assert whole.summands == ident.summands
     orders = whole.orders
     for i in range(len(orders)):
         vec = whole.generator_vector(i)
-        assert vec == eye.generator_vector(i)
+        assert vec == ident.generator_vector(i)
         assert whole.express(vec) == [int(i == j) % o if o else int(i == j)
                                       for j, o in enumerate(orders)]
-    vecs = [*rows, *identity_matrix(n), [sum(c) for c in zip(*rows)]]
+    vecs = [*rows, *eye(n), [sum(c) for c in zip(*rows)]]
     if data is not None:
         vecs.append(data.draw(st.lists(entries(p), min_size=n, max_size=n)))
     for v in vecs:
-        assert whole.express(v) == eye.express(v)
+        assert whole.express(v) == ident.express(v)
 
 
 def test_group_invariants_known_examples():
@@ -249,7 +299,7 @@ def solve_reference(basis, pivots, v, p):
 
 
 def check_solve(basis, pivots, v, p):
-    want = solve_reference(basis, pivots, v, p)
+    want = solve_reference([dense_row(r, len(v)) for r in basis], pivots, v, p)
     got = solve_in_lattice(basis, pivots, v, p)
     if want is None:
         assert got is None
@@ -273,7 +323,7 @@ def test_solve_in_lattice_matches_fraction_reference(case, data):
     # a p in the denominator
     for lattice in (rows, [[p * x for x in r] for r in rows]):
         basis, pivots = row_hermite(lattice, n, p)
-        for v in [*basis, *rows, member, off]:
+        for v in [*(dense_row(r, n) for r in basis), *rows, member, off]:
             check_solve(basis, pivots, v, p)
 
 
@@ -293,7 +343,8 @@ def lattice_coordinates_reference(rows, ncols, v, p):
     m = len(rows)
     sf = SmithForm(rows, ncols, p=p)
     diag = sf.diagonal()
-    vq = [sum(v[j] * sf.Q[j][i] for j in range(ncols)) for i in range(ncols)]
+    _, P, Q, _ = dense_transforms(sf, rows, ncols)
+    vq = [sum(v[j] * Q[j][i] for j in range(ncols)) for i in range(ncols)]
     w = [Fraction(0)] * m
     for i in range(ncols):
         d = diag[i] if i < len(diag) else 0
@@ -302,7 +353,7 @@ def lattice_coordinates_reference(rows, ncols, v, p):
                 return None
         else:
             w[i] = Fraction(vq[i], d)
-    return [sum(w[i] * sf.P[i][j] for i in range(m)) for j in range(m)]
+    return [sum(w[i] * P[i][j] for i in range(m)) for j in range(m)]
 
 
 @settings(max_examples=100)
@@ -348,10 +399,221 @@ def test_subquot_relation_coordinates_pinned(p, gens, rels):
     # the relation coordinates are the lcm-of-denominators scaling of the
     # p-local coordinates
     want = []
+    basis = [dense_row(r, sq.n) for r in sq.basis]
     for row in rels:
-        coords = solve_reference(sq.basis, sq.pivots, row, p)
+        coords = solve_reference(basis, sq.pivots, row, p)
         den = lcm(*[c.denominator for c in coords])
         want.append([int(c * den) for c in coords])
     assert seen == [want]
     assert max(solve_in_lattice(sq.basis, sq.pivots, row, p)[1]
                for row in rels) > 1
+
+
+# -- the dense kernel, kept here as the oracle of the sparse one ---------------
+#
+# Rows stored as full lists, columns swapped physically, transforms started as
+# explicit identity matrices; the pivot rule and every step are those of
+# `_intlin`, so the sparse kernel must agree with it bit for bit.
+
+
+def dense_pivot(D, rows, cols, p):
+    best = at = None
+    for i in rows:
+        row = D[i]
+        for j in cols:
+            v = row[j]
+            if v:
+                if v % p:
+                    if v == 1 or v == -1:
+                        return i, j
+                    key = (0, abs(v))
+                else:
+                    key = (nu(p, v), abs(v))
+                if best is None or key < best:
+                    best, at = key, (i, j)
+    return at
+
+
+def dense_step(a, b, p):
+    if b % a == 0:
+        return 1, b // a
+    s = p ** nu(p, a)
+    return a // s, b // s
+
+
+class DenseSmithForm:
+    def __init__(self, rows, ncols, *, p, transforms=Track.ALL):
+        m, n = len(rows), ncols
+        D = [row[:] for row in rows]
+        P = eye(m) if Track.P in transforms else None
+        Q = Qinv = None
+        if Track.Q in transforms:
+            Q, Qinv = eye(n), eye(n)
+        row_mats = (D,) if P is None else (D, P)
+        col_mats = (D,) if Q is None else (D, Q)
+        scale = [1] * n if P is not None and Q is None else None
+        scaled = False
+        for t in range(min(m, n)):
+            piv = dense_pivot(D, range(t, m), range(t, n), p)
+            if piv is None:
+                break
+            pi, pj = piv
+            if pi != t:
+                for mat in row_mats:
+                    mat[t], mat[pi] = mat[pi], mat[t]
+            if pj != t:
+                for mat in col_mats:
+                    for r in mat:
+                        r[t], r[pj] = r[pj], r[t]
+                for vec in (Qinv, scale):
+                    if vec is not None:
+                        vec[t], vec[pj] = vec[pj], vec[t]
+            a = D[t][t]
+            for i in range(t + 1, m):
+                if D[i][t]:
+                    u, w = dense_step(a, D[i][t], p)
+                    for mat in row_mats:
+                        mat[i][:] = [u * x - w * y for x, y in zip(mat[i], mat[t])]
+            for j in range(t + 1, n):
+                if not D[t][j]:
+                    continue
+                u, w = dense_step(a, D[t][j], p)
+                D[t][j] = 0
+                if u != 1:
+                    scaled = True
+                    for i in range(t + 1, m):
+                        D[i][j] *= u
+                    if scale is not None:
+                        scale[j] *= u
+                if Q is not None:
+                    for r in Q:
+                        r[j] = u * r[j] - w * r[t]
+                    c = w if u == 1 else Fraction(w, u)
+                    Qinv[t][:] = [x + c * y for x, y in zip(Qinv[t], Qinv[j])]
+                    if u != 1:
+                        Qinv[j][:] = [Fraction(y) / u for y in Qinv[j]]
+        if scaled and Q is not None:
+            for i, row in enumerate(Qinv):
+                den = lcm(*(x.denominator for x in row))
+                Qinv[i] = [int(x * den) for x in row]
+                if den > 1:
+                    for r in Q:
+                        r[i] = Fraction(r[i], den)
+                    if P is not None and i < m:
+                        P[i] = [den * x for x in P[i]]
+        elif scaled and scale is not None:
+            for i in range(min(m, n)):
+                if not D[i][i] and abs(scale[i]) > 1:
+                    P[i] = [abs(scale[i]) * x for x in P[i]]
+        self.m, self.n = m, n
+        self.D, self.P, self.Q, self.Qinv = D, P, Q, Qinv
+
+    def diagonal(self):
+        return [self.D[i][i] for i in range(min(self.m, self.n))]
+
+
+def dense_row_hermite(rows, ncols, p):
+    work = [row[:] for row in rows if any(row)]
+    basis, pivots = [], []
+    for j in range(ncols):
+        active = [r for r in work if r[j] != 0]
+        if not active:
+            continue
+        lead = active[dense_pivot(active, range(len(active)), (j,), p)[0]]
+        for r in active:
+            if r is not lead:
+                u, w = dense_step(lead[j], r[j], p)
+                r[:] = [u * x - w * y for x, y in zip(r, lead)]
+        basis.append(lead)
+        pivots.append(j)
+        work = [r for r in work if r is not lead and any(r[j + 1:])]
+    return basis, pivots
+
+
+def dense_solve_in_lattice(basis, pivots, v, p):
+    rem = list(v)
+    nums, den = [], 1
+    for row, j in zip(basis, pivots):
+        a, b = row[j], rem[j]
+        if b % a and b % p ** nu(p, a):
+            return None
+        u, w = dense_step(a, b, p)
+        if u < 0:
+            u, w = -u, -w
+        if u != 1:
+            den *= u
+            nums = [u * x for x in nums]
+        nums.append(w)
+        if w:
+            rem[j:] = [u * x - w * y for x, y in zip(rem[j:], row[j:])]
+    if any(rem):
+        return None
+    return nums, den
+
+
+def dense_row_kernel(rows, ncols, p):
+    if not rows:
+        return []
+    sf = DenseSmithForm(rows, ncols, p=p, transforms=Track.P)
+    diag = sf.diagonal()
+    return [sf.P[i][:] for i in range(len(rows))
+            if i >= len(diag) or diag[i] == 0]
+
+
+def dense_lattice_coordinates(rows, ncols, v, p):
+    sf = DenseSmithForm(rows, ncols, p=p, transforms=Track.ALL)
+    diag = sf.diagonal()
+    nums, den = [0] * len(rows), 1
+    for i in range(ncols):
+        qden = lcm(*[r[i].denominator for r in sf.Q])
+        col = [r[i].numerator * (qden // r[i].denominator) for r in sf.Q]
+        s = sum(x * q for x, q in zip(v, col))
+        if not s:
+            continue
+        if i >= len(diag) or not diag[i]:
+            return None
+        t = qden * diag[i]
+        k = lcm(den, t) // den
+        den *= k
+        c = s * den // t
+        nums = [k * x + c * y for x, y in zip(nums, sf.P[i])]
+    g = gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def shaped_matrices():
+    """(p, rows, ncols) with m < n, m > n or m == n, rows possibly empty."""
+    return st.tuples(st.sampled_from(PRIMES), st.integers(0, 6),
+                     st.integers(1, 5)).flatmap(
+        lambda s: st.tuples(st.just(s[0]), st.lists(
+            st.lists(entries(s[0]), min_size=s[2], max_size=s[2]),
+            min_size=s[1], max_size=s[1]), st.just(s[2])))
+
+
+@settings(max_examples=200)
+@given(shaped_matrices(), st.lists(entries(5), min_size=5, max_size=5))
+# the pivot 3 sits in column 2, so columns 0 and 2 swap; it then clears the
+# 2 of column 1 with 3 * 2 - 2 * 3, which scales column 1 by the unit 3
+@example((2, [[0, 2, 3], [0, 5, 7]], 3), [1, 1, 0, 0, 0])
+@example((3, [[0, 0], [0, 0], [0, 0]], 2), [1, 0, 0, 0, 0])
+@example((2, [], 3), [0, 0, 0, 0, 0])
+def test_sparse_kernel_matches_dense_oracle(case, off):
+    p, rows, n = case
+    for track in (Track.NONE, Track.P, Track.Q, Track.ALL):
+        want = DenseSmithForm(rows, n, p=p, transforms=track)
+        got = SmithForm(rows, n, p=p, transforms=track)
+        assert got.diagonal() == want.diagonal()
+        _, P, Q, Qinv = dense_transforms(got, rows, n, track)
+        assert (P, Q, Qinv) == (want.P, want.Q, want.Qinv)
+    vecs = [*rows, [sum(c) for c in zip(*rows)] or [0] * n, off[:n]]
+    for lattice in (rows, [[p * x for x in r] for r in rows]):
+        basis, pivots = row_hermite(lattice, n, p)
+        want_basis, want_pivots = dense_row_hermite(lattice, n, p)
+        assert pivots == want_pivots
+        assert [dense_row(r, n) for r in basis] == want_basis
+        for v in [*want_basis, *vecs]:
+            assert (solve_in_lattice(basis, pivots, v, p)
+                    == dense_solve_in_lattice(want_basis, want_pivots, v, p))
+            assert (lattice_coordinates(lattice, n, v, p)
+                    == dense_lattice_coordinates(lattice, n, v, p))
+        assert row_kernel(lattice, n, p) == dense_row_kernel(lattice, n, p)

@@ -450,7 +450,10 @@ class SubQuot:
 
 def group_invariants(rel_rows: list[list[int]], n: int, p: int) -> tuple[int, list[int]]:
     """(free rank, sorted p-local torsion orders) of Z^n / rowspan(rel_rows)."""
-    sf = SmithForm([r for r in rel_rows if any(r)], n, p=p, transforms=Track.NONE)
+    rows = [r for r in rel_rows if any(r)]
+    if not rows:
+        return n, []
+    sf = SmithForm(rows, n, p=p, transforms=Track.NONE)
     diag = [d for d in sf.diagonal() if d != 0]
     free = n - len(diag)
     torsion = sorted(q for q in (p ** nu(p, d) for d in diag) if q > 1)

@@ -10,7 +10,7 @@ factors reduced to their p-parts.  Relations are indexed by their degree mod
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from ._intlin import (SubQuot, group_invariants, row_hermite, row_kernel,
                       solve_in_lattice)
@@ -262,23 +262,14 @@ class GradedModulePresentation:
             for k in range(len(summands[d])):
                 out.add_relation(Relation(((1, 1, f"{prefix}[{d},{k}]"),)))
         # transposed v-action: v on the dual of degree d+|v| lands in the dual of degree d
+        v_map = variable_multiplication_map(self)
         for d in range(lo, hi + 1 - vd):
-            src_sq = self.subquot_at(d)
-            tgt_sq = self.subquot_at(d + vd)
             tgt_orders = summands[d + vd]
             src_orders = summands[d]
             if not tgt_orders:
                 continue
-            # matrix of v in summand coordinates
-            mat = []
-            for j in range(len(src_orders)):
-                vec = src_sq.generator_vector(j)
-                cells = self.slice_cells(d)
-                shifted = self.element_vector(
-                    d + vd, [(c, e + 1, gid) for (gid, e), c in zip(cells, vec) if c]
-                )
-                mat.append(tgt_sq.express(shifted))
-        # (m[j][k]) with p^{a_j} source orders, p^{b_k} target orders
+            mat = v_map.summand_matrix(d)
+            # (m[j][k]) with p^{a_j} source orders, p^{b_k} target orders
             for k, bk in enumerate(tgt_orders):
                 terms: list[Term] = [(1, 1, f"{prefix}[{d + vd},{k}]")]
                 for j, aj in enumerate(src_orders):
@@ -301,7 +292,19 @@ class GradedModulePresentation:
 
 
 class ModuleMap:
-    """A degree-shifting map of presentations given on generators."""
+    """A degree-shifting map of presentations given on generators.
+
+    The groups a map induces in one degree (`image_subquot`, and the kernel
+    and cokernel in `verify`) are read off `summand_matrix`: the map from the
+    summands of the source's `subquot_at(d)` to those of the target's
+    `subquot_at(d + shift)`.  There both groups are Z_(p)^s / L_a and
+    Z_(p)^t / L_b with L_a, L_b the diagonal lattices of the summand orders,
+    so each answer is a tiny `SubQuot` in summand coordinates, not one over
+    the whole degree slice.  That reading is a map of groups only when the
+    map respects relations (`respects_relations`): the images of the source
+    relations must vanish in the target.  `GradedModulePresentation.dual`
+    reads the same matrix for the map v.
+    """
 
     def __init__(self, source: GradedModulePresentation, target: GradedModulePresentation,
                  images: dict[str, tuple[Term, ...]], degree_shift: int = 0):
@@ -309,6 +312,7 @@ class ModuleMap:
         self.target = target
         self.images = images
         self.degree_shift = degree_shift
+        self._summand_cache: dict[int, list[list]] = {}
         for gid, terms in images.items():
             if terms:
                 want = source.generators[gid].degree + degree_shift
@@ -343,21 +347,48 @@ class ModuleMap:
                 return False
         return True
 
+    def summand_matrix(self, d: int) -> list[list]:
+        """The map from degree d to degree d + shift in summand coordinates.
+
+        Row j is `target.subquot_at(d + shift).express` of the image of the
+        generator of summand j of `source.subquot_at(d)`: ints mod the order
+        in torsion columns, p-local Fractions in free ones.  Cached per degree.
+        """
+        if d not in self._summand_cache:
+            td = d + self.degree_shift
+            src_sq = self.source.subquot_at(d)
+            tgt_sq = self.target.subquot_at(td)
+            cells = self.source.slice_cells(d)
+            mat = []
+            for j in range(len(src_sq.summands)):
+                terms: list[Term] = []
+                for (gid, e), c in zip(cells, src_sq.generator_vector(j)):
+                    if c:
+                        terms.extend((c * a, ve, t) for a, ve, t in self.image_of_cell(gid, e))
+                mat.append(tgt_sq.express(self.target.element_vector(td, terms)))
+            self._summand_cache[d] = mat
+        return self._summand_cache[d]
+
+    def integral_summand_matrix(self, d: int) -> tuple[list[list[int]], list[int]]:
+        """(rows, units): row j of `summand_matrix(d)` times the p-unit units[j]
+        that clears its denominators.  The rows span the same Z_(p)-lattice."""
+        rows, units = [], []
+        for row in self.summand_matrix(d):
+            u = lcm(*(x.denominator for x in row))
+            rows.append([int(x * u) for x in row])
+            units.append(u)
+        return rows, units
+
     def image_subquot(self, d: int) -> SubQuot:
-        td = d + self.degree_shift
-        src_sq = self.source.subquot_at(d)
-        mat = self.matrix(d)
-        gen_rows = []
-        for idx in range(len(src_sq.summands)):
-            vec = src_sq.generator_vector(idx)
-            row = [0] * len(self.target.slice_cells(td))
-            for i, c in enumerate(vec):
-                if c:
-                    for t, m in enumerate(mat[i]):
-                        row[t] += c * m
-            gen_rows.append(row)
-        return SubQuot(self.target.ring.p, len(self.target.slice_cells(td)),
-                       gen_rows, self.target.slice_relation_rows(td))
+        """Image of the degree-d group, (span M + L_b) / L_b in the summand
+        coordinates of the target's `subquot_at(d + shift)`.
+
+        M is `integral_summand_matrix(d)` and L_b the target's order lattice;
+        the map must respect relations.
+        """
+        rows, _ = self.integral_summand_matrix(d)
+        orders = self.target.subquot_at(d + self.degree_shift).orders
+        return SubQuot(self.target.ring.p, len(orders), rows, order_rows(orders))
 
     def injective_at(self, d: int) -> bool:
         src_sq = self.source.subquot_at(d)
@@ -370,6 +401,18 @@ class ModuleMap:
         img = self.image_subquot(d)
         return (img.free_rank() == tgt_sq.free_rank()
                 and img.torsion() == tgt_sq.torsion())
+
+
+def order_rows(orders: list[int]) -> list[list[int]]:
+    """The relation rows o * e_k of Z^t, one per torsion order o = orders[k]."""
+    return [[o if i == k else 0 for i in range(len(orders))]
+            for k, o in enumerate(orders) if o]
+
+
+def variable_multiplication_map(mod: GradedModulePresentation) -> ModuleMap:
+    """Multiplication by the acting polynomial variable, as a map of degree |v|."""
+    return ModuleMap(mod, mod, {gid: ((1, 1, gid),) for gid in mod.generators},
+                     degree_shift=mod.ring.v_degree)
 
 
 def submodule_presentation(module: GradedModulePresentation,

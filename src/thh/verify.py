@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 from ._intlin import SubQuot, row_kernel
 from . import closed_forms as cf
-from .graded import GradedModulePresentation, ModuleMap
+from .graded import (GradedModulePresentation, ModuleMap, order_rows,
+                     variable_multiplication_map)
 from .padic import (PrimeContext, lambda_degree, lambda_monomial, mu_degree,
                     nu, r_truncation, x_degree, x_prime_degree)
 
@@ -172,30 +173,37 @@ def matching_B1(ctx: PrimeContext, window: int) -> MatchingReport:
 
 
 def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
-    """Kernel of the induced map on degree-d classes, as a subquotient."""
+    """Kernel of the induced map on degree-d classes, K / L_a in the summand
+    coordinates of the source's `subquot_at(d)`.
+
+    K is the set of x with x * M in L_b, for M the map's
+    `integral_summand_matrix(d)` and L_a, L_b the source and target order
+    lattices; the map must respect relations.
+    """
     p = mp.source.ring.p
-    mat = mp.matrix(d)
-    n_src = len(mat)
-    tgt_rels = mp.target.slice_relation_rows(d + mp.degree_shift)
-    n_tgt = len(mp.target.slice_cells(d + mp.degree_shift))
-    rows = (None if n_tgt == 0 else
-            [k[:n_src] for k in row_kernel(mat + tgt_rels, n_tgt, p)])
-    return SubQuot(p, n_src, rows, mp.source.slice_relation_rows(d))
+    src = mp.source.subquot_at(d).orders
+    tgt = mp.target.subquot_at(d + mp.degree_shift).orders
+    rows, units = mp.integral_summand_matrix(d)
+    kernel = None  # a zero target: the whole source
+    if tgt:
+        # x solves for the scaled rows, so x_j * units[j] for the rows of M;
+        # zip keeps the first len(src) coordinates, dropping those of L_b
+        kernel = [[x * u for x, u in zip(k, units)]
+                  for k in row_kernel(rows + order_rows(tgt), len(tgt), p)]
+    return SubQuot(p, len(src), kernel, order_rows(src))
 
 
 def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
-    """Cokernel at target degree d + shift, as a subquotient."""
+    """Cokernel at target degree d + shift, Z^t / (L_b + span M) in the
+    summand coordinates of the target's `subquot_at(d + shift)`.
+
+    M is the map's `integral_summand_matrix(d)` and L_b the target order
+    lattice; the map must respect relations.
+    """
     p = mp.target.ring.p
-    mat = mp.matrix(d)
-    n_tgt = len(mp.target.slice_cells(d + mp.degree_shift))
-    return SubQuot(p, n_tgt, None,
-                   mp.target.slice_relation_rows(d + mp.degree_shift) + mat)
-
-
-def variable_multiplication_map(mod: GradedModulePresentation) -> ModuleMap:
-    """Multiplication by the acting polynomial variable, as a map of degree |v|."""
-    return ModuleMap(mod, mod, {gid: ((1, 1, gid),) for gid in mod.generators},
-                     degree_shift=mod.ring.v_degree)
+    tgt = mp.target.subquot_at(d + mp.degree_shift).orders
+    rows, _ = mp.integral_summand_matrix(d)
+    return SubQuot(p, len(tgt), None, order_rows(tgt) + rows)
 
 
 def _group_data(sq: SubQuot) -> tuple[int, int]:
@@ -408,19 +416,22 @@ def ko_ku_comparison(window: int) -> list[IdentityCheck]:
     return out
 
 
-def eta_square_annihilates(window: int) -> list[IdentityCheck]:
-    """Composing multiplication by eta with itself is zero on the reduced
-    ko answer in every degree."""
-    ko = cf.thh_ko(window + 4)
+def eta_square_map(ko: GradedModulePresentation) -> ModuleMap:
+    """Multiplication by eta twice on the reduced ko answer, a map of degree 2."""
     eta = cf.thh_ko_eta_map(ko)
-    images2 = {}
+    images = {}
     for gid, terms in eta.images.items():
         flat = []
         for c, e, tgt in terms:
-            flat.extend((c * c2, e + e2, t2)
-                        for c2, e2, t2 in eta.image_of_cell(tgt, e))
-        images2[gid] = tuple(flat)
-    eta2 = ModuleMap(ko, ko, images2, degree_shift=2)
+            flat.extend((c * c2, e2, t2) for c2, e2, t2 in eta.image_of_cell(tgt, e))
+        images[gid] = tuple(flat)
+    return ModuleMap(ko, ko, images, degree_shift=2)
+
+
+def eta_square_annihilates(window: int) -> list[IdentityCheck]:
+    """Composing multiplication by eta with itself is zero on the reduced
+    ko answer in every degree."""
+    eta2 = eta_square_map(cf.thh_ko(window + 4))
     out = []
     for d in range(window + 1):
         img = eta2.image_subquot(d)

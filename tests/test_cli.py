@@ -247,3 +247,35 @@ def test_group_json_labels_are_pinned(argv, name):
     code, out = run(["group", *argv, "--format", "json"])
     assert code == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("argv, name", [
+    # the detail fields carry the kernel and cokernel data of eta and of v,
+    # read in summand coordinates
+    (["--suite", "ko", "--prime", "2", "--max-degree", "64"],
+     "verify-ko-p2-w64.json"),
+    (["--suite", "cofiber", "--prime", "3", "--max-degree", "60"],
+     "verify-cofiber-p3-w60.json"),
+])
+def test_verify_json_is_pinned(argv, name):
+    import pathlib
+    golden = pathlib.Path(__file__).parent / "golden" / name
+    code, out = run(["verify", *argv, "--format", "json"])
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_cli_module_runs_from_the_source_tree():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thh.cli", "verify", "--suite", "ko", "--prime", "2",
+         "--max-degree", "24"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("0 failures")

@@ -3,12 +3,16 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from thh.closed_forms import thh_ell, thh_ko
+from thh._intlin import SubQuot, row_kernel
+from thh.closed_forms import thh_ell, thh_ell_k1, thh_ko, thh_ko_eta_map
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
-                        Relation, RingSpec, submodule_presentation)
+                        Relation, RingSpec, submodule_presentation,
+                        variable_multiplication_map)
 from thh.padic import PrimeContext
+from thh.verify import (cokernel_subquot, eta_square_map, kernel_subquot,
+                        ko_to_ku_map)
 
 R2 = RingSpec(2, 2)
 R3 = RingSpec(3, 4)
@@ -189,3 +193,141 @@ def test_subquot_express_is_pinned():
     want = json.loads(EXPRESS_PIN.read_text())
     assert express_table(thh_ell(PrimeContext(3), 120), 120) == want["ell-p3-w120"]
     assert express_table(thh_ko(64), 64) == want["ko-w64"]
+
+
+# -- maps in summand coordinates against the slice-cell computation ------------
+# The cell_* functions compute image, kernel and cokernel over whole degree
+# slices, independently of summand coordinates; they are the reference.
+
+
+def cell_image_subquot(mp, d):
+    """The image of degree d as a subquotient of the whole target slice."""
+    td = d + mp.degree_shift
+    n_tgt = len(mp.target.slice_cells(td))
+    src_sq = mp.source.subquot_at(d)
+    mat = mp.matrix(d)
+    gen_rows = []
+    for idx in range(len(src_sq.summands)):
+        row = [0] * n_tgt
+        for i, c in enumerate(src_sq.generator_vector(idx)):
+            if c:
+                for t, m in enumerate(mat[i]):
+                    row[t] += c * m
+        gen_rows.append(row)
+    return SubQuot(mp.target.ring.p, n_tgt, gen_rows, mp.target.slice_relation_rows(td))
+
+
+def cell_kernel_subquot(mp, d):
+    """The kernel of degree d as a subquotient of the whole source slice."""
+    p = mp.source.ring.p
+    mat = mp.matrix(d)
+    n_src = len(mat)
+    tgt_rels = mp.target.slice_relation_rows(d + mp.degree_shift)
+    n_tgt = len(mp.target.slice_cells(d + mp.degree_shift))
+    rows = (None if n_tgt == 0 else
+            [k[:n_src] for k in row_kernel(mat + tgt_rels, n_tgt, p)])
+    return SubQuot(p, n_src, rows, mp.source.slice_relation_rows(d))
+
+
+def cell_cokernel_subquot(mp, d):
+    """The cokernel at degree d + shift as a quotient of the whole target slice."""
+    td = d + mp.degree_shift
+    return SubQuot(mp.target.ring.p, len(mp.target.slice_cells(td)), None,
+                   mp.target.slice_relation_rows(td) + mp.matrix(d))
+
+
+def assert_map_groups_match_cells(mp, degrees):
+    def data(sq):
+        return sq.free_rank(), sq.torsion()
+
+    for d in degrees:
+        kernel = kernel_subquot(mp, d)
+        assert data(mp.image_subquot(d)) == data(cell_image_subquot(mp, d)), d
+        assert data(kernel) == data(cell_kernel_subquot(mp, d)), d
+        assert data(cokernel_subquot(mp, d)) == data(cell_cokernel_subquot(mp, d)), d
+        # each kernel generator maps into the target's order lattice
+        mat = mp.summand_matrix(d)
+        orders = mp.target.subquot_at(d + mp.degree_shift).orders
+        for idx in range(len(kernel.summands)):
+            x = kernel.generator_vector(idx)
+            for k, o in enumerate(orders):
+                y = sum(c * row[k] for c, row in zip(x, mat))
+                assert (y % o == 0) if o else (y == 0), (d, idx, k)
+
+
+@pytest.mark.parametrize("name", ["eta", "eta^2", "v-ell", "v-k1", "ko-to-ku"])
+def test_map_groups_match_slice_cells(name):
+    if name in ("eta", "eta^2"):
+        ko = thh_ko(40)
+        mp = thh_ko_eta_map(ko) if name == "eta" else eta_square_map(ko)
+        degrees = range(40)
+    elif name == "ko-to-ku":
+        mp, degrees = ko_to_ku_map(32), range(33)
+    else:
+        build = thh_ell if name == "v-ell" else thh_ell_k1
+        mp = variable_multiplication_map(build(PrimeContext(3), 60))
+        degrees = range(61 - mp.degree_shift)
+    assert_map_groups_match_cells(mp, degrees)
+
+
+def test_map_groups_with_unit_denominators():
+    # Z^2 / (2a - 3vb) is free of rank one in degree 2, and the summand
+    # coordinates of a and of vb carry the 2-unit denominator 3
+    tgt = GradedModulePresentation(R2, [Generator("a", 2), Generator("b", 0)], [])
+    tgt.add_relation(Relation(((2, 0, "a"), (-3, 1, "b"))))
+    src = GradedModulePresentation(R2, [Generator("s", 2), Generator("r", 0)], [])
+    mp = ModuleMap(src, tgt, {"s": ((1, 0, "a"),), "r": ((1, 0, "b"),)})
+    assert any(x.denominator > 1 for row in mp.summand_matrix(2) for x in row)
+    assert_map_groups_match_cells(mp, range(6))
+    assert kernel_subquot(mp, 2).free_rank() == 1
+
+
+@st.composite
+def presented_maps(draw):
+    """A map between two small presentations over Z_(p)[v], |v| = 2: cyclic
+    generators cut by p-powers and v-powers, glued by extensions p*g = u*v^k*h
+    with u a p-unit; units other than +-1 give p-local Fraction coordinates."""
+    p = draw(st.sampled_from([2, 3]))
+    ring = RingSpec(p, 2)
+
+    def presentation(prefix):
+        gens = [Generator(f"{prefix}{i}", draw(st.sampled_from([0, 2, 4])))
+                for i in range(draw(st.integers(1, 3)))]
+        mod = GradedModulePresentation(ring, gens, [])
+        for g in gens:
+            a, r = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            if a:
+                mod.add_relation(Relation(((p**a, 0, g.gid),)))
+            if r:
+                mod.add_relation(Relation(((1, r, g.gid),)))
+        for g in gens:
+            for h in gens:
+                gap = g.degree - h.degree
+                if g is not h and gap >= 0 and gap % 2 == 0 and draw(st.booleans()):
+                    u = draw(st.sampled_from([1, -1, p + 1]))
+                    mod.add_relation(Relation(((p, 0, g.gid), (-u, gap // 2, h.gid))))
+        return mod
+
+    src, tgt = presentation("s"), presentation("t")
+    shift = draw(st.sampled_from([0, 2]))
+    images = {}
+    for g in src.generators.values():
+        terms = []
+        for h in tgt.generators.values():
+            gap = g.degree + shift - h.degree
+            if gap >= 0 and gap % 2 == 0:
+                c = draw(st.sampled_from([1, -1, 2, p, p * p, 0]))
+                if c:
+                    terms.append((c, gap // 2, h.gid))
+        images[g.gid] = tuple(terms)
+    return ModuleMap(src, tgt, images, degree_shift=shift)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(presented_maps())
+def test_random_map_groups_match_slice_cells(mp):
+    # the summand-coordinate reading is a map of groups only when the map
+    # respects relations
+    assume(mp.respects_relations())
+    assert_map_groups_match_cells(mp, range(12))

@@ -83,3 +83,21 @@ def test_duality_short():
 def test_ko_comparison_short():
     assert _clean(verify.ko_ku_comparison(32)) == []
     assert _clean(verify.eta_square_annihilates(32)) == []
+
+
+def test_suite_maps_respect_relations():
+    # kernels, images and cokernels are read in summand coordinates, which
+    # is a map of groups only when the images of the source relations vanish
+    from thh import closed_forms as cf
+    from thh.graded import variable_multiplication_map
+    window = 40
+    ko = cf.thh_ko(window + 4)
+    maps = {"eta": cf.thh_ko_eta_map(ko), "eta^2": verify.eta_square_map(ko),
+            "ko-to-ku": verify.ko_to_ku_map(window)}
+    for p in (2, 3):
+        ctx = PrimeContext(p)
+        for name, build in (("ell", cf.thh_ell), ("k1", cf.thh_ell_k1)):
+            mod = build(ctx, window + 2 * (2 * p - 2))
+            maps[f"v-{name}-p{p}"] = variable_multiplication_map(mod)
+    for name, mp in maps.items():
+        assert mp.respects_relations(range(window + 1)), name

@@ -61,12 +61,12 @@ class GradedModulePresentation:
         self.relations: list[Relation] = []
         # (base degree, relation) by base degree mod |v|, in insertion order
         self._relations_by_residue: dict[int, list[tuple[int, Relation]]] = {}
-        for rel in relations:
-            self.add_relation(rel)
         self.complete_below = complete_below
         self._slice_cache: dict[int, tuple[list[tuple[str, int]], dict[tuple[str, int], int]]] = {}
         self._subquot_cache: dict[int, SubQuot] = {}
         self._group_cache: dict[int, tuple[int, list[int]]] = {}
+        for rel in relations:
+            self.add_relation(rel)
 
     # -- construction ------------------------------------------------------
 
@@ -85,6 +85,9 @@ class GradedModulePresentation:
         self.relations.append(rel)
         base = degs.pop()
         self._relations_by_residue.setdefault(base % self.ring.v_degree, []).append((base, rel))
+        # the groups of every degree the relation reaches change
+        self._group_cache.clear()
+        self._subquot_cache.clear()
 
     def term_degree(self, terms) -> int:
         degs = {self.generators[g].degree + e * self.ring.v_degree for _, e, g in terms}

@@ -1,12 +1,16 @@
 """Multiplicative Bockstein spectral sequence engine.
 
 Pages are stored as integer lattices per bidegree slot: Z (cycles) and B
-(boundaries) inside the ambient slot group.  Differentials are supplied as
-explicit rules d_r(source vector) = target vector; a page turn applies all
-same-page rules simultaneously, checks them for consistency, and updates the
-lattices.  After the last page the E_infinity slots are assembled into one
-abelian group per degree, resolving filtration jumps through declared
-extension instances.
+(boundaries) inside the ambient slot group.  The zero lattice L = B + the
+ambient order rows always lies inside Z, so each slot's page is Z / L and
+its cached `SubQuot` answers every question a page turn asks: a vector is a
+cycle when `express` finds coordinates, and a zero class when they all
+vanish.  Differentials are supplied as explicit rules d_r(source vector) =
+target vector; a page turn applies all same-page rules simultaneously,
+checks them for consistency, updates the lattices and checks that L is
+still inside Z (a boundary that is not a cycle means d o d != 0).  After
+the last page the E_infinity slots are assembled into one abelian group per
+degree, resolving filtration jumps through declared extension instances.
 
 Conventions: a rule on slot (d, s) has its target in slot (d - 1, s + r),
 i.e. the Bockstein variable carries internal degree |v| with the slot's
@@ -103,16 +107,16 @@ class SpectralSequence:
 
     # -- page turns ---------------------------------------------------------
 
-    def run(self, rules: list[Rule], last_page: int, audit: bool = True) -> None:
+    def run(self, rules: list[Rule], last_page: int) -> None:
         by_page: dict[int, list[Rule]] = {}
         for rule in rules:
             by_page.setdefault(rule.page, []).append(rule)
         for r in sorted(by_page):
             if r > last_page:
                 break
-            self._turn(r, by_page[r], audit)
+            self._turn(r, by_page[r])
 
-    def _turn(self, r: int, rules: list[Rule], audit: bool) -> None:
+    def _turn(self, r: int, rules: list[Rule]) -> None:
         by_slot: dict[tuple[int, int], list[Rule]] = {}
         for rule in rules:
             if rule.slot not in self.cells:
@@ -123,48 +127,37 @@ class SpectralSequence:
             upd = self._slot_differential(r, slot, slot_rules)
             if upd is not None:
                 updates.append(upd)
-        if audit:
-            pre = {}
-            for src, _, tgt, _ in updates:
-                for slot in (src, tgt):
-                    sq = self.subquot(slot)
-                    pre[slot] = (sq.free_rank(), sq.total_order_exponent())
+        # the differentials read every updated slot, so the cache holds the
+        # pages before the turn replaces them
+        pre, self._sq_cache = self._sq_cache, {}
         for src, new_z, tgt, images in updates:
             self.Z[src] = new_z
             self.B[tgt] = self.B[tgt] + [list(y) for y in images]
-        self._sq_cache.clear()
-        if audit:
-            sources = {u[0] for u in updates}
-            targets = {u[2] for u in updates}
-            for src, _, tgt, _ in updates:
-                if src in targets or tgt in sources:
-                    continue  # mixed roles: drops are not separable
-                s_old, t_old = pre[src], pre[tgt]
-                s_new = self.subquot(src)
-                t_new = self.subquot(tgt)
-                if s_new.free_rank() > s_old[0] or t_new.free_rank() > t_old[0]:
-                    raise EngineError(f"page {r}: slice rank grew at {src}->{tgt}")
-                if s_old[0] == 0 and t_old[0] == 0:
-                    s_drop = s_old[1] - s_new.total_order_exponent()
-                    t_drop = t_old[1] - t_new.total_order_exponent()
-                    if s_drop != t_drop:
-                        raise EngineError(
-                            f"page {r}: rank-nullity fails at {src}->{tgt}: "
-                            f"source drop {s_drop}, target drop {t_drop}")
-
-    def _cycle_part(self, vec, z_rows, l_rows, dim):
-        """Rewrite vec as an integer cycle plus zero-lattice junk.
-
-        Returns (cycle vector, denominator) with [vec] = [cycle]/den, den a
-        p-unit, or (None, 1) when the class is not represented by a cycle.
-        """
-        sol = lattice_coordinates(z_rows + l_rows, dim, vec, self.p)
-        if sol is None or sol[1] % self.p == 0:
-            return None, 1
-        nums, den = sol[0][:len(z_rows)], sol[1]
-        g = gcd(den, *nums)
-        return [sum(c * row[j] for c, row in zip(nums, z_rows)) // g
-                for j in range(dim)], den // g
+        # the zero lattice must stay inside the cycles: a boundary that the
+        # same page maps to a nonzero class means d o d != 0
+        for src, *_ in updates:
+            cycles = row_hermite(self.Z[src], len(self.cells[src]), self.p)
+            for row in self.zero_rows(src):
+                if any(row) and solve_in_lattice(*cycles, row, self.p) is None:
+                    raise EngineError(
+                        f"page {r}: a boundary at {src} is not a cycle (d o d != 0)")
+        sources = {u[0] for u in updates}
+        targets = {u[2] for u in updates}
+        for src, _, tgt, _ in updates:
+            if src in targets or tgt in sources:
+                continue  # mixed roles: drops are not separable
+            s_old, t_old = pre[src], pre[tgt]
+            s_new, t_new = self.subquot(src), self.subquot(tgt)
+            if (s_new.free_rank() > s_old.free_rank()
+                    or t_new.free_rank() > t_old.free_rank()):
+                raise EngineError(f"page {r}: slice rank grew at {src}->{tgt}")
+            if s_old.free_rank() == 0 and t_old.free_rank() == 0:
+                s_drop = s_old.total_order_exponent() - s_new.total_order_exponent()
+                t_drop = t_old.total_order_exponent() - t_new.total_order_exponent()
+                if s_drop != t_drop:
+                    raise EngineError(
+                        f"page {r}: rank-nullity fails at {src}->{tgt}: "
+                        f"source drop {s_drop}, target drop {t_drop}")
 
     def _slot_differential(self, r: int, slot, slot_rules):
         p = self.p
@@ -174,29 +167,21 @@ class SpectralSequence:
             return None
         dim_s = len(self.cells[slot])
         dim_t = len(self.cells[tgt_slot])
-        ls_rows = self.zero_rows(slot)
-        lt_rows = self.zero_rows(tgt_slot)
-        z_lat = row_hermite(self.Z[slot], dim_s, p)
-        ls_lat = row_hermite(ls_rows, dim_s, p)
-        lt_lat = row_hermite(lt_rows, dim_t, p)
-        zt_lat = row_hermite(self.Z[tgt_slot] + lt_rows, dim_t, p)
-
-        def spans(lat, vec):
-            return solve_in_lattice(*lat, vec, p) is not None
+        sq_s, sq_t = self.subquot(slot), self.subquot(tgt_slot)
 
         X, Y = [], []
         for rule in slot_rules:
             src, tgt = list(rule.source), list(rule.target)
-            if not any(src) or spans(ls_lat, src):
-                continue  # vacuous: the source class is already zero
-            src, den = self._cycle_part(src, self.Z[slot], ls_rows, dim_s)
-            if src is None:
+            coords = sq_s.express(src)
+            if coords is None:
                 raise EngineError(f"{rule.name}: source is not a cycle")
-            tgt = [den * v for v in tgt]
+            if not any(coords):
+                continue  # vacuous: the source class is already zero
             if any(tgt):
-                if not spans(zt_lat, tgt):
+                coords = sq_t.express(tgt)
+                if coords is None:
                     raise EngineError(f"{rule.name}: target is not a cycle")
-                if spans(lt_lat, tgt):
+                if not any(coords):
                     raise EngineError(f"{rule.name}: target class is already zero")
             # an all-zero target is an explicit d(x) = 0 statement; it still
             # pins the differential on the source's span
@@ -204,23 +189,20 @@ class SpectralSequence:
             Y.append(tgt)
         if not X:
             return None
-        # rows of the zero lattice that happen to be cycles represent the
-        # zero class, so the linear differential must send them into the
-        # target's zero lattice; they join the rules as constraints with
-        # zero image and can force values on directions no rule names
-        for row in ls_rows:
-            if any(row) and spans(z_lat, row):
-                X.append(list(row))
+        # the zero lattice represents the zero class, so the linear
+        # differential must send it into the target's zero lattice; its rows
+        # join the rules with zero image and can force values on directions
+        # no rule names
+        for row in self.zero_rows(slot):
+            if any(row):
+                X.append(row)
                 Y.append([0] * dim_t)
-        # combinations of sources that vanish as classes must have vanishing
-        # image classes, otherwise the rules are not a homomorphism
-        for row in row_kernel(X + ls_rows, dim_s, p):
-            lam = row[:len(X)]
-            if not any(lam):
-                continue
+        # combinations of sources that vanish must have vanishing image
+        # classes, otherwise the rules are not a homomorphism
+        for lam in row_kernel(X, dim_s, p):
             img = [sum(lam[t] * Y[t][j] for t in range(len(X)))
                    for j in range(dim_t)]
-            if not spans(lt_lat, img):
+            if not sq_t.is_zero(img):
                 raise EngineError(
                     f"page {r} at {slot}: inconsistent differentials")
         # the differential is the Q-linear extension of the rules: each
@@ -241,7 +223,7 @@ class SpectralSequence:
         # new cycles: z with image zero modulo the target's zero lattice
         den = lcm(*(d for _, d in images))
         w_rows = [[v * (den // d) for v in img] for img, d in images]
-        scaled_lt = [[den * v for v in row] for row in lt_rows]
+        scaled_lt = [[den * v for v in row] for row in self.zero_rows(tgt_slot)]
         new_z = []
         for row in row_kernel(w_rows + scaled_lt, dim_t, p):
             mu = row[:len(images)]
@@ -253,10 +235,10 @@ class SpectralSequence:
 
     # -- assembly -----------------------------------------------------------
 
-    def assemble(self, extensions: list[Extension], lo: int, hi: int,
+    def assemble(self, extensions: list[Extension], hi: int,
                  smax: int) -> dict[int, tuple[int, list[int]]]:
         """(free rank, sorted torsion orders) of the abutment in each degree
-        of [lo, hi], from the E_infinity slots of filtration at most smax.
+        of [0, hi], from the E_infinity slots of filtration at most smax.
 
         Each surviving summand is one generator of its degree; each torsion
         summand contributes the relation order * g = (lift of the extensions
@@ -268,10 +250,10 @@ class SpectralSequence:
             exts.setdefault(ext.slot, []).append(ext)
         sqs: dict[tuple[int, int], SubQuot] = {}
         column: dict[tuple[tuple[int, int], int], int] = {}
-        ngens = dict.fromkeys(range(lo, hi + 1), 0)
+        ngens = dict.fromkeys(range(hi + 1), 0)
         for slot in sorted(self.cells):
             d, s = slot
-            if not (lo <= d <= hi and s <= smax):
+            if not (d <= hi and s <= smax):
                 continue
             sq = self.subquot(slot)
             if sq.orders:
@@ -361,9 +343,9 @@ class EngineSetup:
     window: int
     chain_smax: int
 
-    def run(self, audit: bool = True) -> dict[int, tuple[int, list[int]]]:
-        self.ss.run(self.rules, self.last_page, audit=audit)
-        return self.ss.assemble(self.extensions, 0, self.window, self.chain_smax)
+    def run(self) -> dict[int, tuple[int, list[int]]]:
+        self.ss.run(self.rules, self.last_page)
+        return self.ss.assemble(self.extensions, self.window, self.chain_smax)
 
     def sign_flipped(self) -> "EngineSetup":
         flipped = [Rule(r.page, r.slot, r.source,
@@ -377,9 +359,10 @@ class EngineSetup:
 # -- integral-coefficient sequence over the mod-p page ---------------------------
 
 
-def v0_tower_setup(ctx: PrimeContext, window: int, chain_smax: int = 10) -> EngineSetup:
+def v0_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
     """First-variable Bockstein: exterior-times-polynomial page, p-filtration."""
     p = ctx.p
+    chain_smax = 10
     by_deg: dict[int, list[tuple[int, int, int]]] = {}
     for d, e1, e2, i in cf.hfp_monomials(p, window + 1):
         by_deg.setdefault(d, []).append((e1, e2, i))
@@ -535,8 +518,9 @@ class _KuClasses:
         return tuple(out) if any(out) else None
 
 
-def eta_tower_setup(window: int, chain_smax: int = 6) -> EngineSetup:
+def eta_tower_setup(window: int) -> EngineSetup:
     p = 2
+    chain_smax = 6
     last_page = 2
     smax = chain_smax + last_page
     ku = _KuClasses(window + 1)
@@ -624,7 +608,8 @@ def eta_tower_setup(window: int, chain_smax: int = 6) -> EngineSetup:
 # -- eta-filtration sequence for the ko coefficients -----------------------------
 
 
-def ko_base_setup(window: int, chain_smax: int = 10) -> EngineSetup:
+def ko_base_setup(window: int) -> EngineSetup:
+    chain_smax = 10
     last_page = 3
     smax = chain_smax + last_page
     cells = {}

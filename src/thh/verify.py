@@ -444,7 +444,7 @@ def eta_square_annihilates(window: int) -> list[IdentityCheck]:
 
 
 def duality_check(ctx: PrimeContext, n_max: int,
-                  window: int | None = None) -> list[IdentityCheck]:
+                  window: int) -> list[IdentityCheck]:
     """Order symmetry of each torsion block about its top degree, plus the
     Hom/Ext mirror between the divided-power answer and the integral one."""
     from . import thc
@@ -458,11 +458,10 @@ def duality_check(ctx: PrimeContext, n_max: int,
             hi_r, hi_t = tn.group_at(top - d)
             out.append(IdentityCheck(f"block-{n}-self-dual", d,
                                      (lo_r, sorted(lo_t)), (hi_r, sorted(hi_t))))
-    if window is not None:
-        mirror = thc.thh_ell_HZ_mirror(ctx, window)
-        direct = thc.thc_ell_HZ(ctx, window)
-        for d in range(window + 1):
-            out.append(IdentityCheck("hom-ext-mirror", d,
-                                     direct.get(d, (0, [])),
-                                     mirror.get(d, (0, []))))
+    mirror = thc.thh_ell_HZ_mirror(ctx, window)
+    direct = thc.thc_ell_HZ(ctx, window)
+    for d in range(window + 1):
+        out.append(IdentityCheck("hom-ext-mirror", d,
+                                 direct.get(d, (0, [])),
+                                 mirror.get(d, (0, []))))
     return out

@@ -42,6 +42,16 @@ def test_cyclic_with_v_truncation():
     assert m.group_at(6) == (0, [])
 
 
+def test_adding_a_relation_drops_cached_groups():
+    # Z<g> read before 4g = 0 is added must not answer for Z/4<g>
+    m = GradedModulePresentation(R2, [Generator("g", 0)], [])
+    assert m.group_at(0) == (1, [])
+    assert m.subquot_at(0).orders == [0]
+    m.add_relation(Relation(((4, 0, "g"),)))
+    assert m.group_at(0) == (0, [4])
+    assert m.subquot_at(0).orders == [4]
+
+
 def test_inhomogeneous_relation_rejected():
     m = GradedModulePresentation(R2, [Generator("a", 0), Generator("b", 1)], [])
     with pytest.raises(ValueError):

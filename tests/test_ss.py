@@ -69,9 +69,9 @@ def test_non_cycle_source_is_rejected():
     victim = rules[0]
     bogus = ss.Rule(victim.page + 1, victim.slot, victim.source,
                     victim.target, "bogus-repeat")
-    setup.ss.run(rules, 1, audit=True)
+    setup.ss.run(rules, 1)
     with pytest.raises(ss.EngineError):
-        setup.ss.run([bogus], bogus.page, audit=True)
+        setup.ss.run([bogus], bogus.page)
 
 
 def test_audit_catches_rank_growth():
@@ -84,7 +84,24 @@ def test_audit_catches_rank_growth():
     replaced = [bad if r is not first else bad
                 for r in [bad] + [r for r in fresh.rules if r.name != first.name]]
     with pytest.raises(ss.EngineError):
-        fresh.ss.run(replaced + [first], setup.last_page, audit=True)
+        fresh.ss.run(replaced + [first], setup.last_page)
+
+
+def test_boundary_that_is_not_a_cycle_is_rejected():
+    # d(x) = y and d(y) = z on one page: y becomes a boundary that is not a
+    # cycle, so d o d != 0
+    cells = {(2, 0): [0], (1, 1): [0], (0, 2): [0]}
+    seq = ss.SpectralSequence(2, cells)
+    rules = [ss.Rule(1, (2, 0), (1,), (1,), "d1(x)"),
+             ss.Rule(1, (1, 1), (1,), (1,), "d1(y)")]
+    with pytest.raises(ss.EngineError, match=r"page 1: .* at \(1, 1\)"):
+        seq.run(rules, 1)
+
+
+def test_eta_tower_past_its_range_is_rejected():
+    # from window 123 on, a d1 boundary in ku degree 122 is not a d1 cycle
+    with pytest.raises(ss.EngineError, match=r"page 1: .* at \(123, 1\)"):
+        ss.eta_tower_setup(128).run()
 
 
 def test_differential_needing_division_by_p_is_rejected():

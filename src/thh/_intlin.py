@@ -350,6 +350,12 @@ def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     return out
 
 
+def order_rows(orders: list[int]) -> list[list[int]]:
+    """The relation rows o * e_k of Z^t, one per torsion order o = orders[k]."""
+    return [[o if i == k else 0 for i in range(len(orders))]
+            for k, o in enumerate(orders) if o]
+
+
 class SubQuot:
     """p-local subquotient (span(gens) + span(rels)) / span(rels) of Z^n.
 

@@ -1,9 +1,14 @@
 """Constructors for the named torsion modules and the six assembled answers.
 
 Everything is a GradedModulePresentation over Z_(p)[v] (|v| = 2p-2 on the
-2-primary connective-ku side, |v| = 4 = |v_1^2| on the ko side).  Windows are
-explicit: generators are only laid down up to the requested top degree, and
-complete_below records how far the presentation can be trusted.
+2-primary connective-ku side, |v| = 4 = |v_1^2| on the ko side), built in
+one call from its generator and relation lists.  Each answer is the paper's
+direct sum of suspended pieces.  Windows are explicit: generators are only
+laid down up to the requested top degree, and complete_below records how far
+the presentation can be trusted.  None means every degree, as for the finite
+pieces T_n, Ttilde and their duals; a direct sum takes the least bound among
+its parts, so an answer's bound is that of its truncated free chain.  The
+bound is recorded but not yet enforced: nothing reads it.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ def build_Tn(ctx: PrimeContext, n: int, prefix: str = "T:") -> GradedModulePrese
     p = ctx.p
     words = all_words(p, n)
     gens = [Generator(_word_gid(prefix, w), g_word_degree(p, n, w), w.label()) for w in words]
-    mod = GradedModulePresentation(ell_ring(p), gens, [])
+    rels = []
     have = {w.digits for w in words}
     for w in words:
         k = len(w)
@@ -54,11 +59,10 @@ def build_Tn(ctx: PrimeContext, n: int, prefix: str = "T:") -> GradedModulePrese
         if k >= 1 and w.digits[-1] == p - 1:
             parent = TorsionWord(w.digits[:-1], p)
             terms.append((-1, p ** (n - k + 2), _word_gid(prefix, parent)))
-        mod.add_relation(Relation(tuple(terms)))
+        rels.append(Relation(tuple(terms)))
         # v-power annihilation
-        mod.add_relation(Relation(((1, kill_exponent(p, n, k), _word_gid(prefix, w)),)))
-    mod.complete_below = None
-    return mod
+        rels.append(Relation(((1, kill_exponent(p, n, k), _word_gid(prefix, w)),)))
+    return GradedModulePresentation(ell_ring(p), gens, rels)
 
 
 def tn_top_degree(p: int, n: int) -> int:
@@ -74,18 +78,16 @@ def phi_degree(p: int, k: int) -> int:
     return 2 * (p - 1) * sum(p**j for j in range(1, k + 1))
 
 
-def build_F(ctx: PrimeContext, window: int, prefix: str = "F:") -> GradedModulePresentation:
+def build_F(ctx: PrimeContext, window: int) -> GradedModulePresentation:
     """Divided v-power chain: Z in each degree 2(p-1)e, generated by phi_k."""
     p = ctx.p
     gens = []
     k = 0
     while phi_degree(p, k) <= window:
-        gens.append(Generator(f"{prefix}phi{k}", phi_degree(p, k), f"phi{k}"))
+        gens.append(Generator(f"F:phi{k}", phi_degree(p, k), f"phi{k}"))
         k += 1
-    mod = GradedModulePresentation(ell_ring(p), gens, [], complete_below=window + 1)
-    for j in range(1, k):
-        mod.add_relation(Relation(((p, 0, f"{prefix}phi{j}"), (-1, p**j, f"{prefix}phi{j - 1}"))))
-    return mod
+    rels = [Relation(((p, 0, f"F:phi{j}"), (-1, p**j, f"F:phi{j - 1}"))) for j in range(1, k)]
+    return GradedModulePresentation(ell_ring(p), gens, rels, window + 1)
 
 
 # -- THH(l) ----------------------------------------------------------------------
@@ -110,25 +112,17 @@ def thh_ell(ctx: PrimeContext, window: int,
     p = ctx.p
     parts = []
     if not reduced:
-        unit = GradedModulePresentation(ell_ring(p), [Generator("iota", 0, "iota")], [])
-        parts.append(unit)
-    f_part = _relabel(build_F(ctx, window - (2 * p - 1)).suspend(2 * p - 1),
-                      lambda lab: lab + "*l1")
-    parts.append(f_part)
+        parts.append(GradedModulePresentation(ell_ring(p), [Generator("iota", 0, "iota")], []))
+    parts.append(_relabel(build_F(ctx, window - (2 * p - 1)).suspend(2 * p - 1),
+                          lambda lab: lab + "*l1"))
     for n, k, shift in torsion_block_shifts(p, window):
-        block = build_Tn(ctx, n, prefix=f"T[{n},{k}]:").suspend(shift)
-        parts.append(block)
-    out = GradedModulePresentation.direct_sum(parts)
-    out.complete_below = window + 1
-    return out
+        parts.append(build_Tn(ctx, n, prefix=f"T[{n},{k}]:").suspend(shift))
+    return GradedModulePresentation.direct_sum(parts)
 
 
 def _relabel(mod: GradedModulePresentation, fn) -> GradedModulePresentation:
     gens = [Generator(g.gid, g.degree, fn(g.display())) for g in mod.generators.values()]
-    out = GradedModulePresentation(mod.ring, gens, [], mod.complete_below)
-    for rel in mod.relations:
-        out.add_relation(rel)
-    return out
+    return GradedModulePresentation(mod.ring, gens, mod.relations, mod.complete_below)
 
 
 # -- THH(l; HF_p) ---------------------------------------------------------------
@@ -193,12 +187,9 @@ def thh_ell_k1(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedMo
         gens.append(Generator("one", 0, "1"))
     entries = k1_generators(p, window)
     gens.extend(Generator(gid, d, lab) for gid, d, _, lab in entries)
-    mod = GradedModulePresentation(ell_ring(p), gens, [], complete_below=window + 1)
-    for g in gens:
-        mod.add_relation(Relation(((p, 0, g.gid),)))
-    for gid, _, trunc, _ in entries:
-        mod.add_relation(Relation(((1, trunc, gid),)))
-    return mod
+    rels = [Relation(((p, 0, g.gid),)) for g in gens]
+    rels += [Relation(((1, trunc, gid),)) for gid, _, trunc, _ in entries]
+    return GradedModulePresentation(ell_ring(p), gens, rels, window + 1)
 
 
 # -- THH(l; HZ) ------------------------------------------------------------------
@@ -223,10 +214,7 @@ def thh_ell_HZ(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedMo
                 rels.append(Relation(((order, 0, gid),)))
                 rels.append(Relation(((1, 1, gid),)))
         i += 1
-    mod = GradedModulePresentation(ell_ring(p), gens, [], complete_below=window + 1)
-    for r in rels:
-        mod.add_relation(r)
-    return mod
+    return GradedModulePresentation(ell_ring(p), gens, rels, window + 1)
 
 
 # -- ko side ---------------------------------------------------------------------
@@ -235,7 +223,7 @@ def thh_ell_HZ(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedMo
 KU_RING = RingSpec(2, 2)
 
 
-def build_Tn_prime(n: int, prefix: str = "T':") -> GradedModulePresentation:
+def build_Tn_prime(n: int) -> GradedModulePresentation:
     """Submodule of the desuspended level-n torsion module spanned by v-multiples.
 
     Generators h_w = v * g_w for words with no trailing zero; h_w is relabeled
@@ -247,7 +235,7 @@ def build_Tn_prime(n: int, prefix: str = "T':") -> GradedModulePresentation:
         if len(w) and w.digits[-1] == 0:
             continue
         m = 2**n + sum(a * 2 ** (n - 1 - t) for t, a in enumerate(w.digits))
-        picked.append((f"{prefix}h_{''.join(map(str, w.digits)) or 'e'}",
+        picked.append((f"T'[{n}]:h_{''.join(map(str, w.digits)) or 'e'}",
                        ((1, 1, "tmp:" + w.label()),), f"b'{m}"))
     sub = submodule_presentation(tn, picked, tn_top_degree(2, n) + 3)
     sub = sub.suspend(-2)
@@ -259,18 +247,18 @@ def phi_prime_degree(k: int) -> int:
     return 0 if k == 0 else 2 * (2 ** (k + 1) - 3)
 
 
-def build_F_prime(window: int, prefix: str = "F':") -> GradedModulePresentation:
+def build_F_prime(window: int) -> GradedModulePresentation:
     """ko-side divided chain: Z in each even degree, staircase indexed by 2^(k+1)-3."""
     gens = []
     k = 0
     while phi_prime_degree(k) <= window:
-        gens.append(Generator(f"{prefix}phi{k}", phi_prime_degree(k), f"phi'{k}"))
+        gens.append(Generator(f"F':phi{k}", phi_prime_degree(k), f"phi'{k}"))
         k += 1
-    mod = GradedModulePresentation(KU_RING, gens, [], complete_below=window + 1)
+    rels = []
     for j in range(1, k):
         step = (phi_prime_degree(j) - phi_prime_degree(j - 1)) // 2
-        mod.add_relation(Relation(((2, 0, f"{prefix}phi{j}"), (-1, step, f"{prefix}phi{j - 1}"))))
-    return mod
+        rels.append(Relation(((2, 0, f"F':phi{j}"), (-1, step, f"F':phi{j - 1}"))))
+    return GradedModulePresentation(KU_RING, gens, rels, window + 1)
 
 
 def thh_ko_ku(window: int, reduced: bool = True) -> GradedModulePresentation:
@@ -278,16 +266,12 @@ def thh_ko_ku(window: int, reduced: bool = True) -> GradedModulePresentation:
     parts = []
     if not reduced:
         parts.append(GradedModulePresentation(KU_RING, [Generator("iota", 0, "iota")], []))
-    f_part = _relabel(build_F_prime(window - 5).suspend(5), lambda lab: lab + "*l1'")
-    parts.append(f_part)
+    parts.append(_relabel(build_F_prime(window - 5).suspend(5), lambda lab: lab + "*l1'"))
     n = 0
     while 2 ** (n + 3) + 4 <= window:
-        block = build_Tn_prime(n, prefix=f"T'[{n}]:").suspend(2 ** (n + 3) + 4)
-        parts.append(block)
+        parts.append(build_Tn_prime(n).suspend(2 ** (n + 3) + 4))
         n += 1
-    out = GradedModulePresentation.direct_sum(parts)
-    out.complete_below = window + 1
-    return out
+    return GradedModulePresentation.direct_sum(parts)
 
 
 # -- ko torsion pieces -----------------------------------------------------------
@@ -301,11 +285,8 @@ def build_Ttilde(n: int, prefix: str = "Tt:") -> GradedModulePresentation:
     if n < 1:
         raise ValueError("level must be >= 1")
     gid = prefix + "t"
-    mod = GradedModulePresentation(ko_ring(), [Generator(gid, 0, prefix + "1")], [])
-    for j in range(n + 1):
-        mod.add_relation(Relation(((2 ** (n - j), 2**j - 1, gid),)))
-    mod.complete_below = None
-    return mod
+    rels = [Relation(((2 ** (n - j), 2**j - 1, gid),)) for j in range(n + 1)]
+    return GradedModulePresentation(ko_ring(), [Generator(gid, 0, prefix + "1")], rels)
 
 
 def ttilde_top_degree(n: int) -> int:
@@ -318,10 +299,11 @@ def build_D_dual_Ttilde(n: int, prefix: str = "DTt:") -> GradedModulePresentatio
     return tt.dual(0, ttilde_top_degree(n), prefix=prefix.rstrip(":"))
 
 
-def build_Tnko(n: int, prefix: str = "ko:") -> GradedModulePresentation:
+def build_Tnko(n: int) -> GradedModulePresentation:
     """Level-n ko torsion block: nested truncated pieces and their duals."""
     if n < 1:
         raise ValueError("level must be >= 1")
+    prefix = f"ko{n}:"
     parts = []
     top = 2 ** (n + 3) - 10
     for k in range(1, 2 ** (n - 1)):
@@ -330,9 +312,7 @@ def build_Tnko(n: int, prefix: str = "ko:") -> GradedModulePresentation:
         parts.append(build_D_dual_Ttilde(m, prefix=f"{prefix}k{k}.D").suspend(top - 16 * k))
     parts.append(build_Ttilde(n, prefix=f"{prefix}main."))
     parts.append(build_D_dual_Ttilde(n, prefix=f"{prefix}main.D").suspend(top))
-    out = GradedModulePresentation.direct_sum(parts)
-    out.complete_below = None
-    return out
+    return GradedModulePresentation.direct_sum(parts)
 
 
 def fko_eta_missing(i: int) -> bool:
@@ -341,28 +321,27 @@ def fko_eta_missing(i: int) -> bool:
     return i >= 0 and m & (m - 1) == 0
 
 
-def build_Fko(window: int, prefix: str = "Fko:") -> GradedModulePresentation:
+def build_Fko(window: int) -> GradedModulePresentation:
     """Torsion-free ko part: Z on u_i (degree 4i) and Z/2 on eta*u_i (degree 4i+1)."""
     gens = []
     imax = window // 4
     for i in range(imax + 1):
-        gens.append(Generator(f"{prefix}u{i}", 4 * i, f"u{i}"))
+        gens.append(Generator(f"Fko:u{i}", 4 * i, f"u{i}"))
         if not fko_eta_missing(i) and 4 * i + 1 <= window:
-            gens.append(Generator(f"{prefix}eu{i}", 4 * i + 1, f"eta*u{i}"))
-    mod = GradedModulePresentation(ko_ring(), gens, [], complete_below=window + 1)
+            gens.append(Generator(f"Fko:eu{i}", 4 * i + 1, f"eta*u{i}"))
+    rels = []
     for i in range(imax + 1):
         if i + 1 <= imax:
             mult = 2 if fko_eta_missing(i) else 1
-            mod.add_relation(Relation(((1, 1, f"{prefix}u{i}"), (-mult, 0, f"{prefix}u{i + 1}"))))
+            rels.append(Relation(((1, 1, f"Fko:u{i}"), (-mult, 0, f"Fko:u{i + 1}"))))
         if not fko_eta_missing(i) and 4 * i + 1 <= window:
-            mod.add_relation(Relation(((2, 0, f"{prefix}eu{i}"),)))
-            nxt = f"{prefix}eu{i + 1}"
+            rels.append(Relation(((2, 0, f"Fko:eu{i}"),)))
             if 4 * (i + 1) + 1 <= window:
-                if fko_eta_missing(i + 1) or nxt not in {g.gid for g in gens}:
-                    mod.add_relation(Relation(((1, 1, f"{prefix}eu{i}"),)))
+                if fko_eta_missing(i + 1):
+                    rels.append(Relation(((1, 1, f"Fko:eu{i}"),)))
                 else:
-                    mod.add_relation(Relation(((1, 1, f"{prefix}eu{i}"), (-1, 0, nxt))))
-    return mod
+                    rels.append(Relation(((1, 1, f"Fko:eu{i}"), (-1, 0, f"Fko:eu{i + 1}"))))
+    return GradedModulePresentation(ko_ring(), gens, rels, window + 1)
 
 
 def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
@@ -374,12 +353,11 @@ def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
     parts = []
     if not reduced:
         parts.append(_ko_coefficients(window))
-    fko = build_Fko(window - 5, prefix="Fko:").suspend(5)
-    parts.append(fko)
+    parts.append(build_Fko(window - 5).suspend(5))
     levels = []
     n = 1
     while 2 ** (n + 3) + 4 <= window:
-        parts.append(build_Tnko(n, prefix=f"ko{n}:").suspend(2 ** (n + 3) + 4))
+        parts.append(build_Tnko(n).suspend(2 ** (n + 3) + 4))
         levels.append(n)
         n += 1
     merged = GradedModulePresentation.direct_sum(parts)
@@ -389,28 +367,20 @@ def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
     for n in levels:
         for d in range(0, ttilde_top_degree(n) + 1, 4):
             hidden_gids[f"ko{n}:main.D[{d},0]"] = n
-    kept = []
-    for rel in merged.relations:
-        if (len(rel.terms) == 1 and rel.terms[0][1] == 0
-                and rel.terms[0][2] in hidden_gids):
-            continue
-        kept.append(rel)
-    out = GradedModulePresentation(merged.ring, list(merged.generators.values()), [],
-                                   merged.complete_below)
-    for rel in kept:
-        out.add_relation(rel)
+    rels = [rel for rel in merged.relations
+            if not (len(rel.terms) == 1 and rel.terms[0][1] == 0
+                    and rel.terms[0][2] in hidden_gids)]
     for gid, n in hidden_gids.items():
         d = int(gid.split("[")[1].split(",")[0])
         k = (ttilde_top_degree(n) - d) // 4
         order = _ttilde_order(n, d // 4)
-        i = 3 * 2**n - 1 + k
-        target = f"Fko:eu{i}"
-        if target in out.generators:
-            out.add_relation(Relation(((order, 0, gid), (-1, 0, target))))
+        target = f"Fko:eu{3 * 2**n - 1 + k}"
+        if target in merged.generators:
+            rels.append(Relation(((order, 0, gid), (-1, 0, target))))
         else:
-            out.add_relation(Relation(((order, 0, gid),)))
-    out.complete_below = window + 1
-    return out
+            rels.append(Relation(((order, 0, gid),)))
+    return GradedModulePresentation(merged.ring, list(merged.generators.values()), rels,
+                                    merged.complete_below)
 
 
 def _ttilde_order(n: int, j: int) -> int:
@@ -439,10 +409,7 @@ def _ko_coefficients(window: int) -> GradedModulePresentation:
                 rels.append(Relation(((2, 0, gid),)))
                 rels.append(Relation(((1, 1, gid),)))
         j += 1
-    mod = GradedModulePresentation(ko_ring(), gens, [], complete_below=window + 1)
-    for r in rels:
-        mod.add_relation(r)
-    return mod
+    return GradedModulePresentation(ko_ring(), gens, rels, window + 1)
 
 
 def thh_ko_eta_map(mod: GradedModulePresentation) -> ModuleMap:

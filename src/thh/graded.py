@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from ._intlin import (SubQuot, group_invariants, row_hermite, row_kernel,
-                      solve_in_lattice)
+from ._intlin import (SubQuot, group_invariants, order_rows, row_hermite,
+                      row_kernel, solve_in_lattice)
 from .padic import nu
 
 
@@ -50,6 +50,14 @@ class Relation:
 
 
 class GradedModulePresentation:
+    """Generators, relations in order, and the window bound `complete_below`.
+
+    The groups are trusted in degrees below `complete_below`; None means in
+    every degree.  `suspend` shifts the bound and `direct_sum` takes the
+    least bound among the parts that have one.  The bound is recorded but
+    not yet enforced: `group_at` and `subquot_at` answer past it.
+    """
+
     def __init__(self, ring: RingSpec, generators: list[Generator],
                  relations: list[Relation], complete_below: int | None = None):
         self.ring = ring
@@ -216,29 +224,22 @@ class GradedModulePresentation:
 
     def suspend(self, shift: int) -> "GradedModulePresentation":
         gens = [Generator(g.gid, g.degree + shift, g.label) for g in self.generators.values()]
-        out = GradedModulePresentation(self.ring, gens, [], None)
-        for rel in self.relations:
-            out.add_relation(rel)
-        out.complete_below = None if self.complete_below is None else self.complete_below + shift
-        return out
+        bound = None if self.complete_below is None else self.complete_below + shift
+        return GradedModulePresentation(self.ring, gens, self.relations, bound)
 
     @staticmethod
     def direct_sum(parts: list["GradedModulePresentation"]) -> "GradedModulePresentation":
+        """The parts side by side; complete below the least bound any part has."""
         if not parts:
             raise ValueError("direct_sum of nothing")
         ring = parts[0].ring
-        gens: list[Generator] = []
         for part in parts:
             if part.ring != ring:
                 raise ValueError(f"direct_sum over different rings {ring} and {part.ring}")
-            gens.extend(part.generators.values())
-        out = GradedModulePresentation(ring, gens, [], None)
-        for part in parts:
-            for rel in part.relations:
-                out.add_relation(rel)
-        bounds = [part.complete_below for part in parts]
-        out.complete_below = None if any(b is None for b in bounds) else min(bounds)
-        return out
+        gens = [g for part in parts for g in part.generators.values()]
+        rels = [rel for part in parts for rel in part.relations]
+        bounds = [part.complete_below for part in parts if part.complete_below is not None]
+        return GradedModulePresentation(ring, gens, rels, min(bounds, default=None))
 
     def dual(self, lo: int, hi: int, prefix: str = "D") -> "GradedModulePresentation":
         """Per-degree character dual on [lo, hi]: negated degrees, transposed v-action.
@@ -253,17 +254,15 @@ class GradedModulePresentation:
                 raise ValueError(f"dual needs finite groups; degree {d} has free rank")
             summands[d] = [o for o, _ in sq.summands]
         gens = []
+        rels = []
         for d in range(lo, hi + 1):
             for k, order in enumerate(summands[d]):
                 gens.append(Generator(f"{prefix}[{d},{k}]", -d, f"{prefix}({d},{k})"))
-        out = GradedModulePresentation(self.ring, gens, [], None)
-        for d in range(lo, hi + 1):
-            for k, order in enumerate(summands[d]):
-                out.add_relation(Relation(((order, 0, f"{prefix}[{d},{k}]"),)))
+                rels.append(Relation(((order, 0, f"{prefix}[{d},{k}]"),)))
         # dual generators whose v-image would come from below the window: kill v
         for d in range(lo, min(lo + vd, hi + 1)):
             for k in range(len(summands[d])):
-                out.add_relation(Relation(((1, 1, f"{prefix}[{d},{k}]"),)))
+                rels.append(Relation(((1, 1, f"{prefix}[{d},{k}]"),)))
         # transposed v-action: v on the dual of degree d+|v| lands in the dual of degree d
         v_map = variable_multiplication_map(self)
         for d in range(lo, hi + 1 - vd):
@@ -286,9 +285,8 @@ class GradedModulePresentation:
                     c %= aj
                     if c:
                         terms.append((-c, 0, f"{prefix}[{d},{j}]"))
-                out.add_relation(Relation(tuple(terms)))
-        out.complete_below = None
-        return out
+                rels.append(Relation(tuple(terms)))
+        return GradedModulePresentation(self.ring, gens, rels)
 
     def isomorphic_on(self, other: "GradedModulePresentation", degrees) -> bool:
         return all(self.group_at(d) == other.group_at(d) for d in degrees)
@@ -404,12 +402,6 @@ class ModuleMap:
         img = self.image_subquot(d)
         return (img.free_rank() == tgt_sq.free_rank()
                 and img.torsion() == tgt_sq.torsion())
-
-
-def order_rows(orders: list[int]) -> list[list[int]]:
-    """The relation rows o * e_k of Z^t, one per torsion order o = orders[k]."""
-    return [[o if i == k else 0 for i in range(len(orders))]
-            for k, o in enumerate(orders) if o]
 
 
 def variable_multiplication_map(mod: GradedModulePresentation) -> ModuleMap:

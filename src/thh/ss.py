@@ -32,6 +32,7 @@ from ._intlin import (
     SubQuot,
     group_invariants,
     lattice_coordinates,
+    order_rows,
     row_hermite,
     row_kernel,
     solve_in_lattice,
@@ -88,16 +89,8 @@ class SpectralSequence:
         row[i] = 1
         return row
 
-    def ambient_rows(self, slot) -> list[list[int]]:
-        rows = []
-        for i, o in enumerate(self.cells[slot]):
-            if o:
-                rows.append([o if j == i else 0
-                             for j in range(len(self.cells[slot]))])
-        return rows
-
     def zero_rows(self, slot) -> list[list[int]]:
-        return self.B[slot] + self.ambient_rows(slot)
+        return self.B[slot] + order_rows(self.cells[slot])
 
     def subquot(self, slot) -> SubQuot:
         if slot not in self._sq_cache:
@@ -264,8 +257,7 @@ class SpectralSequence:
 
         def to_y(slot, vec):
             if slot not in sqs:
-                if slot in self.cells and not any(
-                        self.subquot(slot).orders):
+                if slot in self.cells and not self.subquot(slot).orders:
                     return {}
                 raise _Ceiling()
             coords = sqs[slot].express(vec)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._intlin import SubQuot, row_kernel
+from ._intlin import SubQuot, order_rows, row_kernel
 from . import closed_forms as cf
-from .graded import (GradedModulePresentation, ModuleMap, order_rows,
+from .graded import (GradedModulePresentation, ModuleMap,
                      variable_multiplication_map)
 from .padic import (PrimeContext, lambda_degree, lambda_monomial, mu_degree,
                     nu, r_truncation, x_degree, x_prime_degree)

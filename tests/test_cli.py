@@ -240,6 +240,10 @@ def test_ku_group_json_is_pinned():
     # SubQuot.express and generator_vector
     (["--prime", "2", "--target", "ko", "--max-degree", "64"],
      "group-ko-p2-w64.json"),
+    (["--prime", "3", "--coefficients", "k1", "--max-degree", "120"],
+     "group-k1-p3-w120.json"),
+    (["--prime", "3", "--coefficients", "HZ", "--max-degree", "120"],
+     "group-HZ-p3-w120.json"),
 ])
 def test_group_json_labels_are_pinned(argv, name):
     import pathlib

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,3 +132,36 @@ def test_torsion_block_shifts_cover_window():
         # every shift lands inside the window
         for entry in shifts:
             assert entry[-1] <= 2 * p**4
+
+
+PRESENTATION_PIN = pathlib.Path(__file__).parent / "golden" / "presentations.json"
+PRESENTATIONS = {
+    f"{name}-{tag}-w{w}{'' if reduced else '-unreduced'}": (make, w, reduced)
+    for name, tag, make, windows in [
+        ("thh_ell", "p2", lambda w, r: cf.thh_ell(PrimeContext(2), w, r), [40]),
+        ("thh_ell", "p3", lambda w, r: cf.thh_ell(PrimeContext(3), w, r), [60]),
+        ("thh_ell_k1", "p3", lambda w, r: cf.thh_ell_k1(PrimeContext(3), w, r), [60]),
+        ("thh_ell_HZ", "p3", lambda w, r: cf.thh_ell_HZ(PrimeContext(3), w, r), [60]),
+        ("thh_ko", "p2", lambda w, r: cf.thh_ko(w, r), [40]),
+        ("thh_ko_ku", "p2", lambda w, r: cf.thh_ko_ku(w, r), [40]),
+    ]
+    for w in windows for reduced in (True, False)
+}
+
+
+def presentation_record(mod):
+    """Generators (gid, degree, label) and relation terms, both in order, and
+    the recorded window bound.  Summand labels follow the order of the slice
+    rows, so the order is part of the pin."""
+    return {
+        "generators": [[g.gid, g.degree, g.label] for g in mod.generators.values()],
+        "relations": [[list(t) for t in rel.terms] for rel in mod.relations],
+        "complete_below": mod.complete_below,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS))
+def test_presentations_are_pinned(name):
+    make, w, reduced = PRESENTATIONS[name]
+    golden = json.loads(PRESENTATION_PIN.read_text())
+    assert presentation_record(make(w, reduced)) == golden[name]

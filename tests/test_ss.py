@@ -120,6 +120,16 @@ def test_cycle_outside_the_rules_span_is_rejected():
         seq.run([rule], 1)
 
 
+def test_extension_into_a_free_slot_past_the_range_drops_the_relation():
+    # the target slot (0, 1) lies past smax = 0; whether its E_infinity is
+    # free or torsion, the tower leaves the assembled range and 2 * g gets
+    # no relation, so g stays free
+    for order in (0, 4):
+        seq = ss.SpectralSequence(2, {(0, 0): [2], (0, 1): [order]})
+        ext = ss.Extension((0, 0), (1,), ((1, (0, 1), (1,)),))
+        assert seq.assemble([ext], 0, 0) == {0: (1, [])}
+
+
 PAGE_PIN = pathlib.Path(__file__).parent / "golden" / "ss-page-orders.json"
 PAGE_TOWERS = {
     "v0-p2-w32": lambda: ss.v0_tower_setup(PrimeContext(2), 32),

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .graded import (GradedModulePresentation, Generator, ModuleMap, Relation,
                      RingSpec, submodule_presentation)
-from .padic import (PrimeContext, TorsionWord, all_words, b_degree, g_word_degree,
-                    lambda_degree, mu_degree, nu, r_truncation, x_degree,
-                    x_prime_degree)
+from .padic import (PrimeContext, TorsionWord, a_degree, all_words, b_degree,
+                    g_word_degree, lambda_degree, mu_degree, nu, r_truncation,
+                    staircase_sum, x_degree, x_prime_degree)
 
 
 def ell_ring(p: int) -> RingSpec:
@@ -37,7 +37,7 @@ def _word_gid(prefix: str, w: TorsionWord) -> str:
 
 def kill_exponent(p: int, n: int, length: int) -> int:
     """v-power annihilating g_w in T_n for |w| = length: p^(n-|w|+1) + ... + p."""
-    return sum(p**j for j in range(1, n - length + 2))
+    return staircase_sum(p, n - length + 1)
 
 
 def build_Tn(ctx: PrimeContext, n: int, prefix: str = "T:") -> GradedModulePresentation:
@@ -75,7 +75,19 @@ def tn_top_degree(p: int, n: int) -> int:
 
 
 def phi_degree(p: int, k: int) -> int:
-    return 2 * (p - 1) * sum(p**j for j in range(1, k + 1))
+    return 2 * (p - 1) * staircase_sum(p, k)
+
+
+def chain_extension(p: int, k: int) -> tuple[str, int, str, int, int]:
+    """F's relation p phi_(k+1) = v^(p^(k+1)) phi_k on the v-tower's classes.
+
+    a_(p^k), of order p^(k+1), carries phi_(k+1) suspended by l1, so the
+    relation reads p * (p^k a_(p^k)) = p^c v^e t; returned as
+    (a_(p^k), p^k, t, e, c) with t = a_(p^(k-1)), or l1 for k = 0.
+    """
+    if k == 0:
+        return "a1", 1, "l1", p, 0
+    return f"a{p**k}", p**k, f"a{p ** (k - 1)}", p ** (k + 1), k - 1
 
 
 def build_F(ctx: PrimeContext, window: int) -> GradedModulePresentation:
@@ -195,6 +207,21 @@ def thh_ell_k1(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedMo
 # -- THH(l; HZ) ------------------------------------------------------------------
 
 
+def hz_classes(p: int, top: int) -> list[tuple[str, int, int]]:
+    """(gid, degree, order) of l1 (free, order 0) and of a_i, b_i up to degree
+    top (order p^(nu_p(i)+1)): the HZ answer's generators, in its order, and
+    the cells of the v-tower's first page."""
+    out = [("l1", 2 * p - 1, 0)]
+    i = 1
+    while a_degree(p, i) <= top:
+        order = p ** (nu(p, i) + 1)
+        out.append((f"a{i}", a_degree(p, i), order))
+        if b_degree(p, i) <= top:
+            out.append((f"b{i}", b_degree(p, i), order))
+        i += 1
+    return out
+
+
 def thh_ell_HZ(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedModulePresentation:
     """Integral-coefficient answer: a lambda_1 tower plus v-trivial a/b torsion."""
     p = ctx.p
@@ -203,17 +230,11 @@ def thh_ell_HZ(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedMo
     if not reduced:
         gens.append(Generator("unit", 0, "1"))
         rels.append(Relation(((1, 1, "unit"),)))
-    gens.append(Generator("l1", 2 * p - 1, "l1"))
-    rels.append(Relation(((1, 1, "l1"),)))
-    i = 1
-    while 2 * p * p * i - 1 <= window:
-        order = p ** (nu(p, i) + 1)
-        for gid, d in ((f"a{i}", 2 * p * p * i - 1), (f"b{i}", b_degree(p, i))):
-            if d <= window:
-                gens.append(Generator(gid, d, gid))
-                rels.append(Relation(((order, 0, gid),)))
-                rels.append(Relation(((1, 1, gid),)))
-        i += 1
+    for gid, d, order in hz_classes(p, window):
+        gens.append(Generator(gid, d, gid))
+        if order:
+            rels.append(Relation(((order, 0, gid),)))
+        rels.append(Relation(((1, 1, gid),)))
     return GradedModulePresentation(ell_ring(p), gens, rels, window + 1)
 
 
@@ -223,20 +244,26 @@ def thh_ell_HZ(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedMo
 KU_RING = RingSpec(2, 2)
 
 
+def bprime_gid(m: int) -> str:
+    """Generator id of b'_m = v g_w in T'_n, for the level-n word w of m."""
+    n, w, _ = class_to_word(PrimeContext(2), m, 0)
+    return f"T'[{n}]:h_{''.join(map(str, w.digits)) or 'e'}"
+
+
 def build_Tn_prime(n: int) -> GradedModulePresentation:
     """Submodule of the desuspended level-n torsion module spanned by v-multiples.
 
     Generators h_w = v * g_w for words with no trailing zero; h_w is relabeled
-    b'_m via the level-n position m = 2^n + sum a_t 2^(n-1-t).
+    b'_m through the word dictionary.
     """
-    tn = build_Tn(PrimeContext(2), n, prefix="tmp:")
+    ctx = PrimeContext(2)
+    tn = build_Tn(ctx, n, prefix="tmp:")
     picked = []
     for w in all_words(2, n):
         if len(w) and w.digits[-1] == 0:
             continue
-        m = 2**n + sum(a * 2 ** (n - 1 - t) for t, a in enumerate(w.digits))
-        picked.append((f"T'[{n}]:h_{''.join(map(str, w.digits)) or 'e'}",
-                       ((1, 1, "tmp:" + w.label()),), f"b'{m}"))
+        m, _ = word_dictionary(ctx, n, w, 0)
+        picked.append((bprime_gid(m), ((1, 1, "tmp:" + w.label()),), f"b'{m}"))
     sub = submodule_presentation(tn, picked, tn_top_degree(2, n) + 3)
     sub = sub.suspend(-2)
     sub.complete_below = None
@@ -472,3 +499,19 @@ def class_to_word(ctx: PrimeContext, i: int, j: int) -> tuple[int, TorsionWord, 
     if j > nu(p, i):
         raise ValueError("v0-power exceeds the torsion order exponent")
     return (n, TorsionWord(tuple(digits), p), j)
+
+
+def hidden_extension(p: int, m: int) -> tuple[int, int, int] | None:
+    """The hidden p-extension on b_m as (m2, e, c): p * b_m = p^c v^e b_m2.
+
+    With k = nu_p(m): m2 = m - (p-1) p^k, e = p^(k+2), c = nu_p(m2) - k - 1;
+    None when m2 < 1 or c < 0.  Whenever it is declared, m2 lies in m's own
+    level (p^n <= m2 for p^n <= m < p^(n+1)), and through the word
+    dictionary it is the parent term of the level-n module's p-relations
+    (`verify.torsion_word_transport`).
+    """
+    k = nu(p, m)
+    m2 = m - (p - 1) * p**k
+    if m2 < 1 or nu(p, m2) < k + 1:
+        return None
+    return m2, p ** (k + 2), nu(p, m2) - k - 1

@@ -92,17 +92,19 @@ def r_truncation(p: int, n: int) -> int:
     return p**n + r_truncation(p, n - 2)
 
 
+def staircase_sum(p: int, k: int) -> int:
+    """p + p^2 + ... + p^k (0 for k = 0); `staircase` is its inverse."""
+    return sum(p**j for j in range(1, k + 1))
+
+
 def staircase(p: int, e: int) -> int:
-    """Largest k >= 0 with p^k + p^(k-1) + ... + p <= e."""
+    """Largest k >= 0 with staircase_sum(p, k) <= e."""
     if e < 0:
         raise ValueError("staircase needs e >= 0")
     k = 0
-    total = 0
-    while True:
-        total += p ** (k + 1)
-        if total > e:
-            return k
+    while staircase_sum(p, k + 1) <= e:
         k += 1
+    return k
 
 
 # -- degrees of the named classes ------------------------------------------------

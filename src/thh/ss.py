@@ -22,6 +22,13 @@ needs a p in a denominator, is an `EngineError`.
 Every lattice and coordinate question goes to `_intlin`; in particular
 `lattice_coordinates` gives each cycle's image and each unit ratio, so this
 module runs no elimination of its own.
+
+The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
+(l1, a_i, b_i), its d_(p+...+p^n) differentials are `thc.tower_rule_set`
+(also what `units:naturality-closure` checks), its extensions on a_(p^k)
+are `closed_forms.chain_extension`, and those on b_m are
+`closed_forms.hidden_extension` (also what `verify.torsion_word_transport`
+checks against the torsion modules).
 """
 
 from dataclasses import dataclass
@@ -37,8 +44,8 @@ from ._intlin import (
     row_kernel,
     solve_in_lattice,
 )
-from .padic import PrimeContext, a_degree, b_degree, mu_degree, nu, staircase
-from . import closed_forms as cf
+from .padic import PrimeContext, mu_degree, nu, staircase
+from . import closed_forms as cf, thc
 
 
 class EngineError(Exception):
@@ -396,93 +403,44 @@ def v0_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
 
 
 def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
+    """v-Bockstein over the HZ answer, from the four tables the module
+    docstring names; a rule (page, i, m, val) reads d_page((i - m) a_i) =
+    p^val b_m, where i - m = p^(n-1) is the index step of its level."""
     p = ctx.p
     vd = 2 * p - 2
-    fams: list[tuple[str, int, int]] = [("l1", 2 * p - 1, 0)]
-    i = 1
-    while a_degree(p, i) <= window + 1:
-        order = p ** (nu(p, i) + 1)
-        fams.append((f"a{i}", a_degree(p, i), order))
-        if b_degree(p, i) <= window + 1:
-            fams.append((f"b{i}", b_degree(p, i), order))
-        i += 1
-    imax = i - 1
-    nmax = 1
-    while p**nmax <= max(imax, 1):
-        nmax += 1
-    last_page = sum(p**j for j in range(1, nmax + 1))
     chain_smax = window // vd + 2
-    smax = chain_smax + last_page
-    cells = {}
-    slot_of = {}
-    for gid, deg, order in fams:
-        for s in range(smax + 1):
-            d = deg + s * vd
-            if d <= window + 1:
-                cells[(d, s)] = [order]
-                slot_of[(gid, s)] = (d, s)
-    rules = []
-    n = 1
-    while p ** (n - 1) <= imax:
-        page = sum(p**j for j in range(1, n + 1))
-        k = 2
-        while k * p ** (n - 1) <= imax:
-            i = k * p ** (n - 1)
-            m = (k - 1) * p ** (n - 1)
-            for s in range(smax - page + 1):
-                src_slot = slot_of.get((f"a{i}", s))
-                tgt_slot = slot_of.get((f"b{m}", s + page))
-                if src_slot is None or tgt_slot is None:
-                    continue
-                rules.append(Rule(page, src_slot, (p ** (n - 1),),
-                                  (p ** nu(p, k - 1),), f"d{page}(a{i})"))
-            k += 1
-        n += 1
-    exts = []
-    for s in range(smax + 1):
-        src = slot_of.get(("a1", s))
-        tgt = slot_of.get(("l1", s + p))
-        if src and tgt:
-            exts.append(Extension(src, (1,), ((1, tgt, (1,)),)))
-    k = 1
-    while p**k <= imax:
-        for s in range(smax + 1):
-            src = slot_of.get((f"a{p**k}", s))
-            tgt = slot_of.get((f"a{p**(k - 1)}", s + p ** (k + 1)))
-            if src and tgt:
-                exts.append(Extension(src, (p**k,),
-                                      ((p ** (k - 1), tgt, (1,)),)))
-        k += 1
-    for gid, deg, order in fams:
-        if not gid.startswith("b"):
-            continue
-        m = int(gid[1:])
-        kv = nu(p, m)
-        m2 = m - (p - 1) * p**kv
-        if m2 < 1:
-            continue
-        k2 = nu(p, m2)
-        for j in range(kv + 1):
-            c = k2 - kv - 1 + j
-            if c < 0:
-                continue
-            for s in range(smax + 1):
-                src = slot_of.get((gid, s))
-                tgt = slot_of.get((f"b{m2}", s + p ** (kv + 2)))
-                if src and tgt:
-                    exts.append(Extension(src, (p**j,), ((p**c, tgt, (1,)),)))
+    classes = cf.hz_classes(p, window + 1)
+    degree = {gid: deg for gid, deg, _ in classes}
+    cells = {(deg + s * vd, s): [order] for gid, deg, order in classes
+             for s in range(chain_smax) if deg + s * vd <= window + 1}
+
+    def pairs(gid, target, jump):
+        """(source slot, target slot) at each filtration where both exist."""
+        for s in range(chain_smax):
+            src = (degree[gid] + s * vd, s)
+            tgt = (degree[target] + (s + jump) * vd, s + jump)
+            if src in cells and tgt in cells:
+                yield src, tgt
+
+    rules = [Rule(page, src, (i - m,), (p**val,), f"d{page}(a{i})")
+             for page, i, m, val in sorted(thc.tower_rule_set(ctx, window))
+             for src, tgt in pairs(f"a{i}", f"b{m}", page)]
+    stated = []
+    while (ext := cf.chain_extension(p, len(stated)))[0] in degree:
+        stated.append(ext)
+    for gid in degree:
+        if gid[0] == "b" and (ext := cf.hidden_extension(p, int(gid[1:]))):
+            m2, e, c = ext
+            stated.append((gid, 1, f"b{m2}", e, c))
+    exts = [Extension(src, (mult,), ((p**c, tgt, (1,)),))
+            for gid, mult, target, e, c in stated
+            for src, tgt in pairs(gid, target, e)]
+    last_page = max((rule.page for rule in rules), default=0)
     return EngineSetup(SpectralSequence(p, cells), rules, exts,
                        last_page, window, chain_smax)
 
 
 # -- eta-filtration sequence for the ko answer -----------------------------------
-
-
-def _bprime_gid(m: int) -> str:
-    n = m.bit_length() - 1
-    digits = format(m - 2**n, f"0{n}b") if n else ""
-    digits = digits.rstrip("0")
-    return f"T'[{n}]:h_{digits or 'e'}"
 
 
 class _KuClasses:
@@ -548,15 +506,15 @@ def eta_tower_setup(window: int) -> EngineSetup:
         t = 0
         while 8 * m + 4 + 2 * t <= window + 1:
             deg = 8 * m + 4 + 2 * t
-            src = ku.element(deg, ((1, t, _bprime_gid(m)),))
+            src = ku.element(deg, ((1, t, cf.bprime_gid(m)),))
             if src is None:
                 break
             terms = []
             if t % 2 == 1:
-                terms.append((2, t - 1, _bprime_gid(m)))
+                terms.append((2, t - 1, cf.bprime_gid(m)))
             if a != 1:
                 coeff = 2 ** (nu(2, a - 1) - 1)
-                terms.append((coeff, 2 ** (kv + 2) - 1 + t, _bprime_gid(m - 2**kv)))
+                terms.append((coeff, 2 ** (kv + 2) - 1 + t, cf.bprime_gid(m - 2**kv)))
             tgt = ku.element(deg - 2, tuple(terms)) if terms else None
             tgt = tgt or tuple([0] * len(ku.orders(deg - 2)))
             for s in range(smax):
@@ -570,7 +528,7 @@ def eta_tower_setup(window: int) -> EngineSetup:
         j = 0
         while 8 * 2**n + 4 + 4 * j <= window + 1:
             deg = 8 * 2**n + 4 + 4 * j
-            src = ku.element(deg, ((1, 2 * j, _bprime_gid(2**n)),))
+            src = ku.element(deg, ((1, 2 * j, cf.bprime_gid(2**n)),))
             if src is None:
                 break
             ee = 2 ** (n + 2) - 2 + 2 * j
@@ -587,7 +545,7 @@ def eta_tower_setup(window: int) -> EngineSetup:
     while 3 * 2 ** (n + 2) + 2 <= window:
         for k in range(cf.ttilde_top_degree(n) // 4 + 1):
             deg = 3 * 2 ** (n + 2) + 2 + 4 * k
-            src = ku.element(deg, ((1, 2 ** (n + 1) - 1 + 2 * k, _bprime_gid(2**n)),))
+            src = ku.element(deg, ((1, 2 ** (n + 1) - 1 + 2 * k, cf.bprime_gid(2**n)),))
             if src is None:
                 raise EngineError(f"hidden extension source vanishes in degree {deg}")
             exts.append(Extension((deg, 0), src,

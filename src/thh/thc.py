@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closed_forms import thh_ell_HZ
-from .padic import PrimeContext, a_degree, b_degree, binom_valuation, nu
+from .padic import (PrimeContext, a_degree, b_degree, binom_valuation, nu,
+                    staircase_sum)
 
 
 def dp_degree(p: int, k: int) -> int:
@@ -198,12 +199,13 @@ def unit_check_suite(ctx: PrimeContext, window: int) -> list[UnitCheck]:
 
 def tower_rule_set(ctx: PrimeContext, window: int) -> set[tuple[int, int, int, int]]:
     """(page, source index, target index, coefficient valuation) of every
-    tower differential with source in the window."""
+    tower differential with source in the window; `ss.v1_tower_setup` runs
+    exactly these."""
     p = ctx.p
     rules = set()
     n = 1
     while a_degree(p, p ** (n - 1) * 2) <= window + 1:
-        page = sum(p**t for t in range(1, n + 1))
+        page = staircase_sum(p, n)
         k = 2
         while a_degree(p, k * p ** (n - 1)) <= window + 1:
             rules.add((page, k * p ** (n - 1), (k - 1) * p ** (n - 1), nu(p, k - 1)))

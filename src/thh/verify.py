@@ -375,12 +375,11 @@ def torsion_word_transport(ctx: PrimeContext, n: int) -> bool:
             terms = [(p, 0, word_gid(w, j))]
             if j < k:
                 terms.append((-1, 0, word_gid(w, j + 1)))
-            m2 = m - (p - 1) * p**k
-            if j == 0 and m2 >= p**n:
-                k2 = nu(p, m2)
-                if k2 - k - 1 >= 0:
-                    _, w2, _ = cf.class_to_word(ctx, m2, 0)
-                    terms.append((-1, p ** (k + 2), word_gid(w2, k2 - k - 1)))
+            ext = cf.hidden_extension(p, m) if j == 0 else None
+            if ext:
+                m2, e, c = ext
+                _, w2, _ = cf.class_to_word(ctx, m2, 0)
+                terms.append((-1, e, word_gid(w2, c)))
             built.add(tuple(terms))
     return built == have
 

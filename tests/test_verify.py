@@ -70,9 +70,9 @@ def test_gap_and_rational_short():
 
 
 def test_word_transport():
-    for p in (2, 3):
-        for n in range(3):
-            assert verify.torsion_word_transport(PrimeContext(p), n)
+    for p, n_max in ((2, 6), (3, 4), (5, 3), (7, 2)):
+        for n in range(n_max + 1):
+            assert verify.torsion_word_transport(PrimeContext(p), n), (p, n)
 
 
 def test_duality_short():

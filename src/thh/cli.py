@@ -114,27 +114,21 @@ def _format_group(records: list[dict], fmt: str) -> str:
 # -- verification suites ---------------------------------------------------------
 
 
-def run_suite(suite: str, p: int, window: int, level: int) -> list[tuple]:
-    """Returns (check name, degree-or-index, ok, detail) rows."""
+def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]:
+    """The suite's `verify.Check` rows, each name prefixed by its suite."""
     ctx = PrimeContext(p)
     rows = []
 
     def take(checks, tag):
-        for c in checks:
-            rows.append((f"{tag}:{c.name}", c.degree, c.ok, (c.lhs, c.rhs)))
+        rows.extend(c._replace(name=f"{tag}:{c.name}") for c in checks)
 
     if suite in ("section4", "all"):
-        for c in verify.lemma_suite_section4(ctx, level):
-            rows.append((f"section4:{c.name}", c.degree, c.ok,
-                         (c.expected, c.found)))
+        take(verify.lemma_suite_section4(ctx, level), "section4")
     if suite in ("matching", "all"):
-        rep = verify.matching_B1(ctx, window)
-        rows.append(("matching:pairing", window, rep.ok,
-                     (len(rep.pairs), len(rep.leftovers))))
+        take([verify.matching_B1(ctx, window).check()], "matching")
     if suite in ("cofiber", "all"):
-        take(verify.cofiber_checks(ctx, window), "cofiber")
-        if p == 2:
-            take(verify.cofiber_checks_ko(window), "cofiber")
+        take(verify.cofiber_checks(ctx, window)
+             + (verify.cofiber_checks_ko(window) if p == 2 else []), "cofiber")
     if suite in ("dueling", "all"):
         take(verify.dueling_comparison(ctx, window), "dueling")
     if suite in ("duality", "all"):
@@ -144,26 +138,17 @@ def run_suite(suite: str, p: int, window: int, level: int) -> list[tuple]:
             if suite == "ko":
                 raise UsageError("the ko suite requires --prime 2")
         else:
-            if suite == "ko":  # under "all" the cofiber suite already ran them
-                take(verify.cofiber_checks_ko(window), "ko")
-            take(verify.ko_ku_comparison(min(window, 64)), "ko")
-            take(verify.eta_square_annihilates(window), "ko")
-            from . import ss
-            base = ss.ko_base_setup(min(window, 40)).run()
-            for n in range(min(window, 40) + 1):
-                rows.append(("ko:base-homotopy", n,
-                             base[n] == cf.ko_homotopy(n), ()))
+            # under "all" the cofiber suite already ran the mod-eta rows
+            take((verify.cofiber_checks_ko(window) if suite == "ko" else [])
+                 + verify.ko_ku_comparison(min(window, 64))
+                 + verify.eta_square_annihilates(window)
+                 + verify.ko_base_homotopy(min(window, 40)), "ko")
     if suite in ("units", "all"):
-        for c in thc.unit_check_suite(ctx, window):
-            rows.append((f"units:{c.name}", c.params, c.ok,
-                         (c.expected, c.actual)))
-        extra = thc.naturality_closure(ctx, window)
-        rows.append(("units:naturality-closure", window, not extra,
-                     (len(extra),)))
+        take(thc.unit_check_suite(ctx, window), "units")
     return rows
 
 
-def _format_verify(rows: list[tuple], fmt: str) -> str:
+def _format_verify(rows: list[verify.Check], fmt: str) -> str:
     if fmt == "json":
         payload = [{"check": n, "index": d, "ok": ok, "detail": list(map(str, det))}
                    for n, d, ok, det in rows]
@@ -251,7 +236,7 @@ def main(argv=None) -> int:
                       else default_window(p))
             rows = run_suite(args.suite, p, window, args.level)
             _emit(_format_verify(rows, args.format), args.out)
-            return 0 if all(r[2] for r in rows) else 1
+            return 0 if all(r.ok for r in rows) else 1
         # chart
         lo = args.degree if args.degree is not None else 0
         hi = (args.max_degree if args.max_degree is not None

@@ -250,20 +250,23 @@ def bprime_gid(m: int) -> str:
     return f"T'[{n}]:h_{''.join(map(str, w.digits)) or 'e'}"
 
 
+def bprime_words(n: int) -> list[tuple[int, TorsionWord]]:
+    """(m, w) for each b'_m = v g_w of T'_n: the level-n words w with no
+    trailing zero, and their b-class indices m from the word dictionary."""
+    ctx = PrimeContext(2)
+    return [(word_dictionary(ctx, n, w, 0)[0], w) for w in all_words(2, n)
+            if w.digits[-1:] != (0,)]
+
+
 def build_Tn_prime(n: int) -> GradedModulePresentation:
     """Submodule of the desuspended level-n torsion module spanned by v-multiples.
 
     Generators h_w = v * g_w for words with no trailing zero; h_w is relabeled
     b'_m through the word dictionary.
     """
-    ctx = PrimeContext(2)
-    tn = build_Tn(ctx, n, prefix="tmp:")
-    picked = []
-    for w in all_words(2, n):
-        if len(w) and w.digits[-1] == 0:
-            continue
-        m, _ = word_dictionary(ctx, n, w, 0)
-        picked.append((bprime_gid(m), ((1, 1, "tmp:" + w.label()),), f"b'{m}"))
+    tn = build_Tn(PrimeContext(2), n, prefix="tmp:")
+    picked = [(bprime_gid(m), ((1, 1, "tmp:" + w.label()),), f"b'{m}")
+              for m, w in bprime_words(n)]
     sub = submodule_presentation(tn, picked, tn_top_degree(2, n) + 3)
     sub = sub.suspend(-2)
     sub.complete_below = None
@@ -390,32 +393,23 @@ def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
     merged = GradedModulePresentation.direct_sum(parts)
     # replace the pure order relations of each main dual piece with hidden
     # extensions: 2 * (v^k * bottom dual class) = eta*u_(3*2^n - 1 + k)
-    hidden_gids = {}
+    hidden = {}
     for n in levels:
-        for d in range(0, ttilde_top_degree(n) + 1, 4):
-            hidden_gids[f"ko{n}:main.D[{d},0]"] = n
-    rels = [rel for rel in merged.relations
-            if not (len(rel.terms) == 1 and rel.terms[0][1] == 0
-                    and rel.terms[0][2] in hidden_gids)]
-    for gid, n in hidden_gids.items():
-        d = int(gid.split("[")[1].split(",")[0])
-        k = (ttilde_top_degree(n) - d) // 4
-        order = _ttilde_order(n, d // 4)
-        target = f"Fko:eu{3 * 2**n - 1 + k}"
-        if target in merged.generators:
-            rels.append(Relation(((order, 0, gid), (-1, 0, target))))
+        top = ttilde_top_degree(n)
+        for d in range(0, top + 1, 4):
+            hidden[f"ko{n}:main.D[{d},0]"] = f"Fko:eu{3 * 2**n - 1 + (top - d) // 4}"
+    rels, orders = [], {}
+    for rel in merged.relations:
+        (order, e, gid), *rest = rel.terms
+        if not rest and e == 0 and gid in hidden:
+            orders[gid] = order
         else:
-            rels.append(Relation(((order, 0, gid),)))
+            rels.append(rel)
+    for gid, target in hidden.items():
+        onto = ((-1, 0, target),) if target in merged.generators else ()
+        rels.append(Relation(((orders[gid], 0, gid),) + onto))
     return GradedModulePresentation(merged.ring, list(merged.generators.values()), rels,
                                     merged.complete_below)
-
-
-def _ttilde_order(n: int, j: int) -> int:
-    """Order of the degree-4j class in build_Ttilde(n)."""
-    t = 0
-    while 2 ** (t + 1) - 1 <= j:
-        t += 1
-    return 2 ** (n - t)
 
 
 def _ko_coefficients(window: int) -> GradedModulePresentation:
@@ -442,13 +436,11 @@ def _ko_coefficients(window: int) -> GradedModulePresentation:
 def thh_ko_eta_map(mod: GradedModulePresentation) -> ModuleMap:
     """Multiplication by eta on the assembled ko answer (zero off the u-chain)."""
     images = {}
-    for gid in mod.generators:
-        if gid.startswith("Fko:u"):
-            i = int(gid[len("Fko:u"):])
-            tgt = f"Fko:eu{i}"
-            images[gid] = ((1, 0, tgt),) if tgt in mod.generators else ()
-        else:
-            images[gid] = ()
+    i = 0
+    while f"Fko:u{i}" in mod.generators:
+        if f"Fko:eu{i}" in mod.generators:
+            images[f"Fko:u{i}"] = ((1, 0, f"Fko:eu{i}"),)
+        i += 1
     return ModuleMap(mod, mod, images, degree_shift=1)
 
 

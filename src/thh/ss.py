@@ -428,10 +428,12 @@ def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
     stated = []
     while (ext := cf.chain_extension(p, len(stated)))[0] in degree:
         stated.append(ext)
-    for gid in degree:
-        if gid[0] == "b" and (ext := cf.hidden_extension(p, int(gid[1:]))):
+    m = 1
+    while f"b{m}" in degree:
+        if ext := cf.hidden_extension(p, m):
             m2, e, c = ext
-            stated.append((gid, 1, f"b{m2}", e, c))
+            stated.append((f"b{m}", 1, f"b{m2}", e, c))
+        m += 1
     exts = [Extension(src, (mult,), ((p**c, tgt, (1,)),))
             for gid, mult, target, e, c in stated
             for src, tgt in pairs(gid, target, e)]

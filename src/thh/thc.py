@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closed_forms import thh_ell_HZ
+from .closed_forms import hidden_extension, thh_ell_HZ
 from .padic import (PrimeContext, a_degree, b_degree, binom_valuation, nu,
                     staircase_sum)
+from .verify import Check, agree
 
 
 def dp_degree(p: int, k: int) -> int:
@@ -112,29 +113,20 @@ def thh_ell_HZ_mirror(ctx: PrimeContext, window: int) -> dict[int, tuple[int, li
 # -- unit claims consumed by the differential and extension arguments ------------
 
 
-@dataclass(frozen=True)
-class UnitCheck:
-    name: str
-    params: tuple
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-def unit_check_suite(ctx: PrimeContext, window: int) -> list[UnitCheck]:
-    """Every binomial-valuation claim the capping arguments rely on, in range.
+def unit_check_suite(ctx: PrimeContext, window: int) -> list[Check]:
+    """Every binomial-valuation claim the capping arguments rely on, in range,
+    and last the closure of the tower rules under cap transport.
 
     The ranges are bounded by requiring the classes involved to live below
-    `window` in homological degree.
+    `window` in homological degree.  A claim's expected value is what the
+    argument needs; the extension valuations expect the `c` of the declared
+    `closed_forms.hidden_extension`, or 0 where none is declared.
     """
     p = ctx.p
-    checks: list[UnitCheck] = []
+    checks: list[Check] = []
 
     def claim(name, params, expected, actual):
-        checks.append(UnitCheck(name, params, expected, actual))
+        checks.append(agree(name, params, expected, actual))
 
     # transporting the tower differential from a_{p^n} to a_{jp^n}
     n = 1
@@ -177,10 +169,10 @@ def unit_check_suite(ctx: PrimeContext, window: int) -> list[UnitCheck]:
             top = 2 * p**n - p**k
             claim("extension-cap", (n, m), 0,
                   binom_valuation(p, top - m, m - 1))
-            if m - (p - 1) * p**k >= 1 and top - m <= 2 * p**n - p ** (k + 1) - 1:
-                k2 = nu(p, m - (p - 1) * p**k)
-                claim("extension-valuation", (n, m),
-                      max(k2 - k - 1, 0),
+            # m = p^n is the one index of the level with no m2 >= 1
+            if m != p**n and top - m <= 2 * p**n - p ** (k + 1) - 1:
+                ext = hidden_extension(p, m)
+                claim("extension-valuation", (n, m), ext[2] if ext else 0,
                       binom_valuation(p, top - m,
                                       2 * p**n - p ** (k + 1) - 1 - (top - m)))
         n += 1
@@ -191,6 +183,8 @@ def unit_check_suite(ctx: PrimeContext, window: int) -> list[UnitCheck]:
             claim("top-block-cap", (j, k), 0,
                   binom_valuation(p, k, p**j - 1 - k))
         j += 1
+    extra = naturality_closure(ctx, window)
+    checks.append(Check("naturality-closure", window, not extra, (len(extra),)))
     return checks
 
 

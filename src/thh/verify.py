@@ -3,11 +3,13 @@
 Nothing here reuses the closed-form structure theory it is checking: the
 enumerations are exhaustive scans with documented index bounds, the matching
 is reconstructed combinatorially, and the cofiber identities compare orders
-computed on both sides of a short exact sequence.
+computed on both sides of a short exact sequence.  Every suite returns
+`Check` rows, the record `thh verify` prints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._intlin import SubQuot, order_rows, row_kernel
 from . import closed_forms as cf
@@ -20,6 +22,22 @@ from .padic import (PrimeContext, lambda_degree, lambda_monomial, mu_degree,
 def truncation(p: int, n: int) -> int:
     """r(n) extended by r(0) = 0, the length the recursion r(2) = p^2 implies."""
     return 0 if n == 0 else r_truncation(p, n)
+
+
+class Check(NamedTuple):
+    """One row of `thh verify`: the claim's name, where it was checked (a
+    degree, a level or a parameter tuple), whether it held, and the data
+    printed with it."""
+
+    name: str
+    index: int | tuple
+    ok: bool
+    detail: tuple
+
+
+def agree(name: str, index: int | tuple, lhs, rhs) -> Check:
+    """The row claiming lhs == rhs, with (lhs, rhs) as its detail."""
+    return Check(name, index, lhs == rhs, (lhs, rhs))
 
 
 # -- exhaustive basis scans ------------------------------------------------------
@@ -57,49 +75,28 @@ def enumerate_k1_basis(ctx: PrimeContext, d: int) -> EnumerationReport:
     return EnumerationReport(d, tuple(sorted(found)))
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
-    name: str
-    level: int
-    degree: int
-    expected: tuple
-    found: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.found
-
-
-def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[LemmaCheck]:
+def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[Check]:
     """The single-generator and vanishing claims feeding the tower arguments.
 
     For each level n the scan must find exactly the named witness (or nothing
     in the vanishing degrees).
     """
     p = ctx.p
-    out = []
+    claims = []
     for n in range(n_max + 1):
         if n >= 1:
-            d = 2 * p ** (n + 2) - 2 * p
-            out.append(LemmaCheck("even-cyclic-low", n, d,
-                                  (("x'", 1, p**n - 2, p - 1),),
-                                  enumerate_k1_basis(ctx, d).entries))
+            claims.append(("even-cyclic-low", 2 * p ** (n + 2) - 2 * p,
+                           (("x'", 1, p**n - 2, p - 1),)))
         for d in (2 * p ** (n + 2) - 2, 2 * p ** (n + 2)):
-            out.append(LemmaCheck("even-zero", n, d, (),
-                                  enumerate_k1_basis(ctx, d).entries))
-        d = 2 * p ** (n + 2) + 2 * p - 2
-        out.append(LemmaCheck("even-cyclic-high", n, d,
-                              (("x'", n + 1, 0, 0),),
-                              enumerate_k1_basis(ctx, d).entries))
-        d = 2 * p ** (n + 2) - 1
-        out.append(LemmaCheck("odd-free", n, d,
-                              (("x", n + 2, 0, truncation(p, n)),),
-                              enumerate_k1_basis(ctx, d).entries))
-        d = 2 * p ** (n + 2) + 2 * p - 3
-        out.append(LemmaCheck("odd-free-next", n, d,
-                              (("x", n + 2, 0, truncation(p, n) + 1),),
-                              enumerate_k1_basis(ctx, d).entries))
-    return out
+            claims.append(("even-zero", d, ()))
+        claims += [("even-cyclic-high", 2 * p ** (n + 2) + 2 * p - 2,
+                    (("x'", n + 1, 0, 0),)),
+                   ("odd-free", 2 * p ** (n + 2) - 1,
+                    (("x", n + 2, 0, truncation(p, n)),)),
+                   ("odd-free-next", 2 * p ** (n + 2) + 2 * p - 3,
+                    (("x", n + 2, 0, truncation(p, n) + 1),))]
+    return [agree(name, d, expected, enumerate_k1_basis(ctx, d).entries)
+            for name, d, expected in claims]
 
 
 # -- reconstruction of the first matching ----------------------------------------
@@ -122,6 +119,10 @@ class MatchingReport:
     @property
     def ok(self) -> bool:
         return not self.leftovers
+
+    def check(self) -> Check:
+        return Check("pairing", self.window, self.ok,
+                     (len(self.pairs), len(self.leftovers)))
 
 
 def matching_B1(ctx: PrimeContext, window: int) -> MatchingReport:
@@ -213,37 +214,27 @@ def _group_data(sq: SubQuot) -> tuple[int, int]:
 # -- cofiber (universal-coefficient) identities ----------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    degree: int
-    lhs: tuple
-    rhs: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def _dim_mod_p(mod: GradedModulePresentation, d: int) -> int:
-    """dim of (group tensor F_p): free rank plus number of torsion summands."""
+def _mod_p_dim(mod: GradedModulePresentation, d: int) -> int:
+    """dim of the mod-p answer in degree d: the free rank plus the torsion
+    summands in degree d, plus Tor from degree d - 1."""
     rank, tors = mod.group_at(d)
-    return rank + len(tors)
+    return rank + len(tors) + (len(mod.group_at(d - 1)[1]) if d >= 1 else 0)
 
 
-def _dim_tor(mod: GradedModulePresentation, d: int) -> int:
-    """dim of Tor(group, F_p): number of torsion summands."""
-    if d < 0:
-        return 0
-    return len(mod.group_at(d)[1])
+def _through_cofiber(mp: ModuleMap, n: int) -> tuple[int, int]:
+    """(free rank, order exponent) in degree n of the map's cofiber: the
+    cokernel landing in degree n plus the kernel one degree below."""
+    d = n - mp.degree_shift
+    ck = _group_data(cokernel_subquot(mp, d))
+    kr = _group_data(kernel_subquot(mp, d - 1)) if d >= 1 else (0, 0)
+    return ck[0] + kr[0], ck[1] + kr[1]
 
 
-def cofiber_checks(ctx: PrimeContext, window: int) -> list[IdentityCheck]:
+def cofiber_checks(ctx: PrimeContext, window: int) -> list[Check]:
     """Order identities from the coefficient cofiber sequences, both sides
     computed independently (reduced answers throughout)."""
     p = ctx.p
-    vd = 2 * p - 2
-    pad = window + 2 * vd
+    pad = window + 2 * (2 * p - 2)
     ell = cf.thh_ell(ctx, pad)
     k1 = cf.thh_ell_k1(ctx, pad)
     hz = cf.thh_ell_HZ(ctx, pad)
@@ -254,48 +245,38 @@ def cofiber_checks(ctx: PrimeContext, window: int) -> list[IdentityCheck]:
     out = []
     for n in range(window + 1):
         # mod-p coefficients on the integral answer
-        lhs = len(k1.group_at(n)[1]) + k1.group_at(n)[0]
-        out.append(IdentityCheck("mod-p", n, (lhs,),
-                                 (_dim_mod_p(ell, n) + _dim_tor(ell, n - 1),)))
+        rank, tors = k1.group_at(n)
+        out.append(agree("mod-p", n, (rank + len(tors),), (_mod_p_dim(ell, n),)))
         # killing v on the integral answer gives the HZ answer
-        ck = _group_data(cokernel_subquot(v_ell, n - vd))
-        kr = (_group_data(kernel_subquot(v_ell, n - vd - 1))
-              if n - vd - 1 >= 0 else (0, 0))
         rank, tors = hz.group_at(n)
-        out.append(IdentityCheck("mod-v", n, (rank, sum(nu(p, t) for t in tors)),
-                                 (ck[0] + kr[0], ck[1] + kr[1])))
+        out.append(agree("mod-v", n, (rank, sum(nu(p, t) for t in tors)),
+                         _through_cofiber(v_ell, n)))
         # killing v on the k(1) answer gives the mod-(p, v) answer
-        ckd = sum(_group_data(cokernel_subquot(v_k1, n - vd)))
-        krd = (sum(_group_data(kernel_subquot(v_k1, n - vd - 1)))
-               if n - vd - 1 >= 0 else 0)
-        out.append(IdentityCheck("mod-pv-from-k1", n, (hfp.get(n, 0),),
-                                 (ckd + krd,)))
+        out.append(agree("mod-pv-from-k1", n, (hfp.get(n, 0),),
+                         (sum(_through_cofiber(v_k1, n)),)))
         # killing p on the HZ answer also gives the mod-(p, v) answer
-        out.append(IdentityCheck("mod-pv-from-hz", n, (hfp.get(n, 0),),
-                                 (_dim_mod_p(hz, n) + _dim_tor(hz, n - 1),)))
+        out.append(agree("mod-pv-from-hz", n, (hfp.get(n, 0),),
+                         (_mod_p_dim(hz, n),)))
     return out
 
 
-def cofiber_checks_ko(window: int) -> list[IdentityCheck]:
+def cofiber_checks_ko(window: int) -> list[Check]:
     """The 2-primary analogue: killing eta on THH(ko) gives the ku-coefficient
     answer, through the short exact sequence of the eta-cofiber."""
-    ko = cf.thh_ko(window + 4)
+    eta = cf.thh_ko_eta_map(cf.thh_ko(window + 4))
     koku = cf.thh_ko_ku(window + 4)
-    eta = cf.thh_ko_eta_map(ko)
     out = []
     for n in range(window + 1):
-        ck = _group_data(cokernel_subquot(eta, n - 1))
-        kr = _group_data(kernel_subquot(eta, n - 2)) if n >= 2 else (0, 0)
         rank, tors = koku.group_at(n)
-        out.append(IdentityCheck("mod-eta", n, (rank, sum(nu(2, t) for t in tors)),
-                                 (ck[0] + kr[0], ck[1] + kr[1])))
+        out.append(agree("mod-eta", n, (rank, sum(nu(2, t) for t in tors)),
+                         _through_cofiber(eta, n)))
     return out
 
 
 # -- the two towers must tell the same story -------------------------------------
 
 
-def dueling_comparison(ctx: PrimeContext, window: int) -> list[IdentityCheck]:
+def dueling_comparison(ctx: PrimeContext, window: int) -> list[Check]:
     """Cross-checks between the two Bockstein routes to the integral answer:
     the assembled divided-tower output against the closed form, and the
     mod-(p,v)-page budget the closed form demands against the exhaustive scan."""
@@ -304,18 +285,16 @@ def dueling_comparison(ctx: PrimeContext, window: int) -> list[IdentityCheck]:
     assembled = v1_tower_setup(ctx, window).run()
     out = []
     for n in range(window + 1):
-        out.append(IdentityCheck("assembled-vs-closed", n,
-                                 assembled[n], ell.group_at(n)))
-        need = _dim_mod_p(ell, n) + _dim_tor(ell, n - 1)
+        out.append(agree("assembled-vs-closed", n, assembled[n], ell.group_at(n)))
         have = len(enumerate_k1_basis(ctx, n).entries)
-        out.append(IdentityCheck("scan-budget", n, (have,), (need,)))
+        out.append(agree("scan-budget", n, (have,), (_mod_p_dim(ell, n),)))
     return out
 
 
 # -- gaps and rational ranks -----------------------------------------------------
 
 
-def gap_check(ctx: PrimeContext, n_max: int) -> list[IdentityCheck]:
+def gap_check(ctx: PrimeContext, n_max: int) -> list[Check]:
     """Even reduced homotopy vanishes strictly between the torsion blocks."""
     p = ctx.p
     top = 2 * p * p ** (n_max + 2) + 2 * p - 3
@@ -327,12 +306,11 @@ def gap_check(ctx: PrimeContext, n_max: int) -> list[IdentityCheck]:
             hi = 2 * k * p ** (n + 2) + 2 * p - 3
             for d in range(lo + 1, hi):
                 if d % 2 == 0:
-                    out.append(IdentityCheck("even-gap", d,
-                                             ell.group_at(d), (0, [])))
+                    out.append(agree("even-gap", d, ell.group_at(d), (0, [])))
     return out
 
 
-def rational_rank_check(ctx: PrimeContext, window: int) -> list[IdentityCheck]:
+def rational_rank_check(ctx: PrimeContext, window: int) -> list[Check]:
     """Free ranks match the rational answer: one class in each degree
     2(p-1)e and 2p-1+2(p-1)e, nothing else."""
     p = ctx.p
@@ -344,8 +322,7 @@ def rational_rank_check(ctx: PrimeContext, window: int) -> list[IdentityCheck]:
             expected += 1
         if d >= 2 * p - 1 and (d - 2 * p + 1) % (2 * p - 2) == 0:
             expected += 1
-        out.append(IdentityCheck("rational-rank", d,
-                                 (ell.group_at(d)[0],), (expected,)))
+        out.append(agree("rational-rank", d, (ell.group_at(d)[0],), (expected,)))
     return out
 
 
@@ -395,24 +372,23 @@ def ko_to_ku_map(window: int) -> ModuleMap:
     src = cf.thh_ko_ku(window)
     tgt = cf.thh_ell(PrimeContext(2), window + 4)
     images = {}
-    for gid in src.generators:
-        if gid.startswith("F':phi"):
-            k = int(gid[len("F':phi"):])
-            images[gid] = ((1, 1, "F:phi0"),) if k == 0 else ((1, 0, f"F:phi{k}"),)
-        else:
-            level = int(gid.split("[")[1].split("]")[0])
-            suffix = gid.split(":h_")[1]
-            images[gid] = ((1, 1, f"T[{level},1]:g_{suffix}"),)
+    k = 0
+    while f"F':phi{k}" in src.generators:
+        images[f"F':phi{k}"] = ((1, 0, f"F:phi{k}"),) if k else ((1, 1, "F:phi0"),)
+        k += 1
+    n = 0
+    while cf.bprime_gid(2**n) in src.generators:
+        for m, w in cf.bprime_words(n):
+            images[cf.bprime_gid(m)] = ((1, 1, f"T[{n},1]:{w.label()}"),)
+        n += 1
     return ModuleMap(src, tgt, images)
 
 
-def ko_ku_comparison(window: int) -> list[IdentityCheck]:
+def ko_ku_comparison(window: int) -> list[Check]:
     mp = ko_to_ku_map(window)
-    out = [IdentityCheck("respects-relations", -1,
-                         (mp.respects_relations(),), (True,))]
-    for d in range(window + 1):
-        out.append(IdentityCheck("injective", d, (mp.injective_at(d),), (True,)))
-    return out
+    return ([agree("respects-relations", -1, (mp.respects_relations(),), (True,))]
+            + [agree("injective", d, (mp.injective_at(d),), (True,))
+               for d in range(window + 1)])
 
 
 def eta_square_map(ko: GradedModulePresentation) -> ModuleMap:
@@ -427,23 +403,29 @@ def eta_square_map(ko: GradedModulePresentation) -> ModuleMap:
     return ModuleMap(ko, ko, images, degree_shift=2)
 
 
-def eta_square_annihilates(window: int) -> list[IdentityCheck]:
+def eta_square_annihilates(window: int) -> list[Check]:
     """Composing multiplication by eta with itself is zero on the reduced
     ko answer in every degree."""
     eta2 = eta_square_map(cf.thh_ko(window + 4))
     out = []
     for d in range(window + 1):
         img = eta2.image_subquot(d)
-        out.append(IdentityCheck("eta-squared", d,
-                                 (img.free_rank(), img.torsion()), (0, [])))
+        out.append(agree("eta-squared", d, (img.free_rank(), img.torsion()), (0, [])))
     return out
+
+
+def ko_base_homotopy(window: int) -> list[Check]:
+    """The ko base tower abuts to the homotopy of ko in every degree."""
+    from .ss import ko_base_setup
+    base = ko_base_setup(window).run()
+    return [Check("base-homotopy", n, base[n] == cf.ko_homotopy(n), ())
+            for n in range(window + 1)]
 
 
 # -- duality of the torsion blocks and the dual-algebra mirror -------------------
 
 
-def duality_check(ctx: PrimeContext, n_max: int,
-                  window: int) -> list[IdentityCheck]:
+def duality_check(ctx: PrimeContext, n_max: int, window: int) -> list[Check]:
     """Order symmetry of each torsion block about its top degree, plus the
     Hom/Ext mirror between the divided-power answer and the integral one."""
     from . import thc
@@ -455,12 +437,11 @@ def duality_check(ctx: PrimeContext, n_max: int,
         for d in range(top + 1):
             lo_r, lo_t = tn.group_at(d)
             hi_r, hi_t = tn.group_at(top - d)
-            out.append(IdentityCheck(f"block-{n}-self-dual", d,
-                                     (lo_r, sorted(lo_t)), (hi_r, sorted(hi_t))))
+            out.append(agree(f"block-{n}-self-dual", d,
+                             (lo_r, sorted(lo_t)), (hi_r, sorted(hi_t))))
     mirror = thc.thh_ell_HZ_mirror(ctx, window)
     direct = thc.thc_ell_HZ(ctx, window)
     for d in range(window + 1):
-        out.append(IdentityCheck("hom-ext-mirror", d,
-                                 direct.get(d, (0, [])),
-                                 mirror.get(d, (0, []))))
+        out.append(agree("hom-ext-mirror", d, direct.get(d, (0, [])),
+                         mirror.get(d, (0, []))))
     return out

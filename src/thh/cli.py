@@ -114,6 +114,17 @@ def _format_group(records: list[dict], fmt: str) -> str:
 # -- verification suites ---------------------------------------------------------
 
 
+def _ko_answer_checks(suite: str,
+                      window: int) -> tuple[list[verify.Check], list[verify.Check]]:
+    """(mod-eta rows, eta-squared rows), the rows that read the reduced ko
+    answer; the eta-squared rows are empty when only the cofiber suite runs.
+    The answer is built once and is released on return, before the ko suite
+    builds its other answers."""
+    ko = cf.thh_ko(window + 4)
+    return (verify.cofiber_checks_ko(ko, window),
+            [] if suite == "cofiber" else verify.eta_square_annihilates(ko, window))
+
+
 def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]:
     """The suite's `verify.Check` rows, each name prefixed by its suite."""
     ctx = PrimeContext(p)
@@ -122,13 +133,15 @@ def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]
     def take(checks, tag):
         rows.extend(c._replace(name=f"{tag}:{c.name}") for c in checks)
 
+    mod_eta, eta_squared = (_ko_answer_checks(suite, window)
+                            if p == 2 and suite in ("cofiber", "ko", "all")
+                            else ([], []))
     if suite in ("section4", "all"):
         take(verify.lemma_suite_section4(ctx, level), "section4")
     if suite in ("matching", "all"):
         take([verify.matching_B1(ctx, window).check()], "matching")
     if suite in ("cofiber", "all"):
-        take(verify.cofiber_checks(ctx, window)
-             + (verify.cofiber_checks_ko(window) if p == 2 else []), "cofiber")
+        take(verify.cofiber_checks(ctx, window) + mod_eta, "cofiber")
     if suite in ("dueling", "all"):
         take(verify.dueling_comparison(ctx, window), "dueling")
     if suite in ("duality", "all"):
@@ -139,9 +152,9 @@ def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]
                 raise UsageError("the ko suite requires --prime 2")
         else:
             # under "all" the cofiber suite already ran the mod-eta rows
-            take((verify.cofiber_checks_ko(window) if suite == "ko" else [])
+            take((mod_eta if suite == "ko" else [])
                  + verify.ko_ku_comparison(min(window, 64))
-                 + verify.eta_square_annihilates(window)
+                 + eta_squared
                  + verify.ko_base_homotopy(min(window, 40)), "ko")
     if suite in ("units", "all"):
         take(thc.unit_check_suite(ctx, window), "units")

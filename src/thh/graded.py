@@ -448,5 +448,11 @@ def submodule_presentation(module: GradedModulePresentation,
                 (c, e, gid) for (gid, e), c in zip(cells, row) if c
             )
             sub.add_relation(Relation(terms))
-            have = row_hermite(sub.slice_relation_rows(d), n_src, ring.p)
+            # the new relation's degree-d slice row is `row`, so the old
+            # basis plus `row` spans the lattice of the whole new slice
+            basis = [[0] * n_src for _ in have[0]]
+            for dense, b in zip(basis, have[0]):
+                for j, x in b.items():
+                    dense[j] = x
+            have = row_hermite(basis + [row], n_src, ring.p)
     return sub

@@ -5,6 +5,12 @@ enumerations are exhaustive scans with documented index bounds, the matching
 is reconstructed combinatorially, and the cofiber identities compare orders
 computed on both sides of a short exact sequence.  Every suite returns
 `Check` rows, the record `thh verify` prints.
+
+Most suites build the answers they check from a window.  The two that read
+the reduced ko answer, `cofiber_checks_ko` and `eta_square_annihilates`,
+take it as an argument instead, and raise `ValueError` unless it is trusted
+through window + 4; `cli.run_suite` builds `thh_ko(window + 4)` once per run
+and hands it to both.
 """
 from __future__ import annotations
 
@@ -260,10 +266,22 @@ def cofiber_checks(ctx: PrimeContext, window: int) -> list[Check]:
     return out
 
 
-def cofiber_checks_ko(window: int) -> list[Check]:
+def _require_complete(mod: GradedModulePresentation, window: int) -> None:
+    """Reject an answer not trusted through window + 4, the degrees the ko
+    suites read: `thh_ko(window + 4)` is complete below window + 5."""
+    need = window + 5
+    if mod.complete_below is not None and mod.complete_below < need:
+        raise ValueError(f"the ko checks to degree {window} need an answer "
+                         f"complete below {need}, got {mod.complete_below}")
+
+
+def cofiber_checks_ko(ko: GradedModulePresentation, window: int) -> list[Check]:
     """The 2-primary analogue: killing eta on THH(ko) gives the ku-coefficient
-    answer, through the short exact sequence of the eta-cofiber."""
-    eta = cf.thh_ko_eta_map(cf.thh_ko(window + 4))
+    answer, through the short exact sequence of the eta-cofiber.
+
+    ko is the reduced answer `thh_ko(window + 4)`, or one trusted further."""
+    _require_complete(ko, window)
+    eta = cf.thh_ko_eta_map(ko)
     koku = cf.thh_ko_ku(window + 4)
     out = []
     for n in range(window + 1):
@@ -403,10 +421,14 @@ def eta_square_map(ko: GradedModulePresentation) -> ModuleMap:
     return ModuleMap(ko, ko, images, degree_shift=2)
 
 
-def eta_square_annihilates(window: int) -> list[Check]:
+def eta_square_annihilates(ko: GradedModulePresentation,
+                           window: int) -> list[Check]:
     """Composing multiplication by eta with itself is zero on the reduced
-    ko answer in every degree."""
-    eta2 = eta_square_map(cf.thh_ko(window + 4))
+    ko answer in every degree.
+
+    ko is the reduced answer `thh_ko(window + 4)`, or one trusted further."""
+    _require_complete(ko, window)
+    eta2 = eta_square_map(ko)
     out = []
     for d in range(window + 1):
         img = eta2.image_subquot(d)

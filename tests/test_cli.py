@@ -155,28 +155,49 @@ def test_group_degree_and_max_degree_are_exclusive(capsys):
     assert "not allowed with argument --degree" in capsys.readouterr().err
 
 
-def test_group_table_runs_no_lattice_solves(monkeypatch):
-    # every slice of a group table is a subquotient of all of Z^n, so it
-    # needs no echelon basis and no membership solve
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Count the calls of the named functions of `module` through every
+    binding in the `thh` package; the dict fills as they are called."""
     import sys
-    from thh import _intlin
-    calls = {"row_hermite": 0, "solve_in_lattice": 0}
-    for name in calls:
-        orig = getattr(_intlin, name)
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(module, name)
 
-        def counted(*args, _orig=orig, _name=name):
+        def counted(*args, _orig=orig, _name=name, **kwargs):
             calls[_name] += 1
-            return _orig(*args)
+            return _orig(*args, **kwargs)
 
         for key, mod in list(sys.modules.items()):
             if mod is not None and (key == "thh" or key.startswith("thh.")):
                 for attr, value in list(vars(mod).items()):
                     if value is orig:
                         monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_group_table_runs_no_lattice_solves(monkeypatch):
+    # every slice of a group table is a subquotient of all of Z^n, so it
+    # needs no echelon basis and no membership solve
+    from thh import _intlin
+    calls = count_calls(monkeypatch, _intlin, ("row_hermite", "solve_in_lattice"))
     code, out = run(["group", "--prime", "2", "--max-degree", "64",
                      "--format", "json"])
     assert code == 0 and len(json.loads(out)) == 65
     assert calls == {"row_hermite": 0, "solve_in_lattice": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "ko"],
+    ["--suite", "cofiber", "--prime", "2"],
+    ["--suite", "all", "--prime", "2", "--max-degree", "16", "--level", "1"],
+])
+def test_verify_builds_the_ko_answer_once(monkeypatch, argv):
+    # the mod-eta and eta-squared rows share one reduced ko answer
+    from thh import closed_forms
+    calls = count_calls(monkeypatch, closed_forms, ("thh_ko",))
+    code, _ = run(["verify", *argv])
+    assert code == 0
+    assert calls == {"thh_ko": 1}
 
 
 def test_verify_exit_zero_on_clean_suite():

@@ -165,3 +165,16 @@ def test_presentations_are_pinned(name):
     make, w, reduced = PRESENTATIONS[name]
     golden = json.loads(PRESENTATION_PIN.read_text())
     assert presentation_record(make(w, reduced)) == golden[name]
+
+
+TN_PRIME_PIN = pathlib.Path(__file__).parent / "golden" / "tn-prime.json"
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_tn_prime_presentations_are_pinned(n):
+    # submodule_presentation finds the relations of T'_n one slice at a
+    # time; their terms and order are what thh_ko_ku's labels read
+    golden = json.loads(TN_PRIME_PIN.read_text())[str(n)]
+    record = presentation_record(cf.build_Tn_prime(n))
+    assert record["generators"] == golden["generators"]
+    assert record["relations"] == golden["relations"]

@@ -1,4 +1,6 @@
-from thh import verify
+import pytest
+
+from thh import closed_forms as cf, verify
 from thh.padic import PrimeContext
 
 
@@ -15,7 +17,6 @@ def test_k1_enumeration_spot_values():
 
 def test_k1_dimension_budget_low_degrees():
     # the scan agrees with the closed-form k(1) module dimension per degree
-    from thh import closed_forms as cf
     for p in (2, 3):
         ctx = PrimeContext(p)
         k1 = cf.thh_ell_k1(ctx, 40)
@@ -55,7 +56,7 @@ def test_matching_empty_window():
 def test_cofiber_identities_short_window():
     for p in (2, 3):
         assert _clean(verify.cofiber_checks(PrimeContext(p), 30)) == []
-    assert _clean(verify.cofiber_checks_ko(30)) == []
+    assert _clean(verify.cofiber_checks_ko(cf.thh_ko(30 + 4), 30)) == []
 
 
 def test_dueling_short_window():
@@ -82,13 +83,24 @@ def test_duality_short():
 
 def test_ko_comparison_short():
     assert _clean(verify.ko_ku_comparison(32)) == []
-    assert _clean(verify.eta_square_annihilates(32)) == []
+    assert _clean(verify.eta_square_annihilates(cf.thh_ko(32 + 4), 32)) == []
+
+
+@pytest.mark.parametrize("suite", [verify.cofiber_checks_ko,
+                                   verify.eta_square_annihilates])
+def test_ko_suites_reject_an_answer_short_of_their_window(suite):
+    # thh_ko(w) is complete below w + 1, and the suites read through
+    # window + 4; an answer one degree short must not give rows
+    window = 20
+    assert cf.thh_ko(window + 3).complete_below == window + 4
+    with pytest.raises(ValueError, match="complete below 25"):
+        suite(cf.thh_ko(window + 3), window)
+    assert _clean(suite(cf.thh_ko(window + 4), window)) == []
 
 
 def test_suite_maps_respect_relations():
     # kernels, images and cokernels are read in summand coordinates, which
     # is a map of groups only when the images of the source relations vanish
-    from thh import closed_forms as cf
     from thh.graded import variable_multiplication_map
     window = 40
     ko = cf.thh_ko(window + 4)

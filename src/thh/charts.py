@@ -134,8 +134,7 @@ def chart_data(spec: ChartSpec):
 
 def render_svg(spec: ChartSpec) -> str:
     dots, lines = chart_data(spec)
-    max_y = max([y for _, y, _ in dots] + [y2 for *_, y2, _s in
-                [(a, b, c, d, s) for a, b, c, d, s in lines]] + [4])
+    max_y = max([y for _, y, _ in dots] + [y2 for *_, y2, _ in lines] + [4])
     width = _MARGIN * 2 + (spec.hi - spec.lo) * _UX
     height = _MARGIN * 2 + max_y * _UY
 

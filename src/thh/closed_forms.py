@@ -7,8 +7,14 @@ direct sum of suspended pieces.  Windows are explicit: generators are only
 laid down up to the requested top degree, and complete_below records how far
 the presentation can be trusted.  None means every degree, as for the finite
 pieces T_n, Ttilde and their duals; a direct sum takes the least bound among
-its parts, so an answer's bound is that of its truncated free chain.  The
-bound is recorded but not yet enforced: nothing reads it.
+its parts, so an answer's bound is that of its truncated free chain.
+`verify._require_complete` reads the bound of the ko answer its suites take;
+`group_at` and `subquot_at` still answer past it.
+
+thh_ell, thh_ko_ku and thh_ko share one shape: the unit (unreduced only),
+a torsion-free chain on lambda_1 and the suspended torsion blocks.  The
+chains F and F' are both `_divided_chain`; the ko-side levels are
+`ko_levels`.
 """
 from __future__ import annotations
 
@@ -71,11 +77,23 @@ def tn_top_degree(p: int, n: int) -> int:
     return g_word_degree(p, n, word) + (2 * p - 2) * (kill_exponent(p, n, n) - 1)
 
 
-# -- the torsion-free chain F ----------------------------------------------------
+# -- the torsion-free chains F and F' ----------------------------------------------
 
 
-def phi_degree(p: int, k: int) -> int:
-    return 2 * (p - 1) * staircase_sum(p, k)
+def _divided_chain(ring: RingSpec, gid: str, label: str, degree,
+                   window: int) -> GradedModulePresentation:
+    """Z on g_k in each degree degree(k) <= window, with p g_k = v^e g_(k-1)
+    where e |v| = degree(k) - degree(k-1); `gid` and `label` are formatted
+    with k."""
+    gens = []
+    k = 0
+    while degree(k) <= window:
+        gens.append(Generator(gid.format(k), degree(k), label.format(k)))
+        k += 1
+    rels = [Relation(((ring.p, 0, gid.format(j)),
+                      (-1, (degree(j) - degree(j - 1)) // ring.v_degree, gid.format(j - 1))))
+            for j in range(1, k)]
+    return GradedModulePresentation(ring, gens, rels, window + 1)
 
 
 def chain_extension(p: int, k: int) -> tuple[str, int, str, int, int]:
@@ -88,18 +106,6 @@ def chain_extension(p: int, k: int) -> tuple[str, int, str, int, int]:
     if k == 0:
         return "a1", 1, "l1", p, 0
     return f"a{p**k}", p**k, f"a{p ** (k - 1)}", p ** (k + 1), k - 1
-
-
-def build_F(ctx: PrimeContext, window: int) -> GradedModulePresentation:
-    """Divided v-power chain: Z in each degree 2(p-1)e, generated by phi_k."""
-    p = ctx.p
-    gens = []
-    k = 0
-    while phi_degree(p, k) <= window:
-        gens.append(Generator(f"F:phi{k}", phi_degree(p, k), f"phi{k}"))
-        k += 1
-    rels = [Relation(((p, 0, f"F:phi{j}"), (-1, p**j, f"F:phi{j - 1}"))) for j in range(1, k)]
-    return GradedModulePresentation(ell_ring(p), gens, rels, window + 1)
 
 
 # -- THH(l) ----------------------------------------------------------------------
@@ -120,21 +126,16 @@ def torsion_block_shifts(p: int, window: int):
 
 def thh_ell(ctx: PrimeContext, window: int,
             reduced: bool = True) -> GradedModulePresentation:
-    """Integral answer for l: free chain suspended by |lambda_1| plus torsion blocks."""
+    """Integral answer for l: the unit, the divided chain phi_k on
+    lambda_1 (degree 2p-1 + 2(p-1)(p + ... + p^k)) and the torsion blocks."""
     p = ctx.p
-    parts = []
-    if not reduced:
-        parts.append(GradedModulePresentation(ell_ring(p), [Generator("iota", 0, "iota")], []))
-    parts.append(_relabel(build_F(ctx, window - (2 * p - 1)).suspend(2 * p - 1),
-                          lambda lab: lab + "*l1"))
-    for n, k, shift in torsion_block_shifts(p, window):
-        parts.append(build_Tn(ctx, n, prefix=f"T[{n},{k}]:").suspend(shift))
-    return GradedModulePresentation.direct_sum(parts)
-
-
-def _relabel(mod: GradedModulePresentation, fn) -> GradedModulePresentation:
-    gens = [Generator(g.gid, g.degree, fn(g.display())) for g in mod.generators.values()]
-    return GradedModulePresentation(mod.ring, gens, mod.relations, mod.complete_below)
+    ring = ell_ring(p)
+    unit = [] if reduced else [GradedModulePresentation(ring, [Generator("iota", 0, "iota")], [])]
+    chain = _divided_chain(ring, "F:phi{}", "phi{}*l1",
+                           lambda k: 2 * p - 1 + 2 * (p - 1) * staircase_sum(p, k), window)
+    blocks = [build_Tn(ctx, n, prefix=f"T[{n},{k}]:").suspend(shift)
+              for n, k, shift in torsion_block_shifts(p, window)]
+    return GradedModulePresentation.direct_sum(unit + [chain] + blocks)
 
 
 # -- THH(l; HF_p) ---------------------------------------------------------------
@@ -273,41 +274,27 @@ def build_Tn_prime(n: int) -> GradedModulePresentation:
     return sub
 
 
-def phi_prime_degree(k: int) -> int:
-    return 0 if k == 0 else 2 * (2 ** (k + 1) - 3)
-
-
-def build_F_prime(window: int) -> GradedModulePresentation:
-    """ko-side divided chain: Z in each even degree, staircase indexed by 2^(k+1)-3."""
-    gens = []
-    k = 0
-    while phi_prime_degree(k) <= window:
-        gens.append(Generator(f"F':phi{k}", phi_prime_degree(k), f"phi'{k}"))
-        k += 1
-    rels = []
-    for j in range(1, k):
-        step = (phi_prime_degree(j) - phi_prime_degree(j - 1)) // 2
-        rels.append(Relation(((2, 0, f"F':phi{j}"), (-1, step, f"F':phi{j - 1}"))))
-    return GradedModulePresentation(KU_RING, gens, rels, window + 1)
+def ko_levels(window: int, first: int) -> range:
+    """The levels n >= first with 2^(n+3) + 4 <= window: the ko-side blocks,
+    suspended by 2^(n+3) + 4, that start inside the window."""
+    return range(first, max(window - 4, 0).bit_length() - 3)
 
 
 def thh_ko_ku(window: int, reduced: bool = True) -> GradedModulePresentation:
-    """Integral answer for ko with connective-ku coefficients (2-local)."""
-    parts = []
-    if not reduced:
-        parts.append(GradedModulePresentation(KU_RING, [Generator("iota", 0, "iota")], []))
-    parts.append(_relabel(build_F_prime(window - 5).suspend(5), lambda lab: lab + "*l1'"))
-    n = 0
-    while 2 ** (n + 3) + 4 <= window:
-        parts.append(build_Tn_prime(n).suspend(2 ** (n + 3) + 4))
-        n += 1
-    return GradedModulePresentation.direct_sum(parts)
+    """Integral answer for ko with connective-ku coefficients (2-local): the
+    unit, the divided chain phi'_k on lambda_1' (degree 5, then
+    2^(k+2) - 1) and the blocks T'_n."""
+    unit = [] if reduced else [GradedModulePresentation(KU_RING, [Generator("iota", 0, "iota")], [])]
+    chain = _divided_chain(KU_RING, "F':phi{}", "phi'{}*l1'",
+                           lambda k: max(5, 2 ** (k + 2) - 1), window)
+    blocks = [build_Tn_prime(n).suspend(2 ** (n + 3) + 4) for n in ko_levels(window, 0)]
+    return GradedModulePresentation.direct_sum(unit + [chain] + blocks)
 
 
 # -- ko torsion pieces -----------------------------------------------------------
 
 
-def build_Ttilde(n: int, prefix: str = "Tt:") -> GradedModulePresentation:
+def build_Ttilde(n: int, prefix: str) -> GradedModulePresentation:
     """Truncated divided 2-power polynomial piece on one generator in degree 0.
 
     Z[v]/(2^(n-j) v^(2^j - 1) : j = 0..n) with v of degree 4.
@@ -323,25 +310,19 @@ def ttilde_top_degree(n: int) -> int:
     return 4 * (2**n - 2)
 
 
-def build_D_dual_Ttilde(n: int, prefix: str = "DTt:") -> GradedModulePresentation:
-    """Degreewise dual of build_Ttilde(n), placed with its top class in degree 0."""
-    tt = build_Ttilde(n)
-    return tt.dual(0, ttilde_top_degree(n), prefix=prefix.rstrip(":"))
-
-
 def build_Tnko(n: int) -> GradedModulePresentation:
-    """Level-n ko torsion block: nested truncated pieces and their duals."""
+    """Level-n ko torsion block: nested truncated pieces, each suspended by
+    its shift beside its degreewise dual, whose top class sits in degree
+    2^(n+3) - 10 - shift."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    prefix = f"ko{n}:"
-    parts = []
     top = 2 ** (n + 3) - 10
-    for k in range(1, 2 ** (n - 1)):
-        m = nu(2, k) + 1
-        parts.append(build_Ttilde(m, prefix=f"{prefix}k{k}.").suspend(16 * k))
-        parts.append(build_D_dual_Ttilde(m, prefix=f"{prefix}k{k}.D").suspend(top - 16 * k))
-    parts.append(build_Ttilde(n, prefix=f"{prefix}main."))
-    parts.append(build_D_dual_Ttilde(n, prefix=f"{prefix}main.D").suspend(top))
+    pieces = [(f"k{k}.", nu(2, k) + 1, 16 * k) for k in range(1, 2 ** (n - 1))]
+    parts = []
+    for tag, m, shift in pieces + [("main.", n, 0)]:
+        tt = build_Ttilde(m, prefix=f"ko{n}:{tag}")
+        parts.append(tt.suspend(shift))
+        parts.append(tt.dual(0, ttilde_top_degree(m), prefix=f"ko{n}:{tag}D").suspend(top - shift))
     return GradedModulePresentation.direct_sum(parts)
 
 
@@ -380,21 +361,14 @@ def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
     In the level-n block's top dual piece the order relations are not zero but
     land on the eta classes of the suspended torsion-free part.
     """
-    parts = []
-    if not reduced:
-        parts.append(_ko_coefficients(window))
-    parts.append(build_Fko(window - 5).suspend(5))
-    levels = []
-    n = 1
-    while 2 ** (n + 3) + 4 <= window:
-        parts.append(build_Tnko(n).suspend(2 ** (n + 3) + 4))
-        levels.append(n)
-        n += 1
-    merged = GradedModulePresentation.direct_sum(parts)
+    unit = [] if reduced else [_ko_coefficients(window)]
+    chain = build_Fko(window - 5).suspend(5)
+    blocks = [build_Tnko(n).suspend(2 ** (n + 3) + 4) for n in ko_levels(window, 1)]
+    merged = GradedModulePresentation.direct_sum(unit + [chain] + blocks)
     # replace the pure order relations of each main dual piece with hidden
     # extensions: 2 * (v^k * bottom dual class) = eta*u_(3*2^n - 1 + k)
     hidden = {}
-    for n in levels:
+    for n in ko_levels(window, 1):
         top = ttilde_top_degree(n)
         for d in range(0, top + 1, 4):
             hidden[f"ko{n}:main.D[{d},0]"] = f"Fko:eu{3 * 2**n - 1 + (top - d) // 4}"

@@ -127,12 +127,13 @@ class SpectralSequence:
             upd = self._slot_differential(r, slot, slot_rules)
             if upd is not None:
                 updates.append(upd)
-        # the differentials read every updated slot, so the cache holds the
-        # pages before the turn replaces them
-        pre, self._sq_cache = self._sq_cache, {}
-        for src, new_z, tgt, images in updates:
+        # only the updated slots' pages change; each update carries their
+        # pre-turn pages for the audit below
+        for src, new_z, tgt, images, _ in updates:
             self.Z[src] = new_z
             self.B[tgt] = self.B[tgt] + [list(y) for y in images]
+            self._sq_cache.pop(src, None)
+            self._sq_cache.pop(tgt, None)
         # the zero lattice must stay inside the cycles: a boundary that the
         # same page maps to a nonzero class means d o d != 0
         for src, *_ in updates:
@@ -143,10 +144,9 @@ class SpectralSequence:
                         f"page {r}: a boundary at {src} is not a cycle (d o d != 0)")
         sources = {u[0] for u in updates}
         targets = {u[2] for u in updates}
-        for src, _, tgt, _ in updates:
+        for src, _, tgt, _, (s_old, t_old) in updates:
             if src in targets or tgt in sources:
                 continue  # mixed roles: drops are not separable
-            s_old, t_old = pre[src], pre[tgt]
             s_new, t_new = self.subquot(src), self.subquot(tgt)
             if (s_new.free_rank() > s_old.free_rank()
                     or t_new.free_rank() > t_old.free_rank()):
@@ -231,7 +231,7 @@ class SpectralSequence:
                 vec = [sum(mu[i] * self.Z[slot][i][j] for i in range(len(mu)))
                        for j in range(dim_s)]
                 new_z.append(vec)
-        return slot, new_z, tgt_slot, Y
+        return slot, new_z, tgt_slot, Y, (sq_s, sq_t)
 
     # -- assembly -----------------------------------------------------------
 
@@ -321,16 +321,6 @@ class SpectralSequence:
         if sol is None or sol[1] % p == 0 or sol[0][0] % p == 0:
             return None
         return Fraction(sol[0][0], sol[1])
-
-
-# -- shared helpers --------------------------------------------------------------
-
-
-def _int_coords(coords, p: int) -> list[int]:
-    den = lcm(*(c.denominator for c in coords))
-    if den % p == 0:
-        raise EngineError("class has non-local coordinates")
-    return [int(c * den) for c in coords]
 
 
 @dataclass
@@ -445,40 +435,37 @@ def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
 # -- eta-filtration sequence for the ko answer -----------------------------------
 
 
-class _KuClasses:
-    """Summand coordinates of named classes in the ku-coefficient answer."""
-
-    def __init__(self, window: int):
-        self.mod = cf.thh_ko_ku(window, reduced=True)
-
-    def orders(self, d: int) -> list[int]:
-        return self.mod.subquot_at(d).orders
-
-    def free_gen(self, d: int) -> tuple[int, ...]:
-        sq = self.mod.subquot_at(d)
-        idx = [i for i, o in enumerate(sq.orders) if o == 0]
-        if len(idx) != 1:
-            raise EngineError(f"expected one infinite summand in degree {d}")
-        return tuple(1 if i == idx[0] else 0 for i in range(len(sq.orders)))
-
-    def element(self, d: int, terms) -> tuple[int, ...] | None:
-        vec = self.mod.element_vector(d, terms)
-        coords = self.mod.subquot_at(d).express(vec)
-        if coords is None:
-            raise EngineError(f"class in degree {d} is not a cycle combination")
-        out = _int_coords(coords, 2)
-        return tuple(out) if any(out) else None
-
-
 def eta_tower_setup(window: int) -> EngineSetup:
+    """eta-Bockstein over the ku-coefficient answer; cells and classes are
+    summand coordinates of `thh_ko_ku(window + 1)`."""
     p = 2
     chain_smax = 6
     last_page = 2
     smax = chain_smax + last_page
-    ku = _KuClasses(window + 1)
+    ku = cf.thh_ko_ku(window + 1)
+
+    def free_gen(d):
+        """The unit vector of the one infinite summand in degree d."""
+        orders = ku.subquot_at(d).orders
+        idx = [i for i, o in enumerate(orders) if o == 0]
+        if len(idx) != 1:
+            raise EngineError(f"expected one infinite summand in degree {d}")
+        return tuple(1 if i == idx[0] else 0 for i in range(len(orders)))
+
+    def element(d, terms):
+        """Integral summand coordinates of a class, or None when it is zero."""
+        coords = ku.subquot_at(d).express(ku.element_vector(d, terms))
+        if coords is None:
+            raise EngineError(f"class in degree {d} is not a cycle combination")
+        den = lcm(*(c.denominator for c in coords))
+        if den % p == 0:
+            raise EngineError("class has non-local coordinates")
+        out = tuple(int(c * den) for c in coords)
+        return out if any(out) else None
+
     cells = {}
     for deg in range(window + 2):
-        row = ku.orders(deg)
+        row = ku.subquot_at(deg).orders
         if not row:
             continue
         for s in range(smax + 1):
@@ -490,8 +477,8 @@ def eta_tower_setup(window: int) -> EngineSetup:
     while 5 + 2 * e <= window + 1:
         deg = 5 + 2 * e
         coeff = 2 ** (staircase(2, e) - staircase(2, e + 1) + 1)
-        src = ku.free_gen(deg)
-        tgt = tuple(coeff * t for t in ku.free_gen(deg - 2))
+        src = free_gen(deg)
+        tgt = tuple(coeff * t for t in free_gen(deg - 2))
         for s in range(smax):
             rules.append(Rule(1, (deg + s, s), src, tgt, f"d1(z{e})"))
         e += 2
@@ -508,7 +495,7 @@ def eta_tower_setup(window: int) -> EngineSetup:
         t = 0
         while 8 * m + 4 + 2 * t <= window + 1:
             deg = 8 * m + 4 + 2 * t
-            src = ku.element(deg, ((1, t, cf.bprime_gid(m)),))
+            src = element(deg, ((1, t, cf.bprime_gid(m)),))
             if src is None:
                 break
             terms = []
@@ -517,29 +504,27 @@ def eta_tower_setup(window: int) -> EngineSetup:
             if a != 1:
                 coeff = 2 ** (nu(2, a - 1) - 1)
                 terms.append((coeff, 2 ** (kv + 2) - 1 + t, cf.bprime_gid(m - 2**kv)))
-            tgt = ku.element(deg - 2, tuple(terms)) if terms else None
-            tgt = tgt or tuple([0] * len(ku.orders(deg - 2)))
+            tgt = element(deg - 2, tuple(terms)) if terms else None
+            tgt = tgt or tuple([0] * len(ku.subquot_at(deg - 2).orders))
             for s in range(smax):
                 rules.append(Rule(1, (deg + s, s), src, tgt, f"d1(v^{t}b'{m})"))
             t += 1
         m += 1
     # two-step differentials out of the even multiples of the power-of-two
     # levels; the odd multiples that survive the first page are permanent
-    n = 0
-    while 8 * 2**n + 4 <= window + 1:
+    for n in cf.ko_levels(window + 1, 0):
         j = 0
         while 8 * 2**n + 4 + 4 * j <= window + 1:
             deg = 8 * 2**n + 4 + 4 * j
-            src = ku.element(deg, ((1, 2 * j, cf.bprime_gid(2**n)),))
+            src = element(deg, ((1, 2 * j, cf.bprime_gid(2**n)),))
             if src is None:
                 break
             ee = 2 ** (n + 2) - 2 + 2 * j
             coeff = 2 ** (staircase(2, ee + 1) - n - 1)
-            tgt = tuple(coeff * v for v in ku.free_gen(deg - 3))
+            tgt = tuple(coeff * v for v in free_gen(deg - 3))
             for s in range(smax - 1):
                 rules.append(Rule(2, (deg + s, s), src, tgt, f"d2(v^{2*j}b'{2**n})"))
             j += 1
-        n += 1
 
     # hidden multiplications by 2 from the dual torsion bottoms onto eta classes
     exts = []
@@ -547,11 +532,11 @@ def eta_tower_setup(window: int) -> EngineSetup:
     while 3 * 2 ** (n + 2) + 2 <= window:
         for k in range(cf.ttilde_top_degree(n) // 4 + 1):
             deg = 3 * 2 ** (n + 2) + 2 + 4 * k
-            src = ku.element(deg, ((1, 2 ** (n + 1) - 1 + 2 * k, cf.bprime_gid(2**n)),))
+            src = element(deg, ((1, 2 ** (n + 1) - 1 + 2 * k, cf.bprime_gid(2**n)),))
             if src is None:
                 raise EngineError(f"hidden extension source vanishes in degree {deg}")
             exts.append(Extension((deg, 0), src,
-                                  ((1, (deg, 1), ku.free_gen(deg - 1)),)))
+                                  ((1, (deg, 1), free_gen(deg - 1)),)))
         n += 1
     return EngineSetup(SpectralSequence(p, cells), rules, exts,
                        last_page, window, chain_smax)

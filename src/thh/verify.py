@@ -394,11 +394,9 @@ def ko_to_ku_map(window: int) -> ModuleMap:
     while f"F':phi{k}" in src.generators:
         images[f"F':phi{k}"] = ((1, 0, f"F:phi{k}"),) if k else ((1, 1, "F:phi0"),)
         k += 1
-    n = 0
-    while cf.bprime_gid(2**n) in src.generators:
+    for n in cf.ko_levels(window, 0):
         for m, w in cf.bprime_words(n):
             images[cf.bprime_gid(m)] = ((1, 1, f"T[{n},1]:{w.label()}"),)
-        n += 1
     return ModuleMap(src, tgt, images)
 
 

@@ -112,6 +112,17 @@ def test_boundary_that_is_not_a_cycle_is_rejected():
         seq.run(rules, 1)
 
 
+def test_page_turn_keeps_the_pages_of_untouched_slots():
+    # d1(x) = 2y changes the pages at (1, 0) and (0, 1) only; the slot no
+    # rule touches keeps its cached SubQuot
+    seq = ss.SpectralSequence(2, {(1, 0): [0], (0, 1): [0], (5, 0): [2]})
+    untouched, source = seq.subquot((5, 0)), seq.subquot((1, 0))
+    seq.run([ss.Rule(1, (1, 0), (1,), (2,), "d1(x)")], 1)
+    assert seq.subquot((5, 0)) is untouched
+    assert seq.subquot((1, 0)) is not source
+    assert seq.subquot((0, 1)).orders == [2]
+
+
 def test_eta_tower_past_its_range_is_rejected():
     # from window 123 on, a d1 boundary in ku degree 122 is not a d1 cycle
     with pytest.raises(ss.EngineError, match=r"page 1: .* at \(123, 1\)"):

@@ -17,7 +17,13 @@ i.e. the Bockstein variable carries internal degree |v| with the slot's
 internal degree d already including s * |v| (so d is the total degree of the
 abutment class).  The differential on a page is the Q-linear extension of its
 rules: a cycle outside the Q-span of the rule sources, or one whose image
-needs a p in a denominator, is an `EngineError`.
+needs a p in a denominator, is an `EngineError`, and so is a rule whose slot
+or target slot is not a cell.
+
+Each setup's E1 page is a base row tensored with a polynomial on the
+Bockstein variable (base degree b at filtration s is slot (b + s * |v|, s)),
+and its differentials are linear over that variable, so `_tower` places a rule
+or extension stated once at its base degree wherever both its slots are cells.
 
 Every lattice and coordinate question goes to `_intlin`; in particular
 `lattice_coordinates` gives each cycle's image and each unit ratio, so this
@@ -44,7 +50,7 @@ from ._intlin import (
     row_kernel,
     solve_in_lattice,
 )
-from .padic import PrimeContext, mu_degree, nu, staircase
+from .padic import PrimeContext, nu, staircase
 from . import closed_forms as cf, thc
 
 
@@ -120,7 +126,7 @@ class SpectralSequence:
         by_slot: dict[tuple[int, int], list[Rule]] = {}
         for rule in rules:
             if rule.slot not in self.cells:
-                continue
+                raise EngineError(f"{rule.name}: slot {rule.slot} is not a cell")
             by_slot.setdefault(rule.slot, []).append(rule)
         updates = []
         for slot, slot_rules in sorted(by_slot.items()):
@@ -164,7 +170,7 @@ class SpectralSequence:
         d, s = slot
         tgt_slot = (d - 1, s + r)
         if tgt_slot not in self.cells:
-            return None
+            raise EngineError(f"page {r} at {slot}: target slot {tgt_slot} is not a cell")
         dim_s = len(self.cells[slot])
         dim_t = len(self.cells[tgt_slot])
         sq_s, sq_t = self.subquot(slot), self.subquot(tgt_slot)
@@ -328,12 +334,11 @@ class EngineSetup:
     ss: SpectralSequence
     rules: list[Rule]
     extensions: list[Extension]
-    last_page: int
     window: int
     chain_smax: int
 
     def run(self) -> dict[int, tuple[int, list[int]]]:
-        self.ss.run(self.rules, self.last_page)
+        self.ss.run(self.rules, max((rule.page for rule in self.rules), default=0))
         return self.ss.assemble(self.extensions, self.window, self.chain_smax)
 
     def sign_flipped(self) -> "EngineSetup":
@@ -341,8 +346,24 @@ class EngineSetup:
                         tuple(-t for t in r.target), r.name)
                    for r in self.rules]
         return EngineSetup(SpectralSequence(self.ss.p, self.ss.cells),
-                           flipped, self.extensions, self.last_page,
-                           self.window, self.chain_smax)
+                           flipped, self.extensions, self.window, self.chain_smax)
+
+
+def _tower(base: dict[int, list[int]], shift: int, height: int, top: int):
+    """`cells` puts the row of base degree b in slot (b + s * shift, s) for
+    each s <= height with b + s * shift <= top; `pairs(src, tgt, jump)` yields
+    the (source slot, target slot) pairs of a rule from base degree src to
+    base degree tgt, jump filtrations up, at each s where both are cells."""
+    cells = {(b + s * shift, s): row for b, row in base.items()
+             for s in range(height + 1) if b + s * shift <= top}
+
+    def pairs(src: int, tgt: int, jump: int):
+        for s in range(height + 1):
+            a, b = (src + s * shift, s), (tgt + (s + jump) * shift, s + jump)
+            if a in cells and b in cells:
+                yield a, b
+
+    return cells, pairs
 
 
 # -- integral-coefficient sequence over the mod-p page ---------------------------
@@ -355,16 +376,10 @@ def v0_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
     by_deg: dict[int, list[tuple[int, int, int]]] = {}
     for d, e1, e2, i in cf.hfp_monomials(p, window + 1):
         by_deg.setdefault(d, []).append((e1, e2, i))
-    last_page = 1
-    i = 1
-    while mu_degree(p) * i <= window + 1:
-        last_page = max(last_page, nu(p, i) + 1)
-        i += 1
-    smax = chain_smax + last_page
-    cells = {}
-    for d, mons in by_deg.items():
-        for s in range(smax + 1):
-            cells[(d, s)] = [p] * len(mons)
+    last_page = max((nu(p, i) + 1 for mons in by_deg.values()
+                     for _, _, i in mons if i), default=1)
+    cells, pairs = _tower({d: [p] * len(mons) for d, mons in by_deg.items()},
+                          0, chain_smax + last_page, window + 1)
     rules = []
     for d, mons in by_deg.items():
         for j, (e1, e2, i) in enumerate(mons):
@@ -376,17 +391,15 @@ def v0_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
             page = nu(p, i) + 1
             src = tuple(1 if t == j else 0 for t in range(len(mons)))
             tgt = tuple(1 if m == (e1, 1, i - 1) else 0 for m in tgt_mons)
-            for s in range(smax - page + 1):
-                rules.append(Rule(page, (d, s), src, tgt,
-                                  f"d{page}({cf.monomial_label(e1, e2, i)})"))
+            rules += [Rule(page, slot, src, tgt,
+                           f"d{page}({cf.monomial_label(e1, e2, i)})")
+                      for slot, _ in pairs(d, d - 1, page)]
     exts = []
     for d, mons in by_deg.items():
         for j in range(len(mons)):
             vec = tuple(1 if t == j else 0 for t in range(len(mons)))
-            for s in range(smax):
-                exts.append(Extension((d, s), vec, ((1, (d, s + 1), vec),)))
-    return EngineSetup(SpectralSequence(p, cells), rules, exts,
-                       last_page, window, chain_smax)
+            exts += [Extension(src, vec, ((1, tgt, vec),)) for src, tgt in pairs(d, d, 1)]
+    return EngineSetup(SpectralSequence(p, cells), rules, exts, window, chain_smax)
 
 
 # -- second-variable sequence over the integral page -----------------------------
@@ -401,20 +414,11 @@ def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
     chain_smax = window // vd + 2
     classes = cf.hz_classes(p, window + 1)
     degree = {gid: deg for gid, deg, _ in classes}
-    cells = {(deg + s * vd, s): [order] for gid, deg, order in classes
-             for s in range(chain_smax) if deg + s * vd <= window + 1}
-
-    def pairs(gid, target, jump):
-        """(source slot, target slot) at each filtration where both exist."""
-        for s in range(chain_smax):
-            src = (degree[gid] + s * vd, s)
-            tgt = (degree[target] + (s + jump) * vd, s + jump)
-            if src in cells and tgt in cells:
-                yield src, tgt
-
+    cells, pairs = _tower({deg: [order] for _, deg, order in classes},
+                          vd, chain_smax - 1, window + 1)
     rules = [Rule(page, src, (i - m,), (p**val,), f"d{page}(a{i})")
              for page, i, m, val in sorted(thc.tower_rule_set(ctx, window))
-             for src, tgt in pairs(f"a{i}", f"b{m}", page)]
+             for src, _ in pairs(degree[f"a{i}"], degree[f"b{m}"], page)]
     stated = []
     while (ext := cf.chain_extension(p, len(stated)))[0] in degree:
         stated.append(ext)
@@ -426,10 +430,8 @@ def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
         m += 1
     exts = [Extension(src, (mult,), ((p**c, tgt, (1,)),))
             for gid, mult, target, e, c in stated
-            for src, tgt in pairs(gid, target, e)]
-    last_page = max((rule.page for rule in rules), default=0)
-    return EngineSetup(SpectralSequence(p, cells), rules, exts,
-                       last_page, window, chain_smax)
+            for src, tgt in pairs(degree[gid], degree[target], e)]
+    return EngineSetup(SpectralSequence(p, cells), rules, exts, window, chain_smax)
 
 
 # -- eta-filtration sequence for the ko answer -----------------------------------
@@ -440,8 +442,7 @@ def eta_tower_setup(window: int) -> EngineSetup:
     summand coordinates of `thh_ko_ku(window + 1)`."""
     p = 2
     chain_smax = 6
-    last_page = 2
-    smax = chain_smax + last_page
+    smax = chain_smax + 2
     ku = cf.thh_ko_ku(window + 1)
 
     def free_gen(d):
@@ -463,14 +464,9 @@ def eta_tower_setup(window: int) -> EngineSetup:
         out = tuple(int(c * den) for c in coords)
         return out if any(out) else None
 
-    cells = {}
-    for deg in range(window + 2):
-        row = ku.subquot_at(deg).orders
-        if not row:
-            continue
-        for s in range(smax + 1):
-            cells[(deg + s, s)] = row
-
+    rows = {deg: ku.subquot_at(deg).orders for deg in range(window + 2)}
+    cells, pairs = _tower({deg: row for deg, row in rows.items() if row},
+                          1, smax, window + 1 + smax)
     rules = []
     # odd towers of the divided chain drop one step with an explicit 2-power
     e = 1
@@ -479,8 +475,7 @@ def eta_tower_setup(window: int) -> EngineSetup:
         coeff = 2 ** (staircase(2, e) - staircase(2, e + 1) + 1)
         src = free_gen(deg)
         tgt = tuple(coeff * t for t in free_gen(deg - 2))
-        for s in range(smax):
-            rules.append(Rule(1, (deg + s, s), src, tgt, f"d1(z{e})"))
+        rules += [Rule(1, slot, src, tgt, f"d1(z{e})") for slot, _ in pairs(deg, deg - 2, 1)]
         e += 2
     # torsion-to-torsion differentials; each class is a period-operator
     # multiple of a torsion bottom, and the odd multiples pick up an extra
@@ -505,9 +500,9 @@ def eta_tower_setup(window: int) -> EngineSetup:
                 coeff = 2 ** (nu(2, a - 1) - 1)
                 terms.append((coeff, 2 ** (kv + 2) - 1 + t, cf.bprime_gid(m - 2**kv)))
             tgt = element(deg - 2, tuple(terms)) if terms else None
-            tgt = tgt or tuple([0] * len(ku.subquot_at(deg - 2).orders))
-            for s in range(smax):
-                rules.append(Rule(1, (deg + s, s), src, tgt, f"d1(v^{t}b'{m})"))
+            tgt = tgt or tuple([0] * len(rows[deg - 2]))
+            rules += [Rule(1, slot, src, tgt, f"d1(v^{t}b'{m})")
+                      for slot, _ in pairs(deg, deg - 2, 1)]
             t += 1
         m += 1
     # two-step differentials out of the even multiples of the power-of-two
@@ -522,8 +517,8 @@ def eta_tower_setup(window: int) -> EngineSetup:
             ee = 2 ** (n + 2) - 2 + 2 * j
             coeff = 2 ** (staircase(2, ee + 1) - n - 1)
             tgt = tuple(coeff * v for v in free_gen(deg - 3))
-            for s in range(smax - 1):
-                rules.append(Rule(2, (deg + s, s), src, tgt, f"d2(v^{2*j}b'{2**n})"))
+            rules += [Rule(2, slot, src, tgt, f"d2(v^{2*j}b'{2**n})")
+                      for slot, _ in pairs(deg, deg - 3, 2)]
             j += 1
 
     # hidden multiplications by 2 from the dual torsion bottoms onto eta classes
@@ -538,8 +533,7 @@ def eta_tower_setup(window: int) -> EngineSetup:
             exts.append(Extension((deg, 0), src,
                                   ((1, (deg, 1), free_gen(deg - 1)),)))
         n += 1
-    return EngineSetup(SpectralSequence(p, cells), rules, exts,
-                       last_page, window, chain_smax)
+    return EngineSetup(SpectralSequence(p, cells), rules, exts, window, chain_smax)
 
 
 # -- eta-filtration sequence for the ko coefficients -----------------------------
@@ -547,21 +541,14 @@ def eta_tower_setup(window: int) -> EngineSetup:
 
 def ko_base_setup(window: int) -> EngineSetup:
     chain_smax = 10
-    last_page = 3
-    smax = chain_smax + last_page
-    cells = {}
-    for j in range(window // 2 + 2):
-        for s in range(smax + 1):
-            d = 2 * j + s
-            if d <= window + 1:
-                cells[(d, s)] = [0]
+    js = range(window // 2 + 2)
+    cells, pairs = _tower({2 * j: [0] for j in js}, 1, chain_smax + 3, window + 1)
     rules = []
-    for j in range(window // 2 + 2):
-        for s in range(smax):
-            if j % 2 == 1 and (2 * j + s, s) in cells:
-                rules.append(Rule(1, (2 * j + s, s), (1,), (2,), f"d1(v^{j})"))
-        for s in range(smax - 2):
-            if j % 4 == 2 and (2 * j + s, s) in cells and (2 * j + s - 1, s + 3) in cells:
-                rules.append(Rule(3, (2 * j + s, s), (1,), (1,), f"d3(v^{j})"))
-    return EngineSetup(SpectralSequence(2, cells), rules, [],
-                       last_page, window, chain_smax)
+    for j in js:
+        if j % 2 == 1:
+            rules += [Rule(1, slot, (1,), (2,), f"d1(v^{j})")
+                      for slot, _ in pairs(2 * j, 2 * j - 2, 1)]
+        if j % 4 == 2:
+            rules += [Rule(3, slot, (1,), (1,), f"d3(v^{j})")
+                      for slot, _ in pairs(2 * j, 2 * j - 4, 3)]
+    return EngineSetup(SpectralSequence(2, cells), rules, [], window, chain_smax)

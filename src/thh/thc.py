@@ -125,16 +125,16 @@ def unit_check_suite(ctx: PrimeContext, window: int) -> list[Check]:
     p = ctx.p
     checks: list[Check] = []
 
-    def claim(name, params, expected, actual):
-        checks.append(agree(name, params, expected, actual))
+    def claim(name, params, expected, k, family, n):
+        """The claim that gamma_k cap (family)_n carries `expected` p's."""
+        checks.append(agree(name, params, expected, cap(ctx, k, family, n).valuation))
 
     # transporting the tower differential from a_{p^n} to a_{jp^n}
     n = 1
     while a_degree(p, p**n) <= window:
         j = 2
         while a_degree(p, j * p**n) <= window:
-            claim("tower-transport", (n, j), 0,
-                  binom_valuation(p, (j - 1) * p**n, p**n - 1))
+            claim("tower-transport", (n, j), 0, (j - 1) * p**n, "a", j * p**n)
             j += 1
         n += 1
     # capping down from a_{jp^n} to a_{kp^{n-1}}, k = jp - k'
@@ -144,13 +144,12 @@ def unit_check_suite(ctx: PrimeContext, window: int) -> list[Check]:
         while a_degree(p, j * p**n) <= window:
             for kp in range(1, p):
                 k = j * p - kp
-                claim("tower-cap-source", (n, j, kp), 0,
-                      binom_valuation(p, kp * p ** (n - 1),
-                                      j * p**n - 1 - kp * p ** (n - 1)))
-                claim("tower-cap-target", (n, j, kp), nu(p, k - 1) if k > 1 else 0,
-                      binom_valuation(p, kp * p ** (n - 1),
-                                      (j * p - 1) * p ** (n - 1) - 1 - kp * p ** (n - 1))
-                      if k > 1 else 0)
+                claim("tower-cap-source", (n, j, kp), 0, kp * p ** (n - 1), "a", j * p**n)
+                if k > 1:
+                    claim("tower-cap-target", (n, j, kp), nu(p, k - 1),
+                          kp * p ** (n - 1), "a", (j * p - 1) * p ** (n - 1))
+                else:
+                    checks.append(agree("tower-cap-target", (n, j, kp), 0, 0))
             j += 1
         n += 1
     # torsion-block comparison isomorphisms
@@ -158,8 +157,7 @@ def unit_check_suite(ctx: PrimeContext, window: int) -> list[Check]:
     while b_degree(p, p ** (n + 1) - 1) <= window:
         for j in range(1, p - 1):
             for i in range((p - 1) * p**n, p ** (n + 1)):
-                claim("block-isomorphism", (n, j, i), 0,
-                      binom_valuation(p, j * p**n, i - 1 - j * p**n))
+                claim("block-isomorphism", (n, j, i), 0, j * p**n, "b", i)
         n += 1
     # capping the hidden p-extensions down the block
     n = 1
@@ -167,21 +165,18 @@ def unit_check_suite(ctx: PrimeContext, window: int) -> list[Check]:
         for m in range(p**n, 2 * p**n):
             k = nu(p, m)
             top = 2 * p**n - p**k
-            claim("extension-cap", (n, m), 0,
-                  binom_valuation(p, top - m, m - 1))
+            claim("extension-cap", (n, m), 0, top - m, "b", top)
             # m = p^n is the one index of the level with no m2 >= 1
             if m != p**n and top - m <= 2 * p**n - p ** (k + 1) - 1:
                 ext = hidden_extension(p, m)
                 claim("extension-valuation", (n, m), ext[2] if ext else 0,
-                      binom_valuation(p, top - m,
-                                      2 * p**n - p ** (k + 1) - 1 - (top - m)))
+                      top - m, "b", 2 * p**n - p ** (k + 1))
         n += 1
     # every cap against the top-of-block class b_{p^j} is a unit
     j = 1
     while b_degree(p, p**j) <= window:
         for k in range(p**j):
-            claim("top-block-cap", (j, k), 0,
-                  binom_valuation(p, k, p**j - 1 - k))
+            claim("top-block-cap", (j, k), 0, k, "b", p**j)
         j += 1
     extra = naturality_closure(ctx, window)
     checks.append(Check("naturality-closure", window, not extra, (len(extra),)))

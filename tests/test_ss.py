@@ -61,18 +61,21 @@ def test_base_engine_reproduces_ko_coefficients():
         assert out[d] == cf.ko_homotopy(d)
 
 
-def test_sign_flip_gives_the_same_groups():
+SIGN_FLIP_TOWERS = {
+    "v0-p2-w64": lambda: ss.v0_tower_setup(PrimeContext(2), 64),
+    "v0-p3-w160": lambda: ss.v0_tower_setup(PrimeContext(3), 160),
+    "v1-p2-w32": lambda: ss.v1_tower_setup(PrimeContext(2), 32),
+    "v1-p3-w40": lambda: ss.v1_tower_setup(PrimeContext(3), 40),
+    "eta-w40": lambda: ss.eta_tower_setup(40),
+    "ko-base-w40": lambda: ss.ko_base_setup(40),
+}
+
+
+@pytest.mark.parametrize("tower", sorted(SIGN_FLIP_TOWERS))
+def test_sign_flip_gives_the_same_groups(tower):
     # flipping every differential's sign cannot change the abutment
-    for p, window in ((2, 32), (3, 40)):
-        ctx = PrimeContext(p)
-        plain = ss.v1_tower_setup(ctx, window).run()
-        flipped = ss.v1_tower_setup(ctx, window).sign_flipped().run()
-        assert flipped == plain
-
-
-def test_eta_sign_flip():
-    plain = ss.eta_tower_setup(40).run()
-    flipped = ss.eta_tower_setup(40).sign_flipped().run()
+    plain = SIGN_FLIP_TOWERS[tower]().run()
+    flipped = SIGN_FLIP_TOWERS[tower]().sign_flipped().run()
     assert flipped == plain
 
 
@@ -88,17 +91,32 @@ def test_non_cycle_source_is_rejected():
         setup.ss.run([bogus], bogus.page)
 
 
-def test_audit_catches_rank_growth():
-    # a differential out of a dead class must be refused
+def test_differential_onto_a_zero_class_is_rejected():
+    # doubling the first rule's target sends a live class to a dead one
     setup = ss.v1_tower_setup(PrimeContext(2), 16)
     first = setup.rules[0]
     bad = ss.Rule(first.page, first.slot, first.source,
                   tuple(2 * t for t in first.target), first.name + "-doubled")
-    fresh = ss.v1_tower_setup(PrimeContext(2), 16)
-    replaced = [bad if r is not first else bad
-                for r in [bad] + [r for r in fresh.rules if r.name != first.name]]
-    with pytest.raises(ss.EngineError):
-        fresh.ss.run(replaced + [first], setup.last_page)
+    with pytest.raises(ss.EngineError, match="target class is already zero"):
+        setup.ss.run([bad], bad.page)
+
+
+def test_audit_catches_rank_nullity_failure():
+    # d1(2x) = 2y reads d1(x) = y, which kills all of Z/4 at the source but
+    # only the boundary 2y at the target
+    seq = ss.SpectralSequence(2, {(1, 0): [4], (0, 1): [4]})
+    rule = ss.Rule(1, (1, 0), (2,), (2,), "d1(2x)")
+    with pytest.raises(ss.EngineError, match="rank-nullity fails"):
+        seq.run([rule], 1)
+
+
+def test_rule_outside_the_cells_is_rejected():
+    # a rule's slot and its target slot must both be cells
+    seq = ss.SpectralSequence(2, {(1, 0): [0], (0, 1): [0]})
+    with pytest.raises(ss.EngineError, match=r"slot \(2, 0\) is not a cell"):
+        seq.run([ss.Rule(1, (2, 0), (1,), (1,), "d1(w)")], 1)
+    with pytest.raises(ss.EngineError, match=r"target slot \(0, 2\) is not a cell"):
+        seq.run([ss.Rule(2, (1, 0), (1,), (1,), "d2(x)")], 2)
 
 
 def test_boundary_that_is_not_a_cycle_is_rejected():
@@ -184,3 +202,24 @@ def page_orders(make_setup):
 def test_page_orders_are_pinned(tower):
     golden = json.loads(PAGE_PIN.read_text())
     assert page_orders(PAGE_TOWERS[tower]) == golden[tower]
+
+
+SETUP_PIN = pathlib.Path(__file__).parent / "golden" / "ss-setups.json"
+
+
+def setup_record(setup):
+    """A setup's cells, extensions and rules, as JSON."""
+    return json.loads(json.dumps({
+        "cells": {f"{d},{s}": orders for (d, s), orders in sorted(setup.ss.cells.items())},
+        "extensions": [[e.slot, e.source, e.targets] for e in setup.extensions],
+        "rules": [[r.page, r.slot, r.source, r.target, r.name] for r in setup.rules],
+    }))
+
+
+@pytest.mark.parametrize("tower", sorted(PAGE_TOWERS))
+def test_setups_are_pinned(tower):
+    # Recorded before the setups placed their cells, rules and extensions
+    # through one tower layout; the pin keeps only the rules whose slot and
+    # target slot are both cells, which are all the rules a setup now emits.
+    golden = json.loads(SETUP_PIN.read_text())
+    assert setup_record(PAGE_TOWERS[tower]()) == golden[tower]

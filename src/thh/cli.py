@@ -161,11 +161,26 @@ def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]
     return rows
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items as a JSON list laid out as json.dumps(indent=2) lays it
+    out, `indent` being the list's own indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(indent + "  " + x for x in items) + "\n" + indent + "]"
+
+
 def _format_verify(rows: list[verify.Check], fmt: str) -> str:
     if fmt == "json":
-        payload = [{"check": n, "index": d, "ok": ok, "detail": list(map(str, det))}
-                   for n, d, ok, det in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        # the rows have one fixed shape, written here directly: json.dumps
+        # with an indent takes the pure-Python encoder, for the same bytes
+        enc = json.encoder.encode_basestring_ascii
+        objects = []
+        for n, d, ok, det in rows:
+            index = _json_list(list(map(str, d)), "    ") if isinstance(d, tuple) else str(d)
+            detail = _json_list([enc(str(x)) for x in det], "    ")
+            objects.append(f'{{\n    "check": {enc(n)},\n    "index": {index},\n'
+                           f'    "ok": {"true" if ok else "false"},\n    "detail": {detail}\n  }}')
+        return _json_list(objects, "") + "\n"
     failures = [r for r in rows if not r[2]]
     lines = [f"{len(rows)} checks, {len(failures)} failures"]
     for n, d, ok, det in failures:

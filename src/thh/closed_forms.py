@@ -18,8 +18,7 @@ chains F and F' are both `_divided_chain`; the ko-side levels are
 """
 from __future__ import annotations
 
-from .graded import (GradedModulePresentation, Generator, ModuleMap, Relation,
-                     RingSpec, submodule_presentation)
+from .graded import GradedModulePresentation, Generator, ModuleMap, Relation, RingSpec
 from .padic import (PrimeContext, TorsionWord, a_degree, all_words, b_degree,
                     g_word_degree, lambda_degree, mu_degree, nu, r_truncation,
                     staircase_sum, x_degree, x_prime_degree)
@@ -46,6 +45,11 @@ def kill_exponent(p: int, n: int, length: int) -> int:
     return staircase_sum(p, n - length + 1)
 
 
+def parent_exponent(p: int, n: int, length: int) -> int:
+    """v-power p^(n-|u|+2) on the parent term of T_n's p-relation for g_u, |u| = length."""
+    return p ** (n - length + 2)
+
+
 def build_Tn(ctx: PrimeContext, n: int, prefix: str = "T:") -> GradedModulePresentation:
     """The level-n torsion module on word generators g_w, |w| <= n."""
     if n < 0:
@@ -64,7 +68,7 @@ def build_Tn(ctx: PrimeContext, n: int, prefix: str = "T:") -> GradedModulePrese
             terms.append((-1, 0, _word_gid(prefix, TorsionWord(child, p))))
         if k >= 1 and w.digits[-1] == p - 1:
             parent = TorsionWord(w.digits[:-1], p)
-            terms.append((-1, p ** (n - k + 2), _word_gid(prefix, parent)))
+            terms.append((-1, parent_exponent(p, n, k), _word_gid(prefix, parent)))
         rels.append(Relation(tuple(terms)))
         # v-power annihilation
         rels.append(Relation(((1, kill_exponent(p, n, k), _word_gid(prefix, w)),)))
@@ -260,18 +264,53 @@ def bprime_words(n: int) -> list[tuple[int, TorsionWord]]:
 
 
 def build_Tn_prime(n: int) -> GradedModulePresentation:
-    """Submodule of the desuspended level-n torsion module spanned by v-multiples.
+    """The v-multiples in the desuspended level-n torsion module, stated directly.
 
-    Generators h_w = v * g_w for words with no trailing zero; h_w is relabeled
-    b'_m through the word dictionary.
+    Generators h_w = v g_w in degree |g_w| for the words w of W' (e and the
+    words ending in 1, in `bprime_words` order), relabeled b'_m through the
+    word dictionary.  The relations are T_n's two families (`build_Tn`)
+    times v, so each g-exponent is an h-exponent:
+
+    - rewriting: for u in W' and i >= 1,
+      g_(u0^i) = 2^i g_u - 2^(i-1) v^s(u) g_parent(u), s = `parent_exponent`,
+      with the parent term only when u ends in 1, rewritten the same way;
+    - order: T_n's p-relation for x = w0^(n-k), k = |w|, has no child term
+      and reads 2 g_x - [k = n] v^s(w) g_parent(w) = 0, which is the
+      rewriting of g_(w0^(n-k+1)) = 0;
+    - kill: v^(K(k+j) - 1) g_(w0^j) = 0 for j = 0..n-k, K = `kill_exponent`.
+
+    So h_w owns n - k + 2 relations, 3 2^n - 1 in all.  Each has the owner's
+    coefficient negative and its terms in generator order, and they are
+    sorted by (degree, owner's place in W'): term for term the presentation
+    that the slice-by-slice search `graded.submodule_presentation` finds for
+    the submodule of T_n spanned by the v g_w, which the tests keep as the
+    oracle.
     """
-    tn = build_Tn(PrimeContext(2), n, prefix="tmp:")
-    picked = [(bprime_gid(m), ((1, 1, "tmp:" + w.label()),), f"b'{m}")
-              for m, w in bprime_words(n)]
-    sub = submodule_presentation(tn, picked, tn_top_degree(2, n) + 3)
-    sub = sub.suspend(-2)
-    sub.complete_below = None
-    return sub
+    words = bprime_words(n)
+    gens = [Generator(bprime_gid(m), g_word_degree(2, n, w), f"b'{m}") for m, w in words]
+    place = {w.digits: i for i, (_, w) in enumerate(words)}
+
+    def rewrite(x: tuple[int, ...], coeff: int, e: int):
+        """coeff v^e g_x as (coefficient, v-exponent, place in W') terms, owner first."""
+        u = x
+        while u[-1:] == (0,):
+            u = u[:-1]
+        i = len(x) - len(u)
+        terms = [(coeff * 2**i, e, place[u])]
+        if i and u:
+            terms += rewrite(u[:-1], -coeff * 2 ** (i - 1), e + parent_exponent(2, n, len(u)))
+        return terms
+
+    owned = []
+    for owner, (_, w) in enumerate(words):
+        k = len(w)
+        exponents = [kill_exponent(2, n, k + j) - 1 for j in range(n - k + 1)] + [0]
+        for j, e in enumerate(exponents):
+            owned.append((gens[owner].degree + 2 * e, owner,
+                          sorted(rewrite(w.digits + (0,) * j, -1, e), key=lambda t: t[2])))
+    owned.sort(key=lambda r: r[:2])
+    rels = [Relation(tuple((c, e, gens[i].gid) for c, e, i in terms)) for _, _, terms in owned]
+    return GradedModulePresentation(ell_ring(2), gens, rels)
 
 
 def ko_levels(window: int, first: int) -> range:

@@ -415,7 +415,10 @@ def submodule_presentation(module: GradedModulePresentation,
                            hi: int) -> GradedModulePresentation:
     """Presentation (valid below hi) of the submodule generated by homogeneous elements.
 
-    elements: (new generator id, defining terms in `module`, label).
+    elements: (new generator id, defining terms in `module`, label).  Only
+    the tests call it now, as the oracle for `closed_forms.build_Tn_prime`,
+    which states the same relations directly; it stays here because the
+    benchmark's tracer wraps it by name.
     """
     ring = module.ring
     gens = []

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from thh import cli
+from thh import cli, verify
 
 
 def run(argv):
@@ -295,6 +295,17 @@ def test_verify_json_is_pinned(argv, name):
     code, out = run(["verify", *argv, "--format", "json"])
     assert code == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("p, window", [(2, 40), (3, 60), (5, 80)])
+def test_verify_json_is_what_json_dumps_writes(p, window):
+    suites = [s for s in cli.SUITES if s != "all" and (p == 2 or s != "ko")]
+    made_up = [verify.Check("made-up", (), False, ("\u03b7 \"quoted\"", ())),
+               verify.Check("made-up", -1, True, ())]
+    for rows in [[], made_up] + [cli.run_suite(s, p, window, 2) for s in suites]:
+        payload = [{"check": n, "index": d, "ok": ok, "detail": list(map(str, det))}
+                   for n, d, ok, det in rows]
+        assert cli._format_verify(rows, "json") == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv, table", [

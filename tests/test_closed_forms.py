@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thh import closed_forms as cf
-from thh.graded import Generator, GradedModulePresentation, Relation, RingSpec
+from thh.graded import (Generator, GradedModulePresentation, ModuleMap, Relation,
+                        RingSpec, submodule_presentation)
 from thh.padic import (PrimeContext, a_degree, all_words, b_degree,
                        lambda_degree, nu)
 
@@ -174,11 +175,44 @@ def test_presentations_are_pinned(name):
 TN_PRIME_PIN = pathlib.Path(__file__).parent / "golden" / "tn-prime.json"
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(7))
 def test_tn_prime_presentations_are_pinned(n):
-    # submodule_presentation finds the relations of T'_n one slice at a
-    # time; their terms and order are what thh_ko_ku's labels read
+    # recorded from the slice-by-slice submodule search of T_n; the direct
+    # statement must keep its terms and their order, which thh_ko_ku's
+    # labels read
     golden = json.loads(TN_PRIME_PIN.read_text())[str(n)]
     record = presentation_record(cf.build_Tn_prime(n))
     assert record["generators"] == golden["generators"]
     assert record["relations"] == golden["relations"]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_tn_prime_is_the_submodule_of_v_multiples(n):
+    # h_w -> v g_w respects the relations and is injective in every degree,
+    # so T'_n is isomorphic to the submodule of T_n that the v g_w span
+    tn = cf.build_Tn(PrimeContext(2), n)
+    images = {cf.bprime_gid(m): ((1, 1, "T:" + w.label()),) for m, w in cf.bprime_words(n)}
+    inclusion = ModuleMap(cf.build_Tn_prime(n), tn, images, degree_shift=2)
+    assert inclusion.respects_relations()
+    assert all(inclusion.injective_at(d) for d in range(cf.tn_top_degree(2, n) + 1))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_tn_prime_matches_the_submodule_search(n):
+    tn = cf.build_Tn(PrimeContext(2), n, prefix="tmp:")
+    picked = [(cf.bprime_gid(m), ((1, 1, "tmp:" + w.label()),), f"b'{m}")
+              for m, w in cf.bprime_words(n)]
+    searched = submodule_presentation(tn, picked, cf.tn_top_degree(2, n) + 3).suspend(-2)
+    direct = cf.build_Tn_prime(n)
+    assert list(direct.generators.values()) == list(searched.generators.values())
+    assert direct.relations == searched.relations
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_tn_prime_shape(n):
+    mod = cf.build_Tn_prime(n)
+    assert len(mod.generators) == 2**n
+    assert len(mod.relations) == 3 * 2**n - 1
+    # each parent term of a rewriting strips at least a "10" off a word of
+    # length at most n + 1, and the widest relation has them all
+    assert max(len(rel.terms) for rel in mod.relations) == (n + 1) // 2 + 1

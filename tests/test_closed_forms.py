@@ -138,7 +138,9 @@ def test_torsion_block_shifts_cover_window():
 PRESENTATION_PIN = pathlib.Path(__file__).parent / "golden" / "presentations.json"
 # window edges: the windows just below and at the free chain's bottom
 # (|lambda_1|, or 5 on the ko side) and the first torsion block
-# (2 p^2 + 2(p-1), or 2^(n+3) + 4 for the ko levels n = 0 and 1)
+# (2 p^2 + 2(p-1), or 2^(n+3) + 4 for the ko levels n = 0 and 1); thh_ko
+# also at 160 and 256, past the eta tower's degree-120 defect, recorded
+# before the eta tower and thh_ko read one hidden-extension table
 KO_EDGES = [4, 5, 11, 12, 19, 20]
 PRESENTATIONS = {
     f"{name}-{tag}-w{w}{'' if reduced else '-unreduced'}": (make, w, reduced)
@@ -147,7 +149,7 @@ PRESENTATIONS = {
         ("thh_ell", "p3", lambda w, r: cf.thh_ell(PrimeContext(3), w, r), [4, 5, 21, 22, 60]),
         ("thh_ell_k1", "p3", lambda w, r: cf.thh_ell_k1(PrimeContext(3), w, r), [60]),
         ("thh_ell_HZ", "p3", lambda w, r: cf.thh_ell_HZ(PrimeContext(3), w, r), [60]),
-        ("thh_ko", "p2", lambda w, r: cf.thh_ko(w, r), KO_EDGES + [40]),
+        ("thh_ko", "p2", lambda w, r: cf.thh_ko(w, r), KO_EDGES + [40, 160, 256]),
         ("thh_ko_ku", "p2", lambda w, r: cf.thh_ko_ku(w, r), KO_EDGES + [40]),
     ]
     for w in windows for reduced in (True, False)

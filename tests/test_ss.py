@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -223,3 +224,17 @@ def test_setups_are_pinned(tower):
     # target slot are both cells, which are all the rules a setup now emits.
     golden = json.loads(SETUP_PIN.read_text())
     assert setup_record(PAGE_TOWERS[tower]()) == golden[tower]
+
+
+ETA_SETUP_HASHES = pathlib.Path(__file__).parent / "golden" / "eta-setup-sha256.json"
+
+
+@pytest.mark.parametrize("window", [64, 92, 122, 192, 256])
+def test_eta_setups_are_pinned_by_hash(window):
+    # Recorded before the eta tower read its coefficients and hidden
+    # extensions from the closed-form tables; the full records run to
+    # 120 KB at w=256, so only their digests are kept
+    blob = json.dumps(setup_record(ss.eta_tower_setup(window)),
+                      sort_keys=True, separators=(",", ":")).encode()
+    golden = json.loads(ETA_SETUP_HASHES.read_text())[str(window)]
+    assert hashlib.sha256(blob).hexdigest() == golden

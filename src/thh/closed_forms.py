@@ -394,6 +394,12 @@ def build_Fko(window: int) -> GradedModulePresentation:
     return GradedModulePresentation(ko_ring(), gens, rels, window + 1)
 
 
+def ko_hidden_extension(n: int, k: int) -> tuple[int, int, int]:
+    """(degree, i, e) for 2 * (v^k * level-n bottom dual class) = eta*u_i,
+    k <= `ttilde_top_degree(n)` / 4; on the ku side the class is v^e b'_(2^n)."""
+    return 3 * 2 ** (n + 2) + 2 + 4 * k, 3 * 2**n - 1 + k, 2 ** (n + 1) - 1 + 2 * k
+
+
 def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
     """Integral 2-local answer for ko, with the hidden multiplications by 2.
 
@@ -405,12 +411,13 @@ def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
     blocks = [build_Tnko(n).suspend(2 ** (n + 3) + 4) for n in ko_levels(window, 1)]
     merged = GradedModulePresentation.direct_sum(unit + [chain] + blocks)
     # replace the pure order relations of each main dual piece with hidden
-    # extensions: 2 * (v^k * bottom dual class) = eta*u_(3*2^n - 1 + k)
+    # extensions: 2 * (v^k * bottom dual class) = eta*u_i
     hidden = {}
     for n in ko_levels(window, 1):
         top = ttilde_top_degree(n)
-        for d in range(0, top + 1, 4):
-            hidden[f"ko{n}:main.D[{d},0]"] = f"Fko:eu{3 * 2**n - 1 + (top - d) // 4}"
+        for k in range(top // 4, -1, -1):
+            _, i, _ = ko_hidden_extension(n, k)
+            hidden[f"ko{n}:main.D[{top - 4 * k},0]"] = f"Fko:eu{i}"
     rels, orders = [], {}
     for rel in merged.relations:
         (order, e, gid), *rest = rel.terms

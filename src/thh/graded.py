@@ -165,6 +165,14 @@ class GradedModulePresentation:
             self._subquot_cache[d] = SubQuot(self.ring.p, n, None, self.slice_relation_rows(d))
         return self._subquot_cache[d]
 
+    def coordinates(self, d: int, terms) -> tuple[list[int], int]:
+        """(ints, unit): the summand coordinates of a homogeneous element in
+        `subquot_at(d)` times the least p-unit that clears their denominators
+        (on a whole slice `express` always finds them, over Z_(p))."""
+        coords = self.subquot_at(d).express(self.element_vector(d, terms))
+        unit = lcm(*(x.denominator for x in coords))
+        return [int(x * unit) for x in coords], unit
+
     def is_zero_at(self, d: int, terms) -> bool:
         return self.subquot_at(d).is_zero(self.element_vector(d, terms))
 
@@ -270,7 +278,7 @@ class GradedModulePresentation:
             src_orders = summands[d]
             if not tgt_orders:
                 continue
-            mat = v_map.summand_matrix(d)
+            mat, _ = v_map.summand_matrix(d)  # finite groups: every unit is 1
             # (m[j][k]) with p^{a_j} source orders, p^{b_k} target orders
             for k, bk in enumerate(tgt_orders):
                 terms: list[Term] = [(1, 1, f"{prefix}[{d + vd},{k}]")]
@@ -313,7 +321,7 @@ class ModuleMap:
         self.target = target
         self.images = images
         self.degree_shift = degree_shift
-        self._summand_cache: dict[int, list[list]] = {}
+        self._summand_cache: dict[int, tuple[list[list[int]], list[int]]] = {}
         for gid, terms in images.items():
             if terms:
                 want = source.generators[gid].degree + degree_shift
@@ -348,46 +356,34 @@ class ModuleMap:
                 return False
         return True
 
-    def summand_matrix(self, d: int) -> list[list]:
-        """The map from degree d to degree d + shift in summand coordinates.
-
-        Row j is `target.subquot_at(d + shift).express` of the image of the
-        generator of summand j of `source.subquot_at(d)`: ints mod the order
-        in torsion columns, p-local Fractions in free ones.  Cached per degree.
-        """
+    def summand_matrix(self, d: int) -> tuple[list[list[int]], list[int]]:
+        """(rows, units): the map from degree d to degree d + shift in summand
+        coordinates.  Row j and units[j] are the target's `coordinates` of the
+        image of summand j of `source.subquot_at(d)`, so the rows span the
+        same Z_(p)-lattice as the map.  Cached per degree."""
         if d not in self._summand_cache:
-            td = d + self.degree_shift
             src_sq = self.source.subquot_at(d)
-            tgt_sq = self.target.subquot_at(td)
             cells = self.source.slice_cells(d)
-            mat = []
+            rows, units = [], []
             for j in range(len(src_sq.summands)):
                 terms: list[Term] = []
                 for (gid, e), c in zip(cells, src_sq.generator_vector(j)):
                     if c:
                         terms.extend((c * a, ve, t) for a, ve, t in self.image_of_cell(gid, e))
-                mat.append(tgt_sq.express(self.target.element_vector(td, terms)))
-            self._summand_cache[d] = mat
+                row, unit = self.target.coordinates(d + self.degree_shift, terms)
+                rows.append(row)
+                units.append(unit)
+            self._summand_cache[d] = rows, units
         return self._summand_cache[d]
-
-    def integral_summand_matrix(self, d: int) -> tuple[list[list[int]], list[int]]:
-        """(rows, units): row j of `summand_matrix(d)` times the p-unit units[j]
-        that clears its denominators.  The rows span the same Z_(p)-lattice."""
-        rows, units = [], []
-        for row in self.summand_matrix(d):
-            u = lcm(*(x.denominator for x in row))
-            rows.append([int(x * u) for x in row])
-            units.append(u)
-        return rows, units
 
     def image_subquot(self, d: int) -> SubQuot:
         """Image of the degree-d group, (span M + L_b) / L_b in the summand
         coordinates of the target's `subquot_at(d + shift)`.
 
-        M is `integral_summand_matrix(d)` and L_b the target's order lattice;
+        M is the rows of `summand_matrix(d)` and L_b the target's order lattice;
         the map must respect relations.
         """
-        rows, _ = self.integral_summand_matrix(d)
+        rows, _ = self.summand_matrix(d)
         orders = self.target.subquot_at(d + self.degree_shift).orders
         return SubQuot(self.target.ring.p, len(orders), rows, order_rows(orders))
 

@@ -93,18 +93,8 @@ def r_truncation(p: int, n: int) -> int:
 
 
 def staircase_sum(p: int, k: int) -> int:
-    """p + p^2 + ... + p^k (0 for k = 0); `staircase` is its inverse."""
+    """p + p^2 + ... + p^k (0 for k = 0)."""
     return sum(p**j for j in range(1, k + 1))
-
-
-def staircase(p: int, e: int) -> int:
-    """Largest k >= 0 with staircase_sum(p, k) <= e."""
-    if e < 0:
-        raise ValueError("staircase needs e >= 0")
-    k = 0
-    while staircase_sum(p, k + 1) <= e:
-        k += 1
-    return k
 
 
 # -- degrees of the named classes ------------------------------------------------

@@ -35,6 +35,15 @@ The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
 are `closed_forms.chain_extension`, and those on b_m are
 `closed_forms.hidden_extension` (also what `verify.torsion_word_transport`
 checks against the torsion modules).
+
+The eta tower reads its cells and classes through
+`thh_ko_ku(window + 1).coordinates`, the coefficient of each odd chain d1
+from `closed_forms.fko_eta_missing`, the Leibniz term of each torsion d1
+from `closed_forms.hidden_extension`, and its hidden 2-extensions from
+`closed_forms.ko_hidden_extension` (also what `thh_ko` reads).  It states
+two facts of its own: the period-operator term 2 v^(t-1) b'_m of
+d1(v^t b'_m) for odd t, and the d2 shape, from v^(2j) b'_(2^n) onto the
+chain class three degrees down.
 """
 
 from dataclasses import dataclass
@@ -50,7 +59,7 @@ from ._intlin import (
     row_kernel,
     solve_in_lattice,
 )
-from .padic import PrimeContext, nu, staircase
+from .padic import PrimeContext, nu
 from . import closed_forms as cf, thc
 
 
@@ -75,9 +84,11 @@ class Rule:
 class Extension:
     """p * (lift of the class of `source`) = next layer + sum of targets.
 
-    Each target is (coefficient, slot, cell vector); the implicit "next
-    layer" term is the class of p * source in the same slot, which the
-    assembler picks up on its own.
+    Each target is (coefficient, slot, cell vector) and stands for
+    coefficient times the lift of the vector's class: with coefficient
+    u p^c, u a p-unit, that is u times p^c times the lift, so the target's
+    own extensions count.  The implicit "next layer" term is the class of
+    p * source in the same slot, which the assembler picks up on its own.
     """
 
     slot: tuple[int, int]
@@ -289,9 +300,10 @@ class SpectralSequence:
                 if u is None:
                     continue
                 for coeff, slot2, vec2 in ext.targets:
-                    sub = lift(slot2, [coeff * v for v in vec2], k - 1)
+                    c = nu(p, coeff)
+                    sub = lift(slot2, list(vec2), k - 1 + c)
                     for gen, val in sub.items():
-                        out[gen] = out.get(gen, 0) + u * val
+                        out[gen] = out.get(gen, 0) + u * (coeff // p**c) * val
             return out
 
         rows: dict[int, list[list[int]]] = {d: [] for d in ngens}
@@ -438,8 +450,9 @@ def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
 
 
 def eta_tower_setup(window: int) -> EngineSetup:
-    """eta-Bockstein over the ku-coefficient answer; cells and classes are
-    summand coordinates of `thh_ko_ku(window + 1)`."""
+    """eta-Bockstein over the ku-coefficient answer, from the tables the
+    module docstring names; cells and classes are summand coordinates of
+    `thh_ko_ku(window + 1)`."""
     p = 2
     chain_smax = 6
     smax = chain_smax + 2
@@ -455,24 +468,19 @@ def eta_tower_setup(window: int) -> EngineSetup:
 
     def element(d, terms):
         """Integral summand coordinates of a class, or None when it is zero."""
-        coords = ku.subquot_at(d).express(ku.element_vector(d, terms))
-        if coords is None:
-            raise EngineError(f"class in degree {d} is not a cycle combination")
-        den = lcm(*(c.denominator for c in coords))
-        if den % p == 0:
-            raise EngineError("class has non-local coordinates")
-        out = tuple(int(c * den) for c in coords)
-        return out if any(out) else None
+        coords, _ = ku.coordinates(d, terms)
+        return tuple(coords) if any(coords) else None
 
     rows = {deg: ku.subquot_at(deg).orders for deg in range(window + 2)}
     cells, pairs = _tower({deg: row for deg, row in rows.items() if row},
                           1, smax, window + 1 + smax)
     rules = []
-    # odd towers of the divided chain drop one step with an explicit 2-power
+    # the divided chain's odd towers drop one step, by 2 unless the eta
+    # class below is missing from the ko chain
     e = 1
     while 5 + 2 * e <= window + 1:
         deg = 5 + 2 * e
-        coeff = 2 ** (staircase(2, e) - staircase(2, e + 1) + 1)
+        coeff = 1 if cf.fko_eta_missing((e - 1) // 2) else 2
         src = free_gen(deg)
         tgt = tuple(coeff * t for t in free_gen(deg - 2))
         rules += [Rule(1, slot, src, tgt, f"d1(z{e})") for slot, _ in pairs(deg, deg - 2, 1)]
@@ -480,13 +488,14 @@ def eta_tower_setup(window: int) -> EngineSetup:
     # torsion-to-torsion differentials; each class is a period-operator
     # multiple of a torsion bottom, and the odd multiples pick up an extra
     # term by the Leibniz rule because the period operator itself drops one
-    # step with coefficient two.  Targets that vanish still enter the rule
-    # list as explicit d1 = 0 statements so the Q-linear extension cannot
-    # misassign the span of a class that mixes several summands.
+    # step with coefficient two.  Where b_m carries the hidden extension
+    # 2 b_m = 2^c v^e b_m2, d1 also has the term 2^c v^(e-1+t) b'_m2, one v
+    # lower because b'_m = v g_w.  Targets that vanish still enter the rule list as explicit d1 = 0
+    # statements so the Q-linear extension cannot misassign the span of a
+    # class that mixes several summands.
     m = 1
     while 8 * m + 4 <= window + 1:
-        kv = nu(2, m)
-        a = m >> kv
+        ext = cf.hidden_extension(2, m)
         t = 0
         while 8 * m + 4 + 2 * t <= window + 1:
             deg = 8 * m + 4 + 2 * t
@@ -496,9 +505,9 @@ def eta_tower_setup(window: int) -> EngineSetup:
             terms = []
             if t % 2 == 1:
                 terms.append((2, t - 1, cf.bprime_gid(m)))
-            if a != 1:
-                coeff = 2 ** (nu(2, a - 1) - 1)
-                terms.append((coeff, 2 ** (kv + 2) - 1 + t, cf.bprime_gid(m - 2**kv)))
+            if ext:
+                m2, e, c = ext
+                terms.append((2**c, e - 1 + t, cf.bprime_gid(m2)))
             tgt = element(deg - 2, tuple(terms)) if terms else None
             tgt = tgt or tuple([0] * len(rows[deg - 2]))
             rules += [Rule(1, slot, src, tgt, f"d1(v^{t}b'{m})")
@@ -506,7 +515,8 @@ def eta_tower_setup(window: int) -> EngineSetup:
             t += 1
         m += 1
     # two-step differentials out of the even multiples of the power-of-two
-    # levels; the odd multiples that survive the first page are permanent
+    # levels onto the chain; the odd multiples that survive the first page
+    # are permanent
     for n in cf.ko_levels(window + 1, 0):
         j = 0
         while 8 * 2**n + 4 + 4 * j <= window + 1:
@@ -514,20 +524,17 @@ def eta_tower_setup(window: int) -> EngineSetup:
             src = element(deg, ((1, 2 * j, cf.bprime_gid(2**n)),))
             if src is None:
                 break
-            ee = 2 ** (n + 2) - 2 + 2 * j
-            coeff = 2 ** (staircase(2, ee + 1) - n - 1)
-            tgt = tuple(coeff * v for v in free_gen(deg - 3))
-            rules += [Rule(2, slot, src, tgt, f"d2(v^{2*j}b'{2**n})")
+            rules += [Rule(2, slot, src, free_gen(deg - 3), f"d2(v^{2*j}b'{2**n})")
                       for slot, _ in pairs(deg, deg - 3, 2)]
             j += 1
 
     # hidden multiplications by 2 from the dual torsion bottoms onto eta classes
     exts = []
     n = 1
-    while 3 * 2 ** (n + 2) + 2 <= window:
+    while cf.ko_hidden_extension(n, 0)[0] <= window:
         for k in range(cf.ttilde_top_degree(n) // 4 + 1):
-            deg = 3 * 2 ** (n + 2) + 2 + 4 * k
-            src = element(deg, ((1, 2 ** (n + 1) - 1 + 2 * k, cf.bprime_gid(2**n)),))
+            deg, _, e = cf.ko_hidden_extension(n, k)
+            src = element(deg, ((1, e, cf.bprime_gid(2**n)),))
             if src is None:
                 raise EngineError(f"hidden extension source vanishes in degree {deg}")
             exts.append(Extension((deg, 0), src,

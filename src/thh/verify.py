@@ -183,14 +183,14 @@ def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """Kernel of the induced map on degree-d classes, K / L_a in the summand
     coordinates of the source's `subquot_at(d)`.
 
-    K is the set of x with x * M in L_b, for M the map's
-    `integral_summand_matrix(d)` and L_a, L_b the source and target order
+    K is the set of x with x * M in L_b, for M the rows of the map's
+    `summand_matrix(d)` and L_a, L_b the source and target order
     lattices; the map must respect relations.
     """
     p = mp.source.ring.p
     src = mp.source.subquot_at(d).orders
     tgt = mp.target.subquot_at(d + mp.degree_shift).orders
-    rows, units = mp.integral_summand_matrix(d)
+    rows, units = mp.summand_matrix(d)
     kernel = None  # a zero target: the whole source
     if tgt:
         # x solves for the scaled rows, so x_j * units[j] for the rows of M;
@@ -204,12 +204,12 @@ def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """Cokernel at target degree d + shift, Z^t / (L_b + span M) in the
     summand coordinates of the target's `subquot_at(d + shift)`.
 
-    M is the map's `integral_summand_matrix(d)` and L_b the target order
+    M is the rows of the map's `summand_matrix(d)` and L_b the target order
     lattice; the map must respect relations.
     """
     p = mp.target.ring.p
     tgt = mp.target.subquot_at(d + mp.degree_shift).orders
-    rows, _ = mp.integral_summand_matrix(d)
+    rows, _ = mp.summand_matrix(d)
     return SubQuot(p, len(tgt), None, order_rows(tgt) + rows)
 
 
@@ -386,9 +386,11 @@ def ko_to_ku_map(window: int) -> ModuleMap:
     """The comparison sending the real-coefficient answer into the complex one:
     the bottom free class goes to v times the bottom free class, higher
     staircase generators map across, and torsion words land on v times the
-    corresponding word classes."""
+    corresponding word classes.  The target is trusted in every degree of a
+    source relation, which the T'_n blocks put past window + 4."""
     src = cf.thh_ko_ku(window)
-    tgt = cf.thh_ell(PrimeContext(2), window + 4)
+    top = max((src.term_degree(rel.terms) for rel in src.relations), default=0)
+    tgt = cf.thh_ell(PrimeContext(2), max(window + 4, top))
     images = {}
     k = 0
     while f"F':phi{k}" in src.generators:

@@ -309,19 +309,27 @@ def test_verify_json_is_what_json_dumps_writes(p, window):
 
 
 @pytest.mark.parametrize("argv, table", [
+    # the v1 tower failed at degrees 106 and 108 until assembly lifted each
+    # extension target as p^c times the lift of its class
     (["--suite", "dueling", "--prime", "2", "--max-degree", "128"],
-     "258 checks, 2 failures\n"
-     "FAIL dueling:assembled-vs-closed @ 106: ((0, [2, 2, 4]), (0, [4, 4]))\n"
-     "FAIL dueling:assembled-vs-closed @ 108: ((0, [2, 2, 4]), (0, [4, 4]))\n"),
+     "258 checks, 0 failures\n"),
     (["--suite", "units", "--prime", "3", "--max-degree", "600"],
      "147 checks, 1 failures\n"
      "FAIL units:extension-valuation @ (2, 10): (0, 1)\n"),
 ])
 def test_verify_table_pins_known_failures(argv, table):
-    # both failures are open defects (ROADMAP item 1): the v1 tower at p=2
-    # from degree 106, and an extension-valuation claim at p=3 that the
-    # binomial does not give; a fix changes this pin knowingly
-    assert run(["verify", *argv]) == (1, table)
+    # the p=3 failure is an open defect (ROADMAP item 1): an
+    # extension-valuation claim that the binomial does not give; a fix
+    # changes this pin knowingly.  A run exits 1 exactly when a row fails.
+    code = 1 if "\nFAIL " in table else 0
+    assert run(["verify", *argv]) == (code, table)
+
+
+def test_dueling_agrees_at_p2_through_240():
+    # degrees 106 to 108 and 214 to 236 carry a target's own extension
+    code, out = run(["verify", "--suite", "dueling", "--prime", "2",
+                     "--max-degree", "240"])
+    assert (code, out) == (0, "482 checks, 0 failures\n")
 
 
 def test_cli_module_runs_from_the_source_tree():

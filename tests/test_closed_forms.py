@@ -218,3 +218,24 @@ def test_tn_prime_shape(n):
     # each parent term of a rewriting strips at least a "10" off a word of
     # length at most n + 1, and the widest relation has them all
     assert max(len(rel.terms) for rel in mod.relations) == (n + 1) // 2 + 1
+
+
+WINDOW_PAIRS = {
+    "thh_ell-p2": (lambda w: cf.thh_ell(PrimeContext(2), w), 40, 72),
+    "thh_ell-p3": (lambda w: cf.thh_ell(PrimeContext(3), w), 60, 130),
+    "thh_ell_k1-p3": (lambda w: cf.thh_ell_k1(PrimeContext(3), w), 60, 130),
+    "thh_ell_HZ-p3": (lambda w: cf.thh_ell_HZ(PrimeContext(3), w), 60, 130),
+    "thh_ko": (cf.thh_ko, 40, 76),
+    "thh_ko_ku": (cf.thh_ko_ku, 40, 76),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_PAIRS))
+def test_groups_do_not_depend_on_the_window(name):
+    # an answer built at two windows has the same group in every degree
+    # that both trust
+    make, small, large = WINDOW_PAIRS[name]
+    a, b = make(small), make(large)
+    bound = min(a.complete_below, b.complete_below)
+    assert bound == small + 1
+    assert [a.group_at(d) for d in range(bound)] == [b.group_at(d) for d in range(bound)]

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from thh.padic import (PrimeContext, TorsionWord, a_degree, all_words,
                        b_degree, binom_valuation, g_word_degree, lambda_degree,
-                       lambda_monomial, mu_degree, nu, r_truncation, staircase,
-                       x_degree, x_prime_degree)
+                       lambda_monomial, mu_degree, nu, r_truncation, x_degree,
+                       x_prime_degree)
 
 PRIMES = [2, 3, 5]
 
@@ -60,13 +60,6 @@ def test_lambda_monomial_has_lambda_degree(p, n):
     assert (e1 * lambda_degree(p, 1) + e2 * lambda_degree(p, 2)
             + i * mu_degree(p) == lambda_degree(p, n))
     assert e1 in (0, 1) and e2 in (0, 1)
-
-
-def test_staircase_is_monotone_and_p_adic():
-    for p in PRIMES:
-        vals = [staircase(p, e) for e in range(40)]
-        assert vals == sorted(vals)
-        assert vals[0] == 0
 
 
 def test_word_labels_are_distinct():

@@ -42,9 +42,10 @@ V1_PIN = pathlib.Path(__file__).parent / "golden" / "v1-tables.json"
 @pytest.mark.parametrize("p, window", [(2, 240), (3, 600)])
 def test_v1_tables_are_pinned(p, window):
     # Recorded before the tower read its rules, cells and extensions from
-    # the shared tables.  The p=2 pin keeps the open defect of ROADMAP
-    # item 1: degrees 106, 108, 214, 216, 218, 220, 234 and 236 disagree
-    # with thh_ell (a missed hidden 2-extension); a fix updates this pin.
+    # the shared tables.  The p=2 pin was re-recorded when assembly began to
+    # lift an extension target as p^c times the lift of its class: degrees
+    # 106, 108, 214, 216, 218, 220, 234 and 236 had missed the target's own
+    # hidden 2-extension, and now agree with thh_ell.
     golden = json.loads(V1_PIN.read_text())[f"p{p}-w{window}"]
     out = ss.v1_tower_setup(PrimeContext(p), window).run()
     assert {str(d): [rank, tors] for d, (rank, tors) in out.items()} == golden
@@ -172,6 +173,17 @@ def test_extension_into_a_free_slot_past_the_range_drops_the_relation():
         seq = ss.SpectralSequence(2, {(0, 0): [2], (0, 1): [order]})
         ext = ss.Extension((0, 0), (1,), ((1, (0, 1), (1,)),))
         assert seq.assemble([ext], 0, 0) == {0: (1, [])}
+
+
+def test_extension_target_carries_its_own_extension():
+    # the degree-106 shape of the v1 tower, with no tower setup: 2 x = 2 y
+    # and 2 y = (next layer) + z, so x's relation is 2 x = 2 y + z and the
+    # group is Z/4 + Z/4; lifting the target 2 y as the cell vector (2,)
+    # drops z and gives Z/2 + Z/2 + Z/4
+    seq = ss.SpectralSequence(2, {(0, 0): [2], (0, 1): [4], (0, 2): [2]})
+    exts = [ss.Extension((0, 0), (1,), ((2, (0, 1), (1,)),)),
+            ss.Extension((0, 1), (1,), ((1, (0, 2), (1,)),))]
+    assert seq.assemble(exts, 0, 2) == {0: (0, [4, 4])}
 
 
 PAGE_PIN = pathlib.Path(__file__).parent / "golden" / "ss-page-orders.json"

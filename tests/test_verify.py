@@ -113,3 +113,13 @@ def test_suite_maps_respect_relations():
             maps[f"v-{name}-p{p}"] = variable_multiplication_map(mod)
     for name, mp in maps.items():
         assert mp.respects_relations(range(window + 1)), name
+
+
+def test_ko_to_ku_map_reads_no_target_degree_past_its_bound():
+    # the T'_n blocks put source relations past window + 4 (up to degree 62
+    # at w = 36..57); each one is read in the target at its own degree
+    for window in range(65):
+        mp = verify.ko_to_ku_map(window)
+        top = max((mp.source.term_degree(rel.terms) for rel in mp.source.relations),
+                  default=0)
+        assert max(top, window) < mp.target.complete_below, window

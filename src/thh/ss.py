@@ -84,11 +84,11 @@ class Rule:
 class Extension:
     """p * (lift of the class of `source`) = next layer + sum of targets.
 
-    Each target is (coefficient, slot, cell vector) and stands for
-    coefficient times the lift of the vector's class: with coefficient
-    u p^c, u a p-unit, that is u times p^c times the lift, so the target's
-    own extensions count.  The implicit "next layer" term is the class of
-    p * source in the same slot, which the assembler picks up on its own.
+    Each target is (coefficient, slot, cell vector) and stands for the
+    coefficient u p^c (u a p-unit) times the lift of the vector's class, so
+    the target's own extensions count.  The implicit "next layer" term is
+    the class of p * source in the same slot, which the assembler picks up
+    on its own.
     """
 
     slot: tuple[int, int]

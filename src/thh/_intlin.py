@@ -34,15 +34,17 @@ a p-unit; `lattice_coordinates` answers over Q in lowest terms, so its
 coordinates are p-local exactly when p does not divide den.
 
 Each routine records only the transforms it reads (`Track`):
-`group_invariants` none, `row_kernel` the row transform P, `SubQuot` the
-column transform Q with its inverse Qinv, and `lattice_coordinates` both.
+`group_invariants` none, `SubQuot` the column transform Q with its inverse
+Qinv, and `SmithForm.kernel` and `SmithForm.coordinates` all of them;
+`row_kernel` and `lattice_coordinates` ask them of a fresh form, and a
+caller with several questions about one matrix keeps the form.
 `SubQuot(p, n, None, rels)` takes the generators to be all of Z^n; its
 echelon basis is then the standard one and every vector is its own
 coordinate vector, so it needs no `row_hermite` and no `solve_in_lattice`.
 """
 from __future__ import annotations
 
-from enum import Flag
+from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -74,18 +76,11 @@ def _combine(row: dict, u: int, w: int, other: dict) -> None:
             row.pop(j, None)
 
 
-class Track(Flag):
+class Track(IntEnum):
     """The transforms a `SmithForm` records; falsy exactly when it records none."""
     NONE = 0
-    P = 1    # the row transform P
-    Q = 2    # the column transform Q and its inverse Qinv
-    ALL = 3
-
-
-# membership in these tuples is an identity test; `Track.P in transforms`
-# runs Python code of `Flag`, on each of the many tiny Smith forms
-_WITH_P = (Track.P, Track.ALL)
-_WITH_Q = (Track.Q, Track.ALL)
+    Q = 1    # the column transform Q and its inverse Qinv
+    ALL = 2  # Q, Qinv and the row transform P
 
 
 def _p_of(prows: dict[int, dict], rid: list[int], i: int) -> dict[int, int]:
@@ -112,12 +107,9 @@ class SmithForm:
     position with `diagonal`, `p_row`, `q_column` and `qinv_row`.
 
     `transforms` names what is recorded; reading another raises ValueError.
-    When a column step scales by a unit, the full path moves the denominator
-    of each row i of Qinv into column i of Q and row i of P.  Past the rank,
-    row i of Qinv is a unit vector over the product of the unit scalings
-    applied to its column, so with P alone one integer per column tracks that
-    product, and the rows of P past the rank (the kernel rows) come out as
-    with both; the rows before the rank may then differ by a p-unit factor.
+    When a column step scales by a unit, the p-unit denominator of each row
+    i of Qinv moves into column i of Q and, when P is recorded, row i of P.
+    `kernel` and `coordinates` read P (and Q), so they need Track.ALL.
     """
 
     def __init__(self, rows: list[list[int]], ncols: int, *, p: int,
@@ -128,7 +120,7 @@ class SmithForm:
             if len(row) != n:
                 raise ValueError(f"row of length {len(row)} in a {n}-column matrix")
         self.m, self.n = m, n
-        track_p, track_q = transforms in _WITH_P, transforms in _WITH_Q
+        track_p, track_q = transforms is Track.ALL, bool(transforms)
         D = [{j: x for j, x in enumerate(row) if x} for row in rows]
         rid = list(range(m))   # the row of P that sits at each position
         col = list(range(n))   # the column id at each position
@@ -136,8 +128,6 @@ class SmithForm:
         prows: dict[int, dict] = {}   # P by starting row
         qcols: dict[int, dict] = {}   # Q by column id
         qinv: dict[int, dict] = {}    # Qinv by column id
-        # with P alone: the product of the unit scalings of each column id
-        scale: dict[int, int] | None = {} if track_p and not track_q else None
         scaled = False
 
         for t in range(min(m, n)):
@@ -173,8 +163,6 @@ class SmithForm:
                     for i in range(t + 1, m):
                         if j in D[i]:
                             D[i][j] *= u
-                    if scale is not None:
-                        scale[j] = scale.get(j, 1) * u
                 if track_q:
                     _combine(qcols.setdefault(j, {j: 1}), u, w,
                              qcols.get(c) or {c: 1})
@@ -197,12 +185,6 @@ class SmithForm:
                     qden[j] = den
                     if track_p and pos[j] < m:
                         _scale(_p_of(prows, rid, pos[j]), den)
-        elif scaled and scale is not None:
-            # past the rank, row i of Qinv would be e_k / scale[i]: the same move
-            for i, d in enumerate(self._diag):
-                s = abs(scale.get(col[i], 1))
-                if not d and s > 1:
-                    _scale(_p_of(prows, rid, i), s)
         self._rid, self._col = rid, col
         self._prows = prows if track_p else None
         self._qcols, self._qden, self._qinv = (
@@ -236,6 +218,48 @@ class SmithForm:
             raise ValueError("the column transform Q was not recorded")
         c = self._col[i]
         return self._qinv.get(c) or {c: 1}
+
+    def kernel(self) -> list[list[int]]:
+        """Z_(p)-basis of { x : x * M == 0 } as dense integer rows: the rows
+        of P past the rank."""
+        rank = sum(1 for d in self._diag if d)
+        out = []
+        for i in range(rank, self.m):
+            row = [0] * self.m
+            for j, x in self.p_row(i).items():
+                row[j] = x
+            out.append(row)
+        return out
+
+    def coordinates(self, v: list[int]) -> tuple[list[int], int] | None:
+        """Coordinates of v as a Q-combination of the rows of M.
+
+        Unlike solve_in_lattice this works with an arbitrary (possibly
+        dependent) row list and returns one coordinate per row: (nums, den)
+        in lowest terms with den > 0 and den * v == sum(nums[k] * M[k]).
+        The coordinates are p-local exactly when p does not divide den.
+        Returns None when v is not in the Q-span.
+        """
+        diag = self._diag
+        # x = (v * Q) * D^-1 * P, where coordinate i of v * Q is s / qden
+        nums, den = [0] * self.m, 1
+        for i in range(self.n):
+            col, qden = self.q_column(i)
+            s = sum(v[r] * q for r, q in col.items())
+            if not s:
+                continue
+            if i >= len(diag) or not diag[i]:
+                return None
+            t = qden * diag[i]
+            k = lcm(den, t) // den
+            den *= k
+            c = s * den // t
+            if k != 1:
+                nums = [k * x for x in nums]
+            for r, y in self.p_row(i).items():
+                nums[r] += c * y
+        g = gcd(den, *nums)
+        return [x // g for x in nums], den // g
 
 
 def _pivot(D: list[dict], t: int, pos, p: int) -> tuple[int, int] | None:
@@ -336,18 +360,7 @@ def solve_in_lattice(
 
 def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
     """Z_(p)-basis of { x : x * M == 0 } for the m-row matrix M, as integer rows."""
-    m = len(rows)
-    if m == 0:
-        return []
-    sf = SmithForm(rows, ncols, p=p, transforms=Track.P)
-    rank = sum(1 for d in sf.diagonal() if d)
-    out = []
-    for i in range(rank, m):
-        row = [0] * m
-        for j, x in sf.p_row(i).items():
-            row[j] = x
-        out.append(row)
-    return out
+    return SmithForm(rows, ncols, p=p).kernel() if rows else []
 
 
 def order_rows(orders: list[int]) -> list[list[int]]:
@@ -472,32 +485,5 @@ def lattice_coordinates(
     v: list[int],
     p: int,
 ) -> tuple[list[int], int] | None:
-    """Coordinates of v as a Q-combination of the given rows.
-
-    Unlike solve_in_lattice this works with an arbitrary (possibly dependent)
-    row list and returns one coordinate per input row: (nums, den) in lowest
-    terms with den > 0 and den * v == sum(nums[k] * rows[k]).  The coordinates
-    are p-local exactly when p does not divide den.  Returns None when v is
-    not in the Q-span.
-    """
-    sf = SmithForm(rows, ncols, p=p, transforms=Track.ALL)
-    diag = sf.diagonal()
-    # x = (v * Q) * D^-1 * P, where coordinate i of v * Q is s / qden
-    nums, den = [0] * len(rows), 1
-    for i in range(ncols):
-        col, qden = sf.q_column(i)
-        s = sum(v[r] * q for r, q in col.items())
-        if not s:
-            continue
-        if i >= len(diag) or not diag[i]:
-            return None
-        t = qden * diag[i]
-        k = lcm(den, t) // den
-        den *= k
-        c = s * den // t
-        if k != 1:
-            nums = [k * x for x in nums]
-        for r, y in sf.p_row(i).items():
-            nums[r] += c * y
-    g = gcd(den, *nums)
-    return [x // g for x in nums], den // g
+    """`SmithForm.coordinates` of v over the given rows; see there."""
+    return SmithForm(rows, ncols, p=p).coordinates(v)

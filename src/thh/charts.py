@@ -83,7 +83,7 @@ def _k1_chart(spec: ChartSpec):
     dots, lines = [], []
     seen = {}
     for d in range(spec.lo, spec.hi + 1):
-        for fam, level, m, vpow in enumerate_k1_basis(ctx, d).entries:
+        for fam, level, m, vpow in enumerate_k1_basis(ctx, d):
             dots.append((d, vpow, "tor"))
             prev = seen.get((fam, level, m, vpow - 1))
             if prev is not None:

@@ -25,9 +25,9 @@ Bockstein variable (base degree b at filtration s is slot (b + s * |v|, s)),
 and its differentials are linear over that variable, so `_tower` places a rule
 or extension stated once at its base degree wherever both its slots are cells.
 
-Every lattice and coordinate question goes to `_intlin`; in particular
-`lattice_coordinates` gives each cycle's image and each unit ratio, so this
-module runs no elimination of its own.
+Every lattice and coordinate question goes to `_intlin`: one `SmithForm`
+of a slot's rules gives their consistency kernel and each cycle's image, so
+this module runs no elimination of its own.
 
 The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
 (l1, a_i, b_i), its d_(p+...+p^n) differentials are `thc.tower_rule_set`
@@ -51,6 +51,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._intlin import (
+    SmithForm,
     SubQuot,
     group_invariants,
     lattice_coordinates,
@@ -216,7 +217,8 @@ class SpectralSequence:
                 Y.append([0] * dim_t)
         # combinations of sources that vanish must have vanishing image
         # classes, otherwise the rules are not a homomorphism
-        for lam in row_kernel(X, dim_s, p):
+        sf = SmithForm(X, dim_s, p=p)
+        for lam in sf.kernel():
             img = [sum(lam[t] * Y[t][j] for t in range(len(X)))
                    for j in range(dim_t)]
             if not sq_t.is_zero(img):
@@ -226,7 +228,7 @@ class SpectralSequence:
         # cycle's image is read off its coordinates over the rule sources
         images = []
         for z in self.Z[slot]:
-            sol = lattice_coordinates(X, dim_s, z, p)
+            sol = sf.coordinates(z)
             if sol is None:
                 raise EngineError(
                     f"page {r} at {slot}: a cycle is outside the span of the rules")
@@ -528,12 +530,15 @@ def eta_tower_setup(window: int) -> EngineSetup:
                       for slot, _ in pairs(deg, deg - 3, 2)]
             j += 1
 
-    # hidden multiplications by 2 from the dual torsion bottoms onto eta classes
+    # hidden multiplications by 2 from the dual torsion bottoms onto eta
+    # classes; the degrees grow with k, and past window + 1 no slot is a cell
     exts = []
     n = 1
     while cf.ko_hidden_extension(n, 0)[0] <= window:
         for k in range(cf.ttilde_top_degree(n) // 4 + 1):
             deg, _, e = cf.ko_hidden_extension(n, k)
+            if deg > window + 1:
+                break
             src = element(deg, ((1, e, cf.bprime_gid(2**n)),))
             if src is None:
                 raise EngineError(f"hidden extension source vanishes in degree {deg}")

@@ -49,16 +49,10 @@ def agree(name: str, index: int | tuple, lhs, rhs) -> Check:
 # -- exhaustive basis scans ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    """Every v-multiple of a named module generator found in one degree."""
-
-    degree: int
-    entries: tuple[tuple[str, int, int, int], ...]  # (family, level, m, v-power)
-
-
-def enumerate_k1_basis(ctx: PrimeContext, d: int) -> EnumerationReport:
-    """All x and x' generators times v-powers in degree d, by exhaustive scan.
+def enumerate_k1_basis(ctx: PrimeContext,
+                       d: int) -> tuple[tuple[str, int, int, int], ...]:
+    """All x and x' generators times v-powers in degree d, by exhaustive scan,
+    as sorted (family, level, m, v-power) entries.
 
     Index bounds: the level j is bounded by the generator degrees being
     monotone in j, m linearly by degree, and the v-power by the truncation
@@ -78,7 +72,7 @@ def enumerate_k1_basis(ctx: PrimeContext, d: int) -> EnumerationReport:
                         found.append((family, j, m, rem // vd))
                 m += 1
         j += 1
-    return EnumerationReport(d, tuple(sorted(found)))
+    return tuple(sorted(found))
 
 
 def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[Check]:
@@ -101,7 +95,7 @@ def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[Check]:
                     (("x", n + 2, 0, truncation(p, n)),)),
                    ("odd-free-next", 2 * p ** (n + 2) + 2 * p - 3,
                     (("x", n + 2, 0, truncation(p, n) + 1),))]
-    return [agree(name, d, expected, enumerate_k1_basis(ctx, d).entries)
+    return [agree(name, d, expected, enumerate_k1_basis(ctx, d))
             for name, d, expected in claims]
 
 
@@ -304,7 +298,7 @@ def dueling_comparison(ctx: PrimeContext, window: int) -> list[Check]:
     out = []
     for n in range(window + 1):
         out.append(agree("assembled-vs-closed", n, assembled[n], ell.group_at(n)))
-        have = len(enumerate_k1_basis(ctx, n).entries)
+        have = len(enumerate_k1_basis(ctx, n))
         out.append(agree("scan-budget", n, (have,), (_mod_p_dim(ell, n),)))
     return out
 

@@ -239,3 +239,33 @@ def test_groups_do_not_depend_on_the_window(name):
     bound = min(a.complete_below, b.complete_below)
     assert bound == small + 1
     assert [a.group_at(d) for d in range(bound)] == [b.group_at(d) for d in range(bound)]
+
+
+def _add(*groups):
+    """The group of a direct sum from its summands' (free rank, torsion)."""
+    return (sum(r for r, _ in groups), sorted(o for _, t in groups for o in t))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_suspension_shifts_the_groups(p):
+    tn = cf.build_Tn(PrimeContext(p), 3)
+    top = max(g.degree for g in tn.generators.values()) + 2 * (2 * p - 2)
+    for k in (1, 2 * p):
+        shifted = tn.suspend(k)
+        assert [shifted.group_at(d + k) for d in range(-k, top)] == [
+            tn.group_at(d) for d in range(-k, top)]
+
+
+@pytest.mark.parametrize("p, window", [(2, 160), (3, 240)])
+def test_direct_sum_adds_the_groups(p, window):
+    # thh_ell is the chain and the suspended torsion blocks side by side
+    ctx = PrimeContext(p)
+    ell = cf.thh_ell(ctx, window)
+    chain = cf._divided_chain(
+        cf.ell_ring(p), "F:phi{}", "phi{}*l1",
+        lambda k: 2 * p - 1 + 2 * (p - 1) * cf.staircase_sum(p, k), window)
+    blocks = [cf.build_Tn(ctx, n).suspend(shift)
+              for n, _, shift in cf.torsion_block_shifts(p, window)]
+    assert len(blocks) > 1
+    for d in range(window + 1):
+        assert ell.group_at(d) == _add(*(part.group_at(d) for part in [chain] + blocks))

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from thh import closed_forms as cf, ss
+from thh import _intlin, closed_forms as cf, ss
 from thh.padic import PrimeContext
 
 
@@ -163,6 +163,39 @@ def test_cycle_outside_the_rules_span_is_rejected():
     rule = ss.Rule(1, (1, 0), (1, 0), (1,), "d1(x)")
     with pytest.raises(ss.EngineError, match="outside the span"):
         seq.run([rule], 1)
+
+
+def test_slot_reduces_its_rule_matrix_once(monkeypatch):
+    # one Smith form of the rules gives the consistency kernel and the
+    # images of all three cycles of slot (1, 0)
+    seen = []
+
+    class Counting(_intlin.SmithForm):
+        def __init__(self, rows, ncols, **kw):
+            seen.append([list(r) for r in rows])
+            super().__init__(rows, ncols, **kw)
+
+    monkeypatch.setattr(_intlin, "SmithForm", Counting)
+    monkeypatch.setattr(ss, "SmithForm", Counting, raising=False)
+    seq = ss.SpectralSequence(2, {(1, 0): [0, 0, 0], (0, 1): [0, 0, 0]})
+    X = [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
+    rules = [ss.Rule(1, (1, 0), (1, 0, 0), (0, 1, 0), "d1(x0)"),
+             ss.Rule(1, (1, 0), (0, 1, 0), (0, 0, 1), "d1(x1)"),
+             ss.Rule(1, (1, 0), (1, 0, 1), (1, 1, 0), "d1(x0+x2)")]
+    seq.run(rules, 1)
+    assert seen.count(X) == 1
+    assert seq.Z[(1, 0)] == []
+    assert seq.assemble([], 1, 1) == {0: (0, []), 1: (0, [])}
+
+
+@pytest.mark.parametrize("window", [50, 56, 98, 120, 194, 248])
+def test_eta_extensions_stay_in_the_cells(window):
+    # windows where a level's first hidden extension fits but its last does not
+    setup = ss.eta_tower_setup(window)
+    assert setup.extensions
+    for ext in setup.extensions:
+        assert ext.slot in setup.ss.cells
+        assert all(slot in setup.ss.cells for _, slot, _ in ext.targets)
 
 
 def test_extension_into_a_free_slot_past_the_range_drops_the_relation():

@@ -10,9 +10,9 @@ def _clean(checks):
 
 def test_k1_enumeration_spot_values():
     ctx = PrimeContext(2)
-    assert [e[:3] for e in verify.enumerate_k1_basis(ctx, 7).entries] == [("x", 2, 0)]
-    assert verify.enumerate_k1_basis(ctx, 8).entries == ()
-    assert [e[:3] for e in verify.enumerate_k1_basis(ctx, 12).entries] == [("x'", 1, 0)]
+    assert [e[:3] for e in verify.enumerate_k1_basis(ctx, 7)] == [("x", 2, 0)]
+    assert verify.enumerate_k1_basis(ctx, 8) == ()
+    assert [e[:3] for e in verify.enumerate_k1_basis(ctx, 12)] == [("x'", 1, 0)]
 
 
 def test_k1_dimension_budget_low_degrees():
@@ -22,7 +22,7 @@ def test_k1_dimension_budget_low_degrees():
         k1 = cf.thh_ell_k1(ctx, 40)
         for d in range(40):
             rank, tors = k1.group_at(d)
-            assert len(verify.enumerate_k1_basis(ctx, d).entries) == rank + len(tors)
+            assert len(verify.enumerate_k1_basis(ctx, d)) == rank + len(tors)
 
 
 def test_lemma_suite_passes():

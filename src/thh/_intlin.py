@@ -12,17 +12,26 @@ allowed.  So one elimination step serves every routine, and it needs no gcd
   divides b over Z, and otherwise with the p-unit-scaled combination
   u * b - w * a, where a = p^e * u and b = p^e * w.
 
-The degree slices are sparse, so the elimination stores each row as a
-{column: value} dict of its nonzero entries, and a column swap moves no
-entries: it exchanges the positions of two column ids, which is all the
-tie-break reads.  `SmithForm` keeps Q as sparse columns and Qinv and P as
-sparse rows, each an implicit identity to start with: a row or column that no
-step touched is a unit vector and is not stored.  Its accessors read by
-position: `diagonal()` a list of ints, `p_row(i)` and `qinv_row(i)`
-{column: int} dicts, and `q_column(i)` a ({row: int}, den) pair with den > 0
-in lowest terms.  Callers pass dense rows in and get dense vectors back from
-`row_kernel`, `generator_vector` and the solves; only `row_hermite` hands out
-sparse rows, which `solve_in_lattice` reads.
+Every matrix passed in is a list of rows, and each row is a list of
+(column, value) pairs with nonzero values, in any column order; an empty row
+is an all-zero row and keeps its place.  Pairs rather than {column: value}
+dicts, so that a tracer counting the truthy entries of each row counts the
+nonzeros exactly, as it did for dense rows.  `sparse_rows` turns dense rows
+into this format.  Vectors stay dense: the arguments of `solve_in_lattice`,
+`SubQuot.express` and `SmithForm.coordinates`, and the results of
+`generator_vector` and `kernel`.
+
+The elimination stores each row as a {column: value} dict of its nonzero
+entries, and a column swap moves no entries: it exchanges the positions of
+two column ids, which is all the tie-break reads.  `SmithForm` also keeps,
+for each column id, the set of rows that hold it, so a step visits only
+those rows.  It keeps Q as sparse columns and Qinv and P as sparse rows, each
+an implicit identity to start with: a row or column that no step touched is a
+unit vector and is not stored.  Its accessors read by position: `diagonal()`
+a list of ints, `p_row(i)` and `qinv_row(i)` {column: int} dicts, and
+`q_column(i)` a ({row: int}, den) pair with den > 0 in lowest terms.
+`row_hermite` hands out its basis as {column: value} dicts, which
+`solve_in_lattice` reads.
 
 `SmithForm` applies the step to rows and then to columns, `row_hermite` to
 rows only, `solve_in_lattice` to back-substitution against a `row_hermite`
@@ -59,6 +68,19 @@ def _step(a: int, b: int, p: int) -> tuple[int, int]:
     return a // s, b // s
 
 
+def sparse_rows(rows: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Dense rows as (column, value) rows; an all-zero row becomes an empty row."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
+def dense_row(row: list[tuple[int, int]], n: int) -> list[int]:
+    """A (column, value) row as a dense vector of length n."""
+    out = [0] * n
+    for j, x in row:
+        out[j] = x
+    return out
+
+
 def _scale(row: dict, u: int) -> None:
     for j in row:
         row[j] *= u
@@ -83,9 +105,8 @@ class Track(IntEnum):
     ALL = 2  # Q, Qinv and the row transform P
 
 
-def _p_of(prows: dict[int, dict], rid: list[int], i: int) -> dict[int, int]:
-    """Row i of P, stored on its first touch; rid[i] is the row it started as."""
-    r = rid[i]
+def _p_of(prows: dict[int, dict], r: int) -> dict[int, int]:
+    """The row of P that started as row r, stored on its first touch."""
     row = prows.get(r)
     if row is None:
         row = prows[r] = {r: 1}
@@ -99,7 +120,12 @@ class SmithForm:
     Qinv are integer matrices and P, Q have p-unit determinants; Q holds
     p-local fractions only when some column step had to scale by a unit.
 
-    `rows` are dense; the elimination runs on sparse copies.  Columns are not
+    `rows` are (column, value) rows; a column id outside range(ncols)
+    raises ValueError, and so does a zero value that the pivot search
+    reaches.  The elimination runs on dict copies, keyed by the row each
+    started as, and keeps for each column id the set of rows holding it:
+    fill-in adds a row to a column's set and cancellation removes it.  Rows
+    are visited in position order only by the pivot search.  Columns are not
     moved: a column swap only exchanges the positions of two column ids, and
     the pivot tie-break reads those positions.  Q is kept as sparse columns
     and Qinv and P as sparse rows, each keyed by the column or row it started
@@ -112,16 +138,25 @@ class SmithForm:
     `kernel` and `coordinates` read P (and Q), so they need Track.ALL.
     """
 
-    def __init__(self, rows: list[list[int]], ncols: int, *, p: int,
+    def __init__(self, rows: list[list[tuple[int, int]]], ncols: int, *, p: int,
                  transforms: Track = Track.ALL):
         m = len(rows)
         n = ncols
-        for row in rows:
-            if len(row) != n:
-                raise ValueError(f"row of length {len(row)} in a {n}-column matrix")
         self.m, self.n = m, n
         track_p, track_q = transforms is Track.ALL, bool(transforms)
-        D = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        R = []          # the rows by the row each started as
+        holders: dict[int, set[int]] = {}   # the rows holding each column id
+        for r, pairs in enumerate(rows):
+            row = dict(pairs)
+            R.append(row)
+            for j in row:
+                if j in holders:
+                    holders[j].add(r)
+                else:
+                    holders[j] = {r}
+        if holders and (min(holders) < 0 or max(holders) >= n):
+            raise ValueError(f"column id outside range({n})")
+        D = R[:]               # the rows by position
         rid = list(range(m))   # the row of P that sits at each position
         col = list(range(n))   # the column id at each position
         pos = col[:]           # the position of each column id
@@ -143,26 +178,43 @@ class SmithForm:
                 ct = col[t]
                 col[t], col[k] = c, ct
                 pos[c], pos[ct] = t, k
-            top = D[t]
+            top, rt = D[t], rid[t]
             a = top[c]
-            ptop = _p_of(prows, rid, t) if track_p else None
-            for i in range(t + 1, m):
-                b = D[i].get(c)
-                if b:
-                    u, w = _step(a, b, p)
-                    _combine(D[i], u, w, top)
-                    if track_p:
-                        _combine(_p_of(prows, rid, i), u, w, ptop)
+            rest = [(j, y) for j, y in top.items() if j != c]
+            ptop = _p_of(prows, rt) if track_p else None
+            # rows above t hold only their pivot columns, so the rows holding
+            # c other than the top all sit below it
+            below = holders.pop(c)
+            below.discard(rt)
+            for r in below:
+                row = R[r]
+                u, w = _step(a, row.pop(c), p)
+                if u != 1:
+                    _scale(row, u)
+                for j, y in rest:
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = -w * y
+                        holders[j].add(r)
+                    elif x := x - w * y:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        holders[j].discard(r)
+                if track_p:
+                    _combine(_p_of(prows, r), u, w, ptop)
             # column c of D is now zero off the pivot, so the column step
             # col_j <- u col_j - w col_c only clears D[t][j] and scales the
             # rest of column j by u; Qinv takes the inverse row step
-            for j in [j for j in top if j != c]:
-                u, w = _step(a, top.pop(j), p)
+            for j, y in rest:
+                u, w = _step(a, y, p)
+                del top[j]
+                below = holders[j]
+                below.discard(rt)
                 if u != 1:
                     scaled = True
-                    for i in range(t + 1, m):
-                        if j in D[i]:
-                            D[i][j] *= u
+                    for r in below:
+                        R[r][j] *= u
                 if track_q:
                     _combine(qcols.setdefault(j, {j: 1}), u, w,
                              qcols.get(c) or {c: 1})
@@ -184,7 +236,7 @@ class SmithForm:
                 if den > 1:
                     qden[j] = den
                     if track_p and pos[j] < m:
-                        _scale(_p_of(prows, rid, pos[j]), den)
+                        _scale(_p_of(prows, rid[pos[j]]), den)
         self._rid, self._col = rid, col
         self._prows = prows if track_p else None
         self._qcols, self._qden, self._qinv = (
@@ -283,6 +335,8 @@ def _pivot(D: list[dict], t: int, pos, p: int) -> tuple[int, int] | None:
                 e = 0
             elif at is not None and e0 == 0:
                 continue
+            elif not v:  # the valuation loop below would never end
+                raise ValueError("a (column, value) row holds a zero value")
             else:
                 e, q = 1, v // p
                 while q % p == 0:
@@ -296,14 +350,18 @@ def _pivot(D: list[dict], t: int, pos, p: int) -> tuple[int, int] | None:
     return at
 
 
-def row_hermite(rows: list[list[int]], ncols: int,
+def row_hermite(rows: list[list[tuple[int, int]]], ncols: int,
                 p: int) -> tuple[list[dict[int, int]], list[int]]:
     """Echelon Z_(p)-basis of the row span, with pivots in increasing columns.
 
     Returns (basis_rows, pivot_columns); each basis row is a {column: value}
-    dict of its nonzero entries, all at or after its pivot column.
+    dict of its nonzero entries, all at or after its pivot column.  A column
+    id outside range(ncols) raises ValueError, and so does a zero value that
+    the pivot search reaches.
     """
-    work = [r for r in ({j: x for j, x in enumerate(row) if x} for row in rows) if r]
+    work = [dict(row) for row in rows if row]
+    if work and (min(map(min, work)) < 0 or max(map(max, work)) >= ncols):
+        raise ValueError(f"column id outside range({ncols})")
     basis: list[dict[int, int]] = []
     pivots: list[int] = []
     while work:
@@ -358,15 +416,15 @@ def solve_in_lattice(
     return nums, den
 
 
-def row_kernel(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """Z_(p)-basis of { x : x * M == 0 } for the m-row matrix M, as integer rows."""
+def row_kernel(rows: list[list[tuple[int, int]]], ncols: int,
+               p: int) -> list[list[int]]:
+    """Z_(p)-basis of { x : x * M == 0 } for the m-row matrix M, as dense integer rows."""
     return SmithForm(rows, ncols, p=p).kernel() if rows else []
 
 
-def order_rows(orders: list[int]) -> list[list[int]]:
+def order_rows(orders: list[int]) -> list[list[tuple[int, int]]]:
     """The relation rows o * e_k of Z^t, one per torsion order o = orders[k]."""
-    return [[o if i == k else 0 for i in range(len(orders))]
-            for k, o in enumerate(orders) if o]
+    return [[(k, o)] for k, o in enumerate(orders) if o]
 
 
 class SubQuot:
@@ -376,11 +434,11 @@ class SubQuot:
     arbitrary lattice vectors can be expressed in summand coordinates.
     gen_rows=None means the generators are all of Z^n; `basis` is then None,
     standing for the standard basis.  Otherwise `basis` and `pivots` are the
-    `row_hermite` echelon basis, with sparse rows.
+    `row_hermite` echelon basis, with {column: value} dict rows.
     """
 
-    def __init__(self, p: int, n: int, gen_rows: list[list[int]] | None,
-                 rel_rows: list[list[int]]):
+    def __init__(self, p: int, n: int, gen_rows: list[list[tuple[int, int]]] | None,
+                 rel_rows: list[list[tuple[int, int]]]):
         self.p = p
         self.n = n
         if gen_rows is None:
@@ -393,13 +451,14 @@ class SubQuot:
             k = len(self.basis)
             rel_coords = []
             for row in rel_rows:
-                sol = solve_in_lattice(self.basis, self.pivots, row, p)
+                sol = solve_in_lattice(self.basis, self.pivots, dense_row(row, n), p)
                 if sol is None:
                     raise ArithmeticError("relation row escapes its own lattice")
                 # a p-unit multiple of the row spans the same Z_(p)-line
                 nums, den = sol
                 g = gcd(den, *nums)
                 rel_coords.append([x // g for x in nums])
+            rel_coords = sparse_rows(rel_coords)
         # quotient Z^k / span(rel_coords); Smith over the relation matrix
         sf = SmithForm(rel_coords, k, p=p, transforms=Track.Q) if k else None
         diag = sf.diagonal() if k else []
@@ -467,9 +526,10 @@ class SubQuot:
         return all(not x for x in e)
 
 
-def group_invariants(rel_rows: list[list[int]], n: int, p: int) -> tuple[int, list[int]]:
+def group_invariants(rel_rows: list[list[tuple[int, int]]], n: int,
+                     p: int) -> tuple[int, list[int]]:
     """(free rank, sorted p-local torsion orders) of Z^n / rowspan(rel_rows)."""
-    rows = [r for r in rel_rows if any(r)]
+    rows = [r for r in rel_rows if r]
     if not rows:
         return n, []
     sf = SmithForm(rows, n, p=p, transforms=Track.NONE)
@@ -480,7 +540,7 @@ def group_invariants(rel_rows: list[list[int]], n: int, p: int) -> tuple[int, li
 
 
 def lattice_coordinates(
-    rows: list[list[int]],
+    rows: list[list[tuple[int, int]]],
     ncols: int,
     v: list[int],
     p: int,

@@ -86,10 +86,35 @@ def group_records(p: int, target: str, coefficients: str, degrees,
     return records
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items as a JSON list laid out as json.dumps(indent=2) lays it
+    out, `indent` being the list's own indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(indent + "  " + x for x in items) + "\n" + indent + "]"
+
+
+def _group_json(r: dict, indent: str) -> str:
+    """One group record as json.dumps(indent=2) lays it out, `indent` being
+    the record's own indent."""
+    enc = json.encoder.encode_basestring_ascii
+    at = indent + "  "
+    gens = [f'{{\n{at}    "label": {enc(g["label"])},\n'
+            f'{at}    "order": {g["order"]}\n{at}  }}' for g in r["generators"]]
+    return (f'{{\n{at}"prime": {r["prime"]},\n{at}"target": {enc(r["target"])},\n'
+            f'{at}"coefficients": {enc(r["coefficients"])},\n{at}"degree": {r["degree"]},\n'
+            f'{at}"free_rank": {r["free_rank"]},\n'
+            f'{at}"torsion": {_json_list(list(map(str, r["torsion"])), at)},\n'
+            f'{at}"generators": {_json_list(gens, at)}\n{indent}}}')
+
+
 def _format_group(records: list[dict], fmt: str) -> str:
     if fmt == "json":
-        payload = records[0] if len(records) == 1 else records
-        return json.dumps(payload, indent=2) + "\n"
+        # the records have one fixed shape, written here directly in the
+        # bytes of json.dumps(payload, indent=2), as `_format_verify` does
+        if len(records) == 1:
+            return _group_json(records[0], "") + "\n"
+        return _json_list([_group_json(r, "  ") for r in records], "") + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -159,14 +184,6 @@ def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]
     if suite in ("units", "all"):
         take(thc.unit_check_suite(ctx, window), "units")
     return rows
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """Encoded items as a JSON list laid out as json.dumps(indent=2) lays it
-    out, `indent` being the list's own indent."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(indent + "  " + x for x in items) + "\n" + indent + "]"
 
 
 def _format_verify(rows: list[verify.Check], fmt: str) -> str:

@@ -4,8 +4,11 @@ A presentation stores finitely many generators (each in a single degree) and
 relation rows whose terms are (coefficient, v-exponent, generator).  Per-degree
 abelian groups come out of Smith normal form on the degree slice, using every
 v-power multiple of every relation that lands in the slice, with invariant
-factors reduced to their p-parts.  Relations are indexed by their degree mod
-|v|, so a slice reads only the relations whose v-multiples can land in it.
+factors reduced to their p-parts.  Generators and relations are indexed by
+their degree mod |v|, so a slice reads only the generators and relations whose
+v-multiples can land in it.  A slice's relation rows are `_intlin` rows of
+(column, value) pairs, built straight from each relation's terms merged by
+(generator, v-exponent).
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from ._intlin import (SubQuot, group_invariants, order_rows, row_hermite,
-                      row_kernel, solve_in_lattice)
+                      row_kernel, solve_in_lattice, sparse_rows)
 from .padic import nu
 
 
@@ -62,13 +65,18 @@ class GradedModulePresentation:
                  relations: list[Relation], complete_below: int | None = None):
         self.ring = ring
         self.generators: dict[str, Generator] = {}
+        # generators by degree mod |v|, in insertion order
+        self._generators_by_residue: dict[int, list[Generator]] = {}
         for g in generators:
             if g.gid in self.generators:
                 raise ValueError(f"duplicate generator id {g.gid}")
             self.generators[g.gid] = g
+            self._generators_by_residue.setdefault(g.degree % ring.v_degree, []).append(g)
         self.relations: list[Relation] = []
-        # (base degree, relation) by base degree mod |v|, in insertion order
-        self._relations_by_residue: dict[int, list[tuple[int, Relation]]] = {}
+        # (base degree, merged terms) of each relation whose merged terms do
+        # not all cancel, by base degree mod |v|, in insertion order; each
+        # merged term is (generator, v-exponent, nonzero coefficient)
+        self._relations_by_residue: dict[int, list[tuple[int, list[tuple[str, int, int]]]]] = {}
         self.complete_below = complete_below
         self._slice_cache: dict[int, tuple[list[tuple[str, int]], dict[tuple[str, int], int]]] = {}
         self._subquot_cache: dict[int, SubQuot] = {}
@@ -91,8 +99,14 @@ class GradedModulePresentation:
         if len(degs) != 1:
             raise ValueError(f"inhomogeneous relation: degrees {sorted(degs)} in {rel.terms}")
         self.relations.append(rel)
-        base = degs.pop()
-        self._relations_by_residue.setdefault(base % self.ring.v_degree, []).append((base, rel))
+        merged: dict[tuple[str, int], int] = {}
+        for coeff, v_exp, gid in rel.terms:
+            merged[gid, v_exp] = merged.get((gid, v_exp), 0) + coeff
+        terms = [(gid, v_exp, c) for (gid, v_exp), c in merged.items() if c]
+        if terms:
+            base = degs.pop()
+            self._relations_by_residue.setdefault(
+                base % self.ring.v_degree, []).append((base, terms))
         # the groups of every degree the relation reaches change
         self._group_cache.clear()
         self._subquot_cache.clear()
@@ -112,29 +126,24 @@ class GradedModulePresentation:
     def _slice(self, d: int):
         if d not in self._slice_cache:
             vd = self.ring.v_degree
-            cells = []
-            for g in self.generators.values():
-                rem = d - g.degree
-                if rem >= 0 and rem % vd == 0:
-                    cells.append((g.gid, rem // vd))
+            cells = [(g.gid, (d - g.degree) // vd)
+                     for g in self._generators_by_residue.get(d % vd, ())
+                     if g.degree <= d]
             index = {c: i for i, c in enumerate(cells)}
             self._slice_cache[d] = (cells, index)
         return self._slice_cache[d]
 
-    def slice_relation_rows(self, d: int) -> list[list[int]]:
-        """Every v-power multiple of every relation that lands in degree d."""
-        cells, index = self._slice(d)
+    def slice_relation_rows(self, d: int) -> list[list[tuple[int, int]]]:
+        """Every v-power multiple of every relation that lands in degree d, as
+        (column, value) rows over `slice_cells(d)`; a relation whose terms
+        cancel gives no row."""
+        _, index = self._slice(d)
         vd = self.ring.v_degree
         rows = []
-        for base, rel in self._relations_by_residue.get(d % vd, ()):
-            if base > d:
-                continue
-            shift = (d - base) // vd
-            row = [0] * len(cells)
-            for coeff, v_exp, gid in rel.terms:
-                row[index[(gid, v_exp + shift)]] += coeff
-            if any(row):
-                rows.append(row)
+        for base, terms in self._relations_by_residue.get(d % vd, ()):
+            if base <= d:
+                shift = (d - base) // vd
+                rows.append([(index[gid, e + shift], c) for gid, e, c in terms])
         return rows
 
     def element_vector(self, d: int, terms) -> list[int]:
@@ -342,12 +351,12 @@ class ModuleMap:
 
     def respects_relations(self, degrees=None) -> bool:
         """Check the images of all source relations vanish in the target."""
-        for base, rel in (pair for group in self.source._relations_by_residue.values()
-                          for pair in group):
+        for base, terms in (pair for group in self.source._relations_by_residue.values()
+                            for pair in group):
             if degrees is not None and base not in degrees:
                 continue
             img: list[Term] = []
-            for coeff, v_exp, gid in rel.terms:
+            for gid, v_exp, coeff in terms:
                 img.extend((coeff * c, v_exp + ve, t) for c, ve, t in self.images.get(gid, ()))
             if not img:
                 continue
@@ -385,7 +394,8 @@ class ModuleMap:
         """
         rows, _ = self.summand_matrix(d)
         orders = self.target.subquot_at(d + self.degree_shift).orders
-        return SubQuot(self.target.ring.p, len(orders), rows, order_rows(orders))
+        return SubQuot(self.target.ring.p, len(orders), sparse_rows(rows),
+                       order_rows(orders))
 
     def injective_at(self, d: int) -> bool:
         src_sq = self.source.subquot_at(d)
@@ -433,7 +443,7 @@ def submodule_presentation(module: GradedModulePresentation,
         mat = inclusion.matrix(d)
         tgt_rows = module.slice_relation_rows(d)
         n_tgt = len(module.slice_cells(d))
-        stacked = mat + tgt_rows
+        stacked = sparse_rows(mat) + tgt_rows
         kernel = row_kernel(stacked, n_tgt, ring.p)
         n_src = len(cells)
         have = row_hermite(sub.slice_relation_rows(d), n_src, ring.p)
@@ -449,9 +459,6 @@ def submodule_presentation(module: GradedModulePresentation,
             sub.add_relation(Relation(terms))
             # the new relation's degree-d slice row is `row`, so the old
             # basis plus `row` spans the lattice of the whole new slice
-            basis = [[0] * n_src for _ in have[0]]
-            for dense, b in zip(basis, have[0]):
-                for j, x in b.items():
-                    dense[j] = x
-            have = row_hermite(basis + [row], n_src, ring.p)
+            have = row_hermite([list(b.items()) for b in have[0]] + sparse_rows([row]),
+                               n_src, ring.p)
     return sub

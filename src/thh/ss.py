@@ -1,9 +1,10 @@
 """Multiplicative Bockstein spectral sequence engine.
 
 Pages are stored as integer lattices per bidegree slot: Z (cycles) and B
-(boundaries) inside the ambient slot group.  The zero lattice L = B + the
-ambient order rows always lies inside Z, so each slot's page is Z / L and
-its cached `SubQuot` answers every question a page turn asks: a vector is a
+(boundaries), both as `_intlin` rows of (column, value) pairs, inside the
+ambient slot group.  The zero lattice L = B + the ambient order rows always
+lies inside Z, so each slot's page is Z / L and its cached `SubQuot`
+answers every question a page turn asks: a vector is a
 cycle when `express` finds coordinates, and a zero class when they all
 vanish.  Differentials are supplied as explicit rules d_r(source vector) =
 target vector; a page turn applies all same-page rules simultaneously,
@@ -26,8 +27,9 @@ and its differentials are linear over that variable, so `_tower` places a rule
 or extension stated once at its base degree wherever both its slots are cells.
 
 Every lattice and coordinate question goes to `_intlin`: one `SmithForm`
-of a slot's rules gives their consistency kernel and each cycle's image, so
-this module runs no elimination of its own.
+of a slot's rules gives their consistency kernel and each cycle's image, and
+in `assemble` one per extension source gives every unit ratio asked of it,
+so this module runs no elimination of its own.
 
 The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
 (l1, a_i, b_i), its d_(p+...+p^n) differentials are `thc.tower_rule_set`
@@ -53,12 +55,13 @@ from math import gcd, lcm
 from ._intlin import (
     SmithForm,
     SubQuot,
+    dense_row,
     group_invariants,
-    lattice_coordinates,
     order_rows,
     row_hermite,
     row_kernel,
     solve_in_lattice,
+    sparse_rows,
 )
 from .padic import PrimeContext, nu
 from . import closed_forms as cf, thc
@@ -103,18 +106,13 @@ class SpectralSequence:
     def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
         self.p = p
         self.cells = cells
-        self.Z = {slot: [self._unit(len(cs), i) for i in range(len(cs))]
+        self.Z = {slot: [[(i, 1)] for i in range(len(cs))]
                   for slot, cs in cells.items()}
         self.B = {slot: [] for slot in cells}
         self._sq_cache: dict[tuple[int, int], SubQuot] = {}
 
-    @staticmethod
-    def _unit(n: int, i: int) -> list[int]:
-        row = [0] * n
-        row[i] = 1
-        return row
-
-    def zero_rows(self, slot) -> list[list[int]]:
+    def zero_rows(self, slot) -> list[list[tuple[int, int]]]:
+        """The boundaries and ambient order rows of a slot, as `_intlin` rows."""
         return self.B[slot] + order_rows(self.cells[slot])
 
     def subquot(self, slot) -> SubQuot:
@@ -149,15 +147,16 @@ class SpectralSequence:
         # pre-turn pages for the audit below
         for src, new_z, tgt, images, _ in updates:
             self.Z[src] = new_z
-            self.B[tgt] = self.B[tgt] + [list(y) for y in images]
+            self.B[tgt] = self.B[tgt] + sparse_rows(images)
             self._sq_cache.pop(src, None)
             self._sq_cache.pop(tgt, None)
         # the zero lattice must stay inside the cycles: a boundary that the
         # same page maps to a nonzero class means d o d != 0
         for src, *_ in updates:
-            cycles = row_hermite(self.Z[src], len(self.cells[src]), self.p)
+            n = len(self.cells[src])
+            cycles = row_hermite(self.Z[src], n, self.p)
             for row in self.zero_rows(src):
-                if any(row) and solve_in_lattice(*cycles, row, self.p) is None:
+                if row and solve_in_lattice(*cycles, dense_row(row, n), self.p) is None:
                     raise EngineError(
                         f"page {r}: a boundary at {src} is not a cycle (d o d != 0)")
         sources = {u[0] for u in updates}
@@ -211,8 +210,9 @@ class SpectralSequence:
         # differential must send it into the target's zero lattice; its rows
         # join the rules with zero image and can force values on directions
         # no rule names
+        X = sparse_rows(X)
         for row in self.zero_rows(slot):
-            if any(row):
+            if row:
                 X.append(row)
                 Y.append([0] * dim_t)
         # combinations of sources that vanish must have vanishing image
@@ -227,7 +227,8 @@ class SpectralSequence:
         # the differential is the Q-linear extension of the rules: each
         # cycle's image is read off its coordinates over the rule sources
         images = []
-        for z in self.Z[slot]:
+        cycles = [dense_row(z, dim_s) for z in self.Z[slot]]
+        for z in cycles:
             sol = sf.coordinates(z)
             if sol is None:
                 raise EngineError(
@@ -242,15 +243,15 @@ class SpectralSequence:
         # new cycles: z with image zero modulo the target's zero lattice
         den = lcm(*(d for _, d in images))
         w_rows = [[v * (den // d) for v in img] for img, d in images]
-        scaled_lt = [[den * v for v in row] for row in self.zero_rows(tgt_slot)]
+        scaled_lt = [[(j, den * v) for j, v in row] for row in self.zero_rows(tgt_slot)]
         new_z = []
-        for row in row_kernel(w_rows + scaled_lt, dim_t, p):
+        for row in row_kernel(sparse_rows(w_rows) + scaled_lt, dim_t, p):
             mu = row[:len(images)]
             if any(mu):
-                vec = [sum(mu[i] * self.Z[slot][i][j] for i in range(len(mu)))
+                vec = [sum(mu[i] * cycles[i][j] for i in range(len(mu)))
                        for j in range(dim_s)]
                 new_z.append(vec)
-        return slot, new_z, tgt_slot, Y, (sq_s, sq_t)
+        return slot, sparse_rows(new_z), tgt_slot, Y, (sq_s, sq_t)
 
     # -- assembly -----------------------------------------------------------
 
@@ -270,6 +271,8 @@ class SpectralSequence:
         sqs: dict[tuple[int, int], SubQuot] = {}
         column: dict[tuple[tuple[int, int], int], int] = {}
         ngens = dict.fromkeys(range(hi + 1), 0)
+        # the Smith form of each extension source over its slot's zero rows
+        forms: dict[tuple[tuple[int, int], tuple[int, ...]], SmithForm] = {}
         for slot in sorted(self.cells):
             d, s = slot
             if not (d <= hi and s <= smax):
@@ -298,7 +301,11 @@ class SpectralSequence:
                 return to_y(slot, vec)
             out = lift(slot, [p * v for v in vec], k - 1)
             for ext in exts.get(slot, []):
-                u = self._class_unit_ratio(slot, vec, list(ext.source))
+                key = (slot, ext.source)
+                if key not in forms:
+                    forms[key] = SmithForm(sparse_rows([ext.source]) + self.zero_rows(slot),
+                                           len(self.cells[slot]), p=p)
+                u = self._class_unit_ratio(forms[key], vec)
                 if u is None:
                     continue
                 for coeff, slot2, vec2 in ext.targets:
@@ -327,17 +334,15 @@ class SpectralSequence:
                 den = lcm(*(val.denominator for val in terms.values()))
                 if den % p == 0:
                     raise EngineError(f"assembly: non-local relation at {slot}")
-                row = [0] * ngens[d]
-                for gen, val in terms.items():
-                    row[column[gen]] = int(val * den)
-                rows[d].append(row)
+                rows[d].append([(column[gen], int(val * den))
+                                for gen, val in terms.items() if val])
         return {d: group_invariants(rows[d], ngens[d], p) for d in ngens}
 
-    def _class_unit_ratio(self, slot, veca, vecb):
-        """A p-adic unit u with [veca] = u * [vecb], or None."""
+    def _class_unit_ratio(self, sf: SmithForm, veca):
+        """A p-adic unit u with [veca] = u * [vecb], or None, for `sf` the
+        Smith form of vecb over the zero rows of the slot."""
         p = self.p
-        sol = lattice_coordinates([vecb] + self.zero_rows(slot),
-                                  len(self.cells[slot]), veca, p)
+        sol = sf.coordinates(veca)
         if sol is None or sol[1] % p == 0 or sol[0][0] % p == 0:
             return None
         return Fraction(sol[0][0], sol[1])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ._intlin import SubQuot, order_rows, row_kernel
+from ._intlin import SubQuot, order_rows, row_kernel, sparse_rows
 from . import closed_forms as cf
 from .graded import (GradedModulePresentation, ModuleMap,
                      variable_multiplication_map)
@@ -189,8 +189,8 @@ def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     if tgt:
         # x solves for the scaled rows, so x_j * units[j] for the rows of M;
         # zip keeps the first len(src) coordinates, dropping those of L_b
-        kernel = [[x * u for x, u in zip(k, units)]
-                  for k in row_kernel(rows + order_rows(tgt), len(tgt), p)]
+        kernel = sparse_rows([[x * u for x, u in zip(k, units)] for k in
+                              row_kernel(sparse_rows(rows) + order_rows(tgt), len(tgt), p)])
     return SubQuot(p, len(src), kernel, order_rows(src))
 
 
@@ -204,7 +204,7 @@ def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     p = mp.target.ring.p
     tgt = mp.target.subquot_at(d + mp.degree_shift).orders
     rows, _ = mp.summand_matrix(d)
-    return SubQuot(p, len(tgt), None, order_rows(tgt) + rows)
+    return SubQuot(p, len(tgt), None, order_rows(tgt) + sparse_rows(rows))
 
 
 def _group_data(sq: SubQuot) -> tuple[int, int]:

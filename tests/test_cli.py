@@ -346,3 +346,39 @@ def test_cli_module_runs_from_the_source_tree():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("0 failures")
+
+
+@pytest.mark.parametrize("p, target, coefficients", [
+    (p, "ell", c) for p in (2, 3) for c in cli._ELL_COEFFS] + [
+    (2, "ko", c) for c in cli._KO_COEFFS])
+def test_group_json_is_what_json_dumps_writes(p, target, coefficients):
+    window = 24 if p == 2 else 60
+    for reduced in (False, True):
+        records = cli.group_records(p, target, coefficients, range(window + 1), reduced)
+        for payload in (records, records[window // 2]):
+            recs = payload if isinstance(payload, list) else [payload]
+            assert (cli._format_group(recs, "json")
+                    == json.dumps(payload, indent=2) + "\n")
+    made_up = [{"prime": 2, "target": "ell", "coefficients": "ell", "degree": d,
+                "free_rank": d, "torsion": [2] * d,
+                "generators": [{"label": lbl, "order": 2} for lbl in labels]}
+               for d, labels in enumerate([[], ['"q"', "a\\b"], ["η v^2", "é\ttab"]])]
+    for payload in (made_up, made_up[1]):
+        recs = payload if isinstance(payload, list) else [payload]
+        assert cli._format_group(recs, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "group --prime 2 --max-degree 512 --format json",
+    "group --target ko --max-degree 256 --format json",
+])
+def test_group_json_past_the_bench_windows_is_pinned(argv):
+    # recorded before the kernel took (column, value) rows; these windows
+    # are past the benchmark goldens' w <= 259
+    import hashlib
+    import pathlib
+    pins = json.loads((pathlib.Path(__file__).parent / "golden"
+                       / "group-sha256.json").read_text())
+    code, out = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pins[argv]

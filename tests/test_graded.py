@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from thh._intlin import SubQuot, row_kernel
+from thh._intlin import SubQuot, dense_row, row_kernel, sparse_rows
 from thh.closed_forms import thh_ell, thh_ell_k1, thh_ko, thh_ko_eta_map
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
                         Relation, RingSpec, submodule_presentation,
@@ -14,6 +14,8 @@ from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
 from thh.padic import PrimeContext
 from thh.verify import (cokernel_subquot, eta_square_map, kernel_subquot,
                         ko_to_ku_map)
+
+from test_closed_forms import PRESENTATIONS
 
 R2 = RingSpec(2, 2)
 R3 = RingSpec(3, 4)
@@ -187,7 +189,7 @@ def express_table(module, window):
         n = len(module.slice_cells(d))
         if not n:
             continue
-        rels = module.slice_relation_rows(d)
+        rels = [dense_row(r, n) for r in module.slice_relation_rows(d)]
         vecs = [[int(i == j) for j in range(n)] for i in range(n)]
         vecs += rels + [[sum(c) for c in zip(*rels)] if rels else [0] * n]
         sq = module.subquot_at(d)
@@ -225,7 +227,8 @@ def cell_image_subquot(mp, d):
                 for t, m in enumerate(mat[i]):
                     row[t] += c * m
         gen_rows.append(row)
-    return SubQuot(mp.target.ring.p, n_tgt, gen_rows, mp.target.slice_relation_rows(td))
+    return SubQuot(mp.target.ring.p, n_tgt, sparse_rows(gen_rows),
+                   mp.target.slice_relation_rows(td))
 
 
 def cell_kernel_subquot(mp, d):
@@ -236,7 +239,8 @@ def cell_kernel_subquot(mp, d):
     tgt_rels = mp.target.slice_relation_rows(d + mp.degree_shift)
     n_tgt = len(mp.target.slice_cells(d + mp.degree_shift))
     rows = (None if n_tgt == 0 else
-            [k[:n_src] for k in row_kernel(mat + tgt_rels, n_tgt, p)])
+            sparse_rows([k[:n_src] for k in
+                         row_kernel(sparse_rows(mat) + tgt_rels, n_tgt, p)]))
     return SubQuot(p, n_src, rows, mp.source.slice_relation_rows(d))
 
 
@@ -244,7 +248,7 @@ def cell_cokernel_subquot(mp, d):
     """The cokernel at degree d + shift as a quotient of the whole target slice."""
     td = d + mp.degree_shift
     return SubQuot(mp.target.ring.p, len(mp.target.slice_cells(td)), None,
-                   mp.target.slice_relation_rows(td) + mp.matrix(d))
+                   mp.target.slice_relation_rows(td) + sparse_rows(mp.matrix(d)))
 
 
 def assert_map_groups_match_cells(mp, degrees):
@@ -346,3 +350,70 @@ def test_random_map_groups_match_slice_cells(mp):
     # respects relations
     assume(mp.respects_relations())
     assert_map_groups_match_cells(mp, range(12))
+
+
+# -- slice rows against the dense builder they replace --------------------------
+
+
+def dense_slice(module, d):
+    """(cells, relation rows) of the degree-d slice as dense lists: cells by
+    a scan of every generator, rows by adding each term's coefficient into a
+    zero row and dropping the rows that vanish.  The builder the kernel took
+    before it took (column, value) rows, read from public attributes."""
+    vd = module.ring.v_degree
+    cells = []
+    for g in module.generators.values():
+        rem = d - g.degree
+        if rem >= 0 and rem % vd == 0:
+            cells.append((g.gid, rem // vd))
+    index = {c: i for i, c in enumerate(cells)}
+    rows = []
+    for rel in module.relations:
+        base = module.term_degree(rel.terms)
+        if base > d or (d - base) % vd:
+            continue
+        shift = (d - base) // vd
+        row = [0] * len(cells)
+        for coeff, v_exp, gid in rel.terms:
+            row[index[(gid, v_exp + shift)]] += coeff
+        if any(row):
+            rows.append(row)
+    return cells, rows
+
+
+def assert_slices_match_dense_builder(module, degrees):
+    for d in degrees:
+        cells, rows = dense_slice(module, d)
+        assert module.slice_cells(d) == cells, d
+        got = module.slice_relation_rows(d)
+        for row in got:
+            cols = [j for j, _ in row]
+            assert len(set(cols)) == len(cols) and all(x for _, x in row), d
+        assert [dense_row(r, len(cells)) for r in got] == rows, d
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATIONS) + ["thh_ell-p2-w256", "thh_ko-w164"])
+def test_slice_rows_match_the_dense_builder(name):
+    if name == "thh_ell-p2-w256":
+        module, w = thh_ell(PrimeContext(2), 256), 256
+    elif name == "thh_ko-w164":
+        module, w = thh_ko(164), 164
+    else:
+        make, w, reduced = PRESENTATIONS[name]
+        module = make(w, reduced)
+    assert_slices_match_dense_builder(module, range(w + 1))
+
+
+def test_slice_rows_merge_repeated_terms_and_drop_cancelled_ones():
+    gens = [Generator("a", 0), Generator("b", 2), Generator("c", 2)]
+    rels = [Relation(((3, 1, "a"), (2, 0, "b"), (5, 1, "a"))),   # 8 v a + 2 b
+            Relation(((1, 0, "c"), (-1, 0, "c"))),                # cancels
+            Relation(((2, 1, "a"), (1, 0, "c"), (-2, 1, "a"))),   # c
+            Relation(((4, 0, "a"),))]
+    m = GradedModulePresentation(R2, gens, rels)
+    # the relations are kept as given; only the slice rows merge their terms
+    assert m.relations == rels
+    assert m.slice_relation_rows(2) == [[(0, 8), (1, 2)], [(2, 1)], [(0, 4)]]
+    assert m.slice_relation_rows(4) == [[(0, 8), (1, 2)], [(2, 1)], [(0, 4)]]
+    assert_slices_match_dense_builder(m, range(7))
+    assert m.group_at(2) == (0, [2, 4])

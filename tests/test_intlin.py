@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from thh import _intlin
 from thh._intlin import (SmithForm, SubQuot, Track, group_invariants,
                          lattice_coordinates, row_hermite, row_kernel,
-                         solve_in_lattice)
+                         solve_in_lattice, sparse_rows)
 from thh.padic import nu
 
 PRIMES = (2, 3, 5)
@@ -109,7 +109,7 @@ def det(mat):
 def test_smith_form_diagonalizes(case):
     p, rows = case
     m, n = len(rows), len(rows[0])
-    sf = SmithForm(rows, n, p=p)
+    sf = SmithForm(sparse_rows(rows), n, p=p)
     D, P, Q, Qinv = dense_transforms(sf, rows, n)
     assert all(type(x) is int for mat in (P, Qinv) for row in mat for x in row)
     # P * A * Q equals the recorded diagonal matrix D
@@ -135,7 +135,7 @@ def test_smith_form_p_parts_match_sympy():
     @given(p_matrices())
     def check(case):
         p, rows = case
-        sf = SmithForm(rows, len(rows[0]), p=p, transforms=Track.NONE)
+        sf = SmithForm(sparse_rows(rows), len(rows[0]), p=p, transforms=Track.NONE)
         ours = sorted(p ** nu(p, d) for d in sf.diagonal() if d)
         theirs = sorted(p ** nu(p, int(d)) for d in
                         normalforms.invariant_factors(Matrix(rows), domain=ZZ)
@@ -150,7 +150,7 @@ def test_smith_form_p_parts_match_sympy():
 def test_row_hermite_spans_the_rows(case):
     p, rows = case
     n = len(rows[0])
-    basis, pivots = row_hermite(rows, n, p)
+    basis, pivots = row_hermite(sparse_rows(rows), n, p)
     assert pivots == sorted(set(pivots))
     for row, j in zip(basis, pivots):
         row = dense_row(row, n)
@@ -164,13 +164,14 @@ def test_row_hermite_spans_the_rows(case):
 def test_row_kernel_annihilates(case):
     p, rows = case
     n = len(rows[0])
-    ker = row_kernel(rows, n, p)
+    ker = row_kernel(sparse_rows(rows), n, p)
     # kernel of the transpose action: combinations of rows that vanish
     for comb in ker:
         for j in range(n):
             assert sum(c * rows[i][j] for i, c in enumerate(comb)) == 0
     # and it spans the rational kernel: its size is the row nullity
-    rank = sum(1 for d in SmithForm(rows, n, p=p, transforms=Track.NONE).diagonal() if d)
+    rank = sum(1 for d in SmithForm(sparse_rows(rows), n, p=p,
+                                    transforms=Track.NONE).diagonal() if d)
     assert len(ker) == len(rows) - rank
 
 
@@ -183,15 +184,15 @@ def test_row_kernel_annihilates(case):
 def test_transform_subsets_match_the_full_path(case):
     p, rows = case
     n = len(rows[0])
-    sf = SmithForm(rows, n, p=p, transforms=Track.ALL)
+    sf = SmithForm(sparse_rows(rows), n, p=p, transforms=Track.ALL)
     D, P, Q, Qinv = dense_transforms(sf, rows, n)
     rank = sum(1 for i in range(min(len(rows), n)) if D[i][i])
-    assert row_kernel(rows, n, p) == sf.kernel() == P[rank:]
-    q_only = dense_transforms(SmithForm(rows, n, p=p, transforms=Track.Q),
+    assert row_kernel(sparse_rows(rows), n, p) == sf.kernel() == P[rank:]
+    q_only = dense_transforms(SmithForm(sparse_rows(rows), n, p=p, transforms=Track.Q),
                               rows, n, Track.Q)
     assert (q_only[0], q_only[2], q_only[3]) == (D, Q, Qinv)
     assert q_only[1] is None
-    none = dense_transforms(SmithForm(rows, n, p=p, transforms=Track.NONE),
+    none = dense_transforms(SmithForm(sparse_rows(rows), n, p=p, transforms=Track.NONE),
                             rows, n, Track.NONE)
     assert none[0] == D and none[1] is none[2] is none[3] is None
 
@@ -199,10 +200,10 @@ def test_transform_subsets_match_the_full_path(case):
 def test_row_kernel_pinned_scaled_steps():
     # the pivot 10 = 2 * 5 clears 18 with 5 * 18 - 9 * 10, so column 1 and
     # with it the kernel row past the rank carry the unit 5
-    assert row_kernel([[10, 18], [20, 36]], 2, 2) == [[-10, 5]]
+    assert row_kernel(sparse_rows([[10, 18], [20, 36]]), 2, 2) == [[-10, 5]]
     # the unit 3 of column 2 moves to column 1 with a swap, so the kernel
     # row past the rank stays unscaled
-    assert row_kernel([[2, 0, 0], [0, 0, 0], [3, 0, 4]], 3, 2) == [[0, 1, 0]]
+    assert row_kernel(sparse_rows([[2, 0, 0], [0, 0, 0], [3, 0, 4]]), 3, 2) == [[0, 1, 0]]
     # bench/spans.py tells invariants-only Smith forms apart by truthiness
     assert not Track.NONE and Track.Q and Track.ALL
 
@@ -218,8 +219,8 @@ def test_row_kernel_pinned_scaled_steps():
 def test_whole_lattice_subquot_matches_identity_generators(case, data):
     p, rows = case
     n = len(rows[0])
-    whole = SubQuot(p, n, None, rows)
-    ident = SubQuot(p, n, eye(n), rows)
+    whole = SubQuot(p, n, None, sparse_rows(rows))
+    ident = SubQuot(p, n, sparse_rows(eye(n)), sparse_rows(rows))
     assert whole.basis is None
     assert whole.summands == ident.summands
     orders = whole.orders
@@ -237,14 +238,14 @@ def test_whole_lattice_subquot_matches_identity_generators(case, data):
 
 def test_group_invariants_known_examples():
     # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3
-    assert group_invariants([[2, 0], [0, 3]], 2, 2) == (0, [2])
-    assert group_invariants([[2, 0], [0, 3]], 2, 3) == (0, [3])
+    assert group_invariants(sparse_rows([[2, 0], [0, 3]]), 2, 2) == (0, [2])
+    assert group_invariants(sparse_rows([[2, 0], [0, 3]]), 2, 3) == (0, [3])
     # Z^2 / <(2,2)> = Z + Z/2 at p=2
-    assert group_invariants([[2, 2]], 2, 2) == (1, [2])
+    assert group_invariants(sparse_rows([[2, 2]]), 2, 2) == (1, [2])
     # no relations: free
     assert group_invariants([], 3, 2) == (3, [])
     # the pivot 10 divides 18 over Z_(2) but not over Z: Z/2 + Z/4
-    assert group_invariants([[12, 0], [18, 10]], 2, 2) == (0, [2, 4])
+    assert group_invariants(sparse_rows([[12, 0], [18, 10]]), 2, 2) == (0, [2, 4])
 
 
 @settings(max_examples=40)
@@ -253,8 +254,8 @@ def test_subquot_orders_match_group_invariants(case):
     p, rows = case
     n = len(rows[0])
     gens = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    sq = SubQuot(p, n, gens, rows)
-    rank, torsion = group_invariants(rows, n, p)
+    sq = SubQuot(p, n, sparse_rows(gens), sparse_rows(rows))
+    rank, torsion = group_invariants(sparse_rows(rows), n, p)
     assert sq.free_rank() == rank
     assert sorted(sq.torsion()) == sorted(torsion)
 
@@ -267,7 +268,7 @@ def test_subquot_orders_match_group_invariants(case):
 @example((3, [[1, 0], [0, 1], [6, 15]]), 2)
 def test_subquot_express_round_trip(case, k):
     p, rows = case
-    sq = SubQuot(p, len(rows[0]), rows[:k], rows[k:])
+    sq = SubQuot(p, len(rows[0]), sparse_rows(rows[:k]), sparse_rows(rows[k:]))
     orders = sq.orders
     for i in range(len(orders)):
         vec = sq.generator_vector(i)
@@ -318,14 +319,14 @@ def test_solve_in_lattice_matches_fraction_reference(case, data):
     # over the lattice p * rows, the rows and their combinations mostly need
     # a p in the denominator
     for lattice in (rows, [[p * x for x in r] for r in rows]):
-        basis, pivots = row_hermite(lattice, n, p)
+        basis, pivots = row_hermite(sparse_rows(lattice), n, p)
         for v in [*(dense_row(r, n) for r in basis), *rows, member, off]:
             check_solve(basis, pivots, v, p)
 
 
 def test_solve_in_lattice_pinned():
     # negative non-unit pivot -6 = 2 * (-3): the unit -3 is made positive
-    basis, pivots = row_hermite([[-6, 12]], 2, 2)
+    basis, pivots = row_hermite(sparse_rows([[-6, 12]]), 2, 2)
     assert solve_in_lattice(basis, pivots, [-2, 4], 2) == ([1], 3)
     check_solve(basis, pivots, [-2, 4], 2)
     # half the row needs a 2 in the denominator; [1, 1] is off the line
@@ -337,7 +338,7 @@ def test_solve_in_lattice_pinned():
 def lattice_coordinates_reference(rows, ncols, v, p):
     """Coordinates of v over the given rows through SmithForm, as Fractions over Q."""
     m = len(rows)
-    sf = SmithForm(rows, ncols, p=p)
+    sf = SmithForm(sparse_rows(rows), ncols, p=p)
     diag = sf.diagonal()
     _, P, Q, _ = dense_transforms(sf, rows, ncols)
     vq = [sum(v[j] * Q[j][i] for j in range(ncols)) for i in range(ncols)]
@@ -361,10 +362,10 @@ def test_lattice_coordinates_match_fraction_reference(case, off):
     p, rows = case
     n = len(rows[0])
     for lattice in (rows, [[p * x for x in r] for r in rows]):
-        sf = SmithForm(lattice, n, p=p)
+        sf = SmithForm(sparse_rows(lattice), n, p=p)
         for v in [*rows, [sum(col) for col in zip(*rows)], off[:n]]:
             want = lattice_coordinates_reference(lattice, n, v, p)
-            got = lattice_coordinates(lattice, n, v, p)
+            got = lattice_coordinates(sparse_rows(lattice), n, v, p)
             assert got == sf.coordinates(v)
             if want is None:
                 assert got is None
@@ -377,7 +378,7 @@ def test_lattice_coordinates_match_fraction_reference(case, off):
                     sum(c * r[j] for c, r in zip(nums, lattice)) for j in range(n)]
     assert lattice_coordinates([], n, [0] * n, p) == ([], 1)
     assert lattice_coordinates([], n, [1] * n, p) is None
-    assert lattice_coordinates([[10, 18]], 2, [5, 9], 2) == ([1], 2)
+    assert lattice_coordinates(sparse_rows([[10, 18]]), 2, [5, 9], 2) == ([1], 2)
 
 
 @pytest.mark.parametrize("p, gens, rels", [
@@ -393,7 +394,7 @@ def test_subquot_relation_coordinates_pinned(p, gens, rels):
         return SmithForm(rows, ncols, **kw)
 
     with mock.patch.object(_intlin, "SmithForm", smith):
-        sq = SubQuot(p, len(gens[0]), gens, rels)
+        sq = SubQuot(p, len(gens[0]), sparse_rows(gens), sparse_rows(rels))
     # the relation coordinates are the lcm-of-denominators scaling of the
     # p-local coordinates
     want = []
@@ -402,7 +403,7 @@ def test_subquot_relation_coordinates_pinned(p, gens, rels):
         coords = solve_reference(basis, sq.pivots, row, p)
         den = lcm(*[c.denominator for c in coords])
         want.append([int(c * den) for c in coords])
-    assert seen == [want]
+    assert seen == [sparse_rows(want)]
     assert max(solve_in_lattice(sq.basis, sq.pivots, row, p)[1]
                for row in rels) > 1
 
@@ -580,8 +581,24 @@ def shaped_matrices():
             min_size=s[1], max_size=s[1]), st.just(s[2])))
 
 
-@settings(max_examples=200)
-@given(shaped_matrices(), st.lists(entries(5), min_size=5, max_size=5))
+def sparse_shaped_matrices():
+    """(p, dense rows, ncols) up to 24 x 16 with at most 3 nonzeros a row,
+    each a signed p-unit times p^0, p^1 or p^2, so that elimination fills
+    rows in, cancels entries and brings rows back into a column."""
+    def build(p, m, n):
+        entry = st.builds(lambda s, u, k: s * u * p**k, st.sampled_from((1, -1)),
+                          st.sampled_from(UNITS[p]), st.integers(0, 2))
+        row = st.dictionaries(st.integers(0, n - 1), entry, max_size=3).map(
+            lambda d: [d.get(j, 0) for j in range(n)])
+        return st.tuples(st.just(p), st.lists(row, min_size=m, max_size=m), st.just(n))
+
+    return st.tuples(st.sampled_from(PRIMES), st.integers(0, 24),
+                     st.integers(1, 16)).flatmap(lambda s: build(*s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(shaped_matrices(), sparse_shaped_matrices()),
+       st.lists(entries(5), min_size=16, max_size=16))
 # the pivot 3 sits in column 2, so columns 0 and 2 swap; it then clears the
 # 2 of column 1 with 3 * 2 - 2 * 3, which scales column 1 by the unit 3
 @example((2, [[0, 2, 3], [0, 5, 7]], 3), [1, 1, 0, 0, 0])
@@ -591,22 +608,36 @@ def test_sparse_kernel_matches_dense_oracle(case, off):
     p, rows, n = case
     for track in Track:
         want = DenseSmithForm(rows, n, p=p, transforms=track)
-        got = SmithForm(rows, n, p=p, transforms=track)
+        got = SmithForm(sparse_rows(rows), n, p=p, transforms=track)
         assert got.diagonal() == want.diagonal()
         _, P, Q, Qinv = dense_transforms(got, rows, n, track)
         assert (P, Q, Qinv) == (want.P, want.Q, want.Qinv)
     vecs = [*rows, [sum(c) for c in zip(*rows)] or [0] * n, off[:n]]
     for lattice in (rows, [[p * x for x in r] for r in rows]):
-        sf = SmithForm(lattice, n, p=p)
-        basis, pivots = row_hermite(lattice, n, p)
+        sf = SmithForm(sparse_rows(lattice), n, p=p)
+        basis, pivots = row_hermite(sparse_rows(lattice), n, p)
         want_basis, want_pivots = dense_row_hermite(lattice, n, p)
         assert pivots == want_pivots
         assert [dense_row(r, n) for r in basis] == want_basis
         for v in [*want_basis, *vecs]:
             assert (solve_in_lattice(basis, pivots, v, p)
                     == dense_solve_in_lattice(want_basis, want_pivots, v, p))
-            assert (lattice_coordinates(lattice, n, v, p)
+            assert (lattice_coordinates(sparse_rows(lattice), n, v, p)
                     == sf.coordinates(v)
                     == dense_lattice_coordinates(lattice, n, v, p))
-        assert (row_kernel(lattice, n, p) == sf.kernel()
+        assert (row_kernel(sparse_rows(lattice), n, p) == sf.kernel()
                 == dense_row_kernel(lattice, n, p))
+
+
+@pytest.mark.parametrize("pair, match", [((-1, 1), "outside range"),
+                                         ((3, 1), "outside range"),
+                                         # the valuation loop of the pivot
+                                         # search never ends on a zero
+                                         ((1, 0), "zero value")])
+def test_malformed_rows_are_rejected(pair, match):
+    rows = [[(0, 2)], [pair, (2, 2)]]
+    for track in Track:
+        with pytest.raises(ValueError, match=match):
+            SmithForm(rows, 3, p=2, transforms=track)
+    with pytest.raises(ValueError, match=match):
+        row_hermite(rows, 3, 2)

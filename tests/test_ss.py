@@ -178,7 +178,7 @@ def test_slot_reduces_its_rule_matrix_once(monkeypatch):
     monkeypatch.setattr(_intlin, "SmithForm", Counting)
     monkeypatch.setattr(ss, "SmithForm", Counting, raising=False)
     seq = ss.SpectralSequence(2, {(1, 0): [0, 0, 0], (0, 1): [0, 0, 0]})
-    X = [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
+    X = _intlin.sparse_rows([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
     rules = [ss.Rule(1, (1, 0), (1, 0, 0), (0, 1, 0), "d1(x0)"),
              ss.Rule(1, (1, 0), (0, 1, 0), (0, 0, 1), "d1(x1)"),
              ss.Rule(1, (1, 0), (1, 0, 1), (1, 1, 0), "d1(x0+x2)")]
@@ -186,6 +186,29 @@ def test_slot_reduces_its_rule_matrix_once(monkeypatch):
     assert seen.count(X) == 1
     assert seq.Z[(1, 0)] == []
     assert seq.assemble([], 1, 1) == {0: (0, []), 1: (0, [])}
+
+
+def test_assembly_builds_one_form_per_extension_source(monkeypatch):
+    # lifting x of order 8 asks the unit ratio of x, 2x and 4x against the
+    # source x: one Smith form per (slot, source) serves all three, and the
+    # same source in another slot gets its own form
+    built, asked = [], []
+
+    class Counting(_intlin.SmithForm):
+        def __init__(self, rows, ncols, **kw):
+            built.append([list(r) for r in rows])
+            super().__init__(rows, ncols, **kw)
+
+    ratio = ss.SpectralSequence._class_unit_ratio
+    monkeypatch.setattr(ss, "SmithForm", Counting)
+    monkeypatch.setattr(ss.SpectralSequence, "_class_unit_ratio",
+                        lambda self, sf, vec: asked.append(sf) or ratio(self, sf, vec))
+    seq = ss.SpectralSequence(2, {(0, 0): [8], (0, 1): [16], (1, 0): [8], (1, 1): [16]})
+    exts = [ss.Extension((d, 0), (1,), ((1, (d, 1), (1,)),)) for d in (0, 1)]
+    # 2 x = y, so 8 x = 4 y beside 16 y = 0 in each degree
+    assert seq.assemble(exts, 1, 1) == {0: (0, [4, 32]), 1: (0, [4, 32])}
+    assert built == [[[(0, 1)], [(0, 8)]]] * 2
+    assert len(asked) == 6 and len({id(sf) for sf in asked}) == 2
 
 
 @pytest.mark.parametrize("window", [50, 56, 98, 120, 194, 248])

@@ -125,7 +125,9 @@ class SmithForm:
     reaches.  The elimination runs on dict copies, keyed by the row each
     started as, and keeps for each column id the set of rows holding it:
     fill-in adds a row to a column's set and cancellation removes it.  Rows
-    are visited in position order only by the pivot search.  Columns are not
+    are visited in position order only by the pivot search, which keeps a
+    position-ordered list of the non-empty rows not yet pivoted and
+    drops a row from it when the row cancels to empty.  Columns are not
     moved: a column swap only exchanges the positions of two column ids, and
     the pivot tie-break reads those positions.  Q is kept as sparse columns
     and Qinv and P as sparse rows, each keyed by the column or row it started
@@ -156,8 +158,11 @@ class SmithForm:
                     holders[j] = {r}
         if holders and (min(holders) < 0 or max(holders) >= n):
             raise ValueError(f"column id outside range({n})")
-        D = R[:]               # the rows by position
         rid = list(range(m))   # the row of P that sits at each position
+        where = rid[:]         # the position of each row
+        # the non-empty rows at position t and after, by position: the
+        # pivot search reads only these
+        live = [r for r in rid if R[r]]
         col = list(range(n))   # the column id at each position
         pos = col[:]           # the position of each column id
         prows: dict[int, dict] = {}   # P by starting row
@@ -166,19 +171,31 @@ class SmithForm:
         scaled = False
 
         for t in range(min(m, n)):
-            piv = _pivot(D, t, pos, p)
+            piv = _pivot(R, live, pos, p)
             if piv is None:
                 break
-            pi, c = piv
-            if pi != t:
-                D[t], D[pi] = D[pi], D[t]
-                rid[t], rid[pi] = rid[pi], rid[t]
+            i, c = piv
+            rt = live[i]  # the pivot row
+            pi = where[rt]
+            if pi == t:
+                del live[0]
+            else:
+                # the row at t, which heads `live` when it is not empty,
+                # takes the pivot row's place
+                r0 = rid[t]
+                if R[r0]:
+                    live[i] = r0
+                    del live[0]
+                else:
+                    del live[i]
+                rid[t], rid[pi] = rt, r0
+                where[rt], where[r0] = t, pi
             k = pos[c]
             if k != t:
                 ct = col[t]
                 col[t], col[k] = c, ct
                 pos[c], pos[ct] = t, k
-            top, rt = D[t], rid[t]
+            top = R[rt]
             a = top[c]
             rest = [(j, y) for j, y in top.items() if j != c]
             ptop = _p_of(prows, rt) if track_p else None
@@ -186,6 +203,7 @@ class SmithForm:
             # c other than the top all sit below it
             below = holders.pop(c)
             below.discard(rt)
+            emptied = False
             for r in below:
                 row = R[r]
                 u, w = _step(a, row.pop(c), p)
@@ -201,8 +219,12 @@ class SmithForm:
                     else:
                         del row[j]
                         holders[j].discard(r)
+                if not row:
+                    emptied = True
                 if track_p:
                     _combine(_p_of(prows, r), u, w, ptop)
+            if emptied:
+                live = [r for r in live if R[r]]
             # column c of D is now zero off the pivot, so the column step
             # col_j <- u col_j - w col_c only clears D[t][j] and scales the
             # rest of column j by u; Qinv takes the inverse row step
@@ -224,7 +246,7 @@ class SmithForm:
                     if u != 1:
                         for r in rj:
                             rj[r] = Fraction(rj[r]) / u
-        self._diag = [D[i].get(col[i], 0) for i in range(min(m, n))]
+        self._diag = [R[rid[i]].get(col[i], 0) for i in range(min(m, n))]
         qden: dict[int, int] = {}
         if scaled and track_q:
             # move the p-unit denominator of each row i of Qinv into column i
@@ -314,17 +336,18 @@ class SmithForm:
         return [x // g for x in nums], den // g
 
 
-def _pivot(D: list[dict], t: int, pos, p: int) -> tuple[int, int] | None:
-    """(row, column id) of the pivot among the rows D[t:]; None if all vanish.
+def _pivot(rows: list[dict], order, pos, p: int) -> tuple[int, int] | None:
+    """(k, column id) of the pivot among the rows rows[order[k]]; None if
+    they all vanish.
 
     Least p-valuation, then smallest |entry|, then the first entry in
-    row-major order of the current column order, pos[c] giving the position
-    of column id c.
+    row-major order of `order` and the current column order, pos[c] giving
+    the position of column id c.
     """
     at = None
-    for i in range(t, len(D)):
+    for i, r in enumerate(order):
         one = None  # the first +-1 of this row: no entry can beat it
-        for c, v in D[i].items():
+        for c, v in rows[r].items():
             if v == 1 or v == -1:
                 if one is None or pos[c] < pos[one]:
                     one = c
@@ -368,7 +391,8 @@ def row_hermite(rows: list[list[tuple[int, int]]], ncols: int,
         j = min(map(min, work))
         active = [r for r in work if j in r]
         # the pivot rule, on column j alone
-        lead = active[_pivot([{j: r[j]} for r in active], 0, {j: 0}, p)[0]]
+        lead = active[_pivot([{j: r[j]} for r in active], range(len(active)),
+                             {j: 0}, p)[0]]
         for r in active:
             if r is not lead:
                 u, w = _step(lead[j], r[j], p)

@@ -9,9 +9,18 @@ their degree mod |v|, so a slice reads only the generators and relations whose
 v-multiples can land in it.  A slice's relation rows are `_intlin` rows of
 (column, value) pairs, built straight from each relation's terms merged by
 (generator, v-exponent).
+
+Between two step degrees of a residue (generator degrees, and the bases of
+relations that keep a term) the slice repeats every |v| degrees: the same
+generators, the same relations, and each row's columns name generators, not
+v-exponents.  So the slice shape (d mod |v|, number of steps at or below d)
+determines the relation matrix, and the reductions of a slice are cached by
+its shape: a module that is finitely generated over Z_(p)[v] has finitely
+many shapes, however many degrees are asked.
 """
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -59,6 +68,12 @@ class GradedModulePresentation:
     every degree.  `suspend` shifts the bound and `direct_sum` takes the
     least bound among the parts that have one.  The bound is recorded but
     not yet enforced: `group_at` and `subquot_at` answer past it.
+
+    `group_at` and `subquot_at` cache by `slice_shape`, so degrees of one
+    shape share one reduction; `slice_cells` stays per degree, since its
+    v-exponents label the summands.  `add_relation` inserts its base into
+    the steps of its residue, which renames the shapes from there on, and
+    drops both caches.
     """
 
     def __init__(self, ring: RingSpec, generators: list[Generator],
@@ -67,11 +82,16 @@ class GradedModulePresentation:
         self.generators: dict[str, Generator] = {}
         # generators by degree mod |v|, in insertion order
         self._generators_by_residue: dict[int, list[Generator]] = {}
+        # the sorted step degrees of each residue mod |v|: generator degrees
+        # and the bases of relations that keep a term
+        self._steps: dict[int, list[int]] = {}
         for g in generators:
             if g.gid in self.generators:
                 raise ValueError(f"duplicate generator id {g.gid}")
             self.generators[g.gid] = g
-            self._generators_by_residue.setdefault(g.degree % ring.v_degree, []).append(g)
+            r = g.degree % ring.v_degree
+            self._generators_by_residue.setdefault(r, []).append(g)
+            insort(self._steps.setdefault(r, []), g.degree)
         self.relations: list[Relation] = []
         # (base degree, merged terms) of each relation whose merged terms do
         # not all cancel, by base degree mod |v|, in insertion order; each
@@ -79,8 +99,9 @@ class GradedModulePresentation:
         self._relations_by_residue: dict[int, list[tuple[int, list[tuple[str, int, int]]]]] = {}
         self.complete_below = complete_below
         self._slice_cache: dict[int, tuple[list[tuple[str, int]], dict[tuple[str, int], int]]] = {}
-        self._subquot_cache: dict[int, SubQuot] = {}
-        self._group_cache: dict[int, tuple[int, list[int]]] = {}
+        # keyed by `slice_shape`
+        self._subquot_cache: dict[tuple[int, int], SubQuot] = {}
+        self._group_cache: dict[tuple[int, int], tuple[int, list[int]]] = {}
         for rel in relations:
             self.add_relation(rel)
 
@@ -105,9 +126,11 @@ class GradedModulePresentation:
         terms = [(gid, v_exp, c) for (gid, v_exp), c in merged.items() if c]
         if terms:
             base = degs.pop()
-            self._relations_by_residue.setdefault(
-                base % self.ring.v_degree, []).append((base, terms))
-        # the groups of every degree the relation reaches change
+            r = base % self.ring.v_degree
+            self._relations_by_residue.setdefault(r, []).append((base, terms))
+            insort(self._steps.setdefault(r, []), base)
+        # the groups of every degree the relation reaches change, and the
+        # shapes from its base on now name other slices
         self._group_cache.clear()
         self._subquot_cache.clear()
 
@@ -118,6 +141,16 @@ class GradedModulePresentation:
         return degs.pop()
 
     # -- degree slices -----------------------------------------------------
+
+    def slice_shape(self, d: int) -> tuple[int, int]:
+        """(d mod |v|, the number of that residue's step degrees at or below d).
+
+        Two degrees of one shape read the same generators and the same
+        relations, and each relation row's columns name its generators, so
+        their slices have the same relation matrix; only the v-exponents of
+        `slice_cells` differ."""
+        r = d % self.ring.v_degree
+        return r, bisect_right(self._steps.get(r, ()), d)
 
     def slice_cells(self, d: int) -> list[tuple[str, int]]:
         """The (generator, v-exponent) cells spanning the degree-d slice of the free cover."""
@@ -160,19 +193,32 @@ class GradedModulePresentation:
     # -- groups ------------------------------------------------------------
 
     def group_at(self, d: int) -> tuple[int, list[int]]:
-        """(free rank, sorted p-local torsion orders) of the degree-d group."""
-        if d not in self._group_cache:
-            cells = self.slice_cells(d)
-            rows = self.slice_relation_rows(d)
-            self._group_cache[d] = group_invariants(rows, len(cells), self.ring.p)
-        return self._group_cache[d]
+        """(free rank, sorted p-local torsion orders) of the degree-d group.
+
+        Cached by `slice_shape`; read off a cached `subquot_at` of the same
+        shape when there is one (its diagonal gives the same invariants)."""
+        shape = self.slice_shape(d)
+        got = self._group_cache.get(shape)
+        if got is None:
+            sq = self._subquot_cache.get(shape)
+            if sq is not None:
+                got = sq.free_rank(), sq.torsion()
+            else:
+                got = group_invariants(self.slice_relation_rows(d),
+                                       len(self.slice_cells(d)), self.ring.p)
+            self._group_cache[shape] = got
+        return got
 
     def subquot_at(self, d: int) -> SubQuot:
-        """Summand-level structure of the degree-d group, with generator vectors."""
-        if d not in self._subquot_cache:
+        """Summand-level structure of the degree-d group, with generator
+        vectors over `slice_cells(d)`; cached by `slice_shape`."""
+        shape = self.slice_shape(d)
+        sq = self._subquot_cache.get(shape)
+        if sq is None:
             n = len(self.slice_cells(d))
-            self._subquot_cache[d] = SubQuot(self.ring.p, n, None, self.slice_relation_rows(d))
-        return self._subquot_cache[d]
+            sq = self._subquot_cache[shape] = SubQuot(self.ring.p, n, None,
+                                                      self.slice_relation_rows(d))
+        return sq
 
     def coordinates(self, d: int, terms) -> tuple[list[int], int]:
         """(ints, unit): the summand coordinates of a homogeneous element in
@@ -321,7 +367,9 @@ class ModuleMap:
     the whole degree slice.  That reading is a map of groups only when the
     map respects relations (`respects_relations`): the images of the source
     relations must vanish in the target.  `GradedModulePresentation.dual`
-    reads the same matrix for the map v.
+    reads the same matrix for the map v.  The matrix is cached by slice
+    shapes, so neither presentation may gain relations once the map has
+    answered.
     """
 
     def __init__(self, source: GradedModulePresentation, target: GradedModulePresentation,
@@ -330,7 +378,9 @@ class ModuleMap:
         self.target = target
         self.images = images
         self.degree_shift = degree_shift
-        self._summand_cache: dict[int, tuple[list[list[int]], list[int]]] = {}
+        # keyed by the (source, target) `slice_shape` pair
+        self._summand_cache: dict[tuple[tuple[int, int], tuple[int, int]],
+                                  tuple[list[list[int]], list[int]]] = {}
         for gid, terms in images.items():
             if terms:
                 want = source.generators[gid].degree + degree_shift
@@ -369,8 +419,15 @@ class ModuleMap:
         """(rows, units): the map from degree d to degree d + shift in summand
         coordinates.  Row j and units[j] are the target's `coordinates` of the
         image of summand j of `source.subquot_at(d)`, so the rows span the
-        same Z_(p)-lattice as the map.  Cached per degree."""
-        if d not in self._summand_cache:
+        same Z_(p)-lattice as the map.
+
+        Cached by the source's `slice_shape(d)` and the target's
+        `slice_shape(d + shift)`: `image_of_cell` shifts v-exponents, so
+        every column the rows read names a generator, as in both slices'
+        relation matrices."""
+        key = (self.source.slice_shape(d),
+               self.target.slice_shape(d + self.degree_shift))
+        if key not in self._summand_cache:
             src_sq = self.source.subquot_at(d)
             cells = self.source.slice_cells(d)
             rows, units = [], []
@@ -382,8 +439,8 @@ class ModuleMap:
                 row, unit = self.target.coordinates(d + self.degree_shift, terms)
                 rows.append(row)
                 units.append(unit)
-            self._summand_cache[d] = rows, units
-        return self._summand_cache[d]
+            self._summand_cache[key] = rows, units
+        return self._summand_cache[key]
 
     def image_subquot(self, d: int) -> SubQuot:
         """Image of the degree-d group, (span M + L_b) / L_b in the summand

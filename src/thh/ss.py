@@ -28,7 +28,7 @@ or extension stated once at its base degree wherever both its slots are cells.
 
 Every lattice and coordinate question goes to `_intlin`: one `SmithForm`
 of a slot's rules gives their consistency kernel and each cycle's image, and
-in `assemble` one per extension source gives every unit ratio asked of it,
+in `assemble` one per extension matrix gives every unit ratio asked of it,
 so this module runs no elimination of its own.
 
 The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
@@ -271,8 +271,9 @@ class SpectralSequence:
         sqs: dict[tuple[int, int], SubQuot] = {}
         column: dict[tuple[tuple[int, int], int], int] = {}
         ngens = dict.fromkeys(range(hi + 1), 0)
-        # the Smith form of each extension source over its slot's zero rows
-        forms: dict[tuple[tuple[int, int], tuple[int, ...]], SmithForm] = {}
+        # the Smith form of each extension source over its slot's zero rows,
+        # keyed by that matrix: a v-tower repeats it from slot to slot
+        forms: dict[tuple, SmithForm] = {}
         for slot in sorted(self.cells):
             d, s = slot
             if not (d <= hi and s <= smax):
@@ -301,10 +302,10 @@ class SpectralSequence:
                 return to_y(slot, vec)
             out = lift(slot, [p * v for v in vec], k - 1)
             for ext in exts.get(slot, []):
-                key = (slot, ext.source)
+                zero = self.zero_rows(slot)
+                key = (ext.source, tuple(map(tuple, zero)), len(self.cells[slot]))
                 if key not in forms:
-                    forms[key] = SmithForm(sparse_rows([ext.source]) + self.zero_rows(slot),
-                                           len(self.cells[slot]), p=p)
+                    forms[key] = SmithForm(sparse_rows([ext.source]) + zero, key[2], p=p)
                 u = self._class_unit_ratio(forms[key], vec)
                 if u is None:
                     continue

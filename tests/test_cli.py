@@ -186,6 +186,17 @@ def test_group_table_runs_no_lattice_solves(monkeypatch):
     assert calls == {"row_hermite": 0, "solve_in_lattice": 0}
 
 
+def test_group_table_reduces_each_slice_shape_once(monkeypatch):
+    # thh_ell(p=2, 256) has 71 distinct slice shapes in its 257 degrees, one
+    # of them the empty slice, which needs no Smith form
+    from thh import _intlin
+    calls = count_calls(monkeypatch, _intlin, ("SmithForm",))
+    code, out = run(["group", "--prime", "2", "--max-degree", "256",
+                     "--format", "json"])
+    assert code == 0 and len(json.loads(out)) == 257
+    assert calls == {"SmithForm": 70}
+
+
 @pytest.mark.parametrize("argv", [
     ["--suite", "ko"],
     ["--suite", "cofiber", "--prime", "2"],

@@ -1,13 +1,16 @@
 import json
 import pathlib
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from thh._intlin import SubQuot, dense_row, row_kernel, sparse_rows
-from thh.closed_forms import thh_ell, thh_ell_k1, thh_ko, thh_ko_eta_map
+from thh._intlin import (SubQuot, dense_row, group_invariants, row_kernel,
+                         sparse_rows)
+from thh.closed_forms import (build_Tn, thh_ell, thh_ell_k1, thh_ko, thh_ko_ku,
+                              thh_ko_eta_map, tn_top_degree)
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
                         Relation, RingSpec, submodule_presentation,
                         variable_multiplication_map)
@@ -417,3 +420,97 @@ def test_slice_rows_merge_repeated_terms_and_drop_cancelled_ones():
     assert m.slice_relation_rows(4) == [[(0, 8), (1, 2)], [(2, 1)], [(0, 4)]]
     assert_slices_match_dense_builder(m, range(7))
     assert m.group_at(2) == (0, [2, 4])
+
+
+class DegreeKeyed(GradedModulePresentation):
+    """The same presentation with every degree its own slice shape, so each
+    degree's slice is reduced on its own."""
+
+    def slice_shape(self, d):
+        return (d,)
+
+
+def assert_shape_keyed_answers(module, degrees):
+    """Every shape-keyed answer of `module` at `degrees`, visited in that
+    order, equals the one computed from the degree's own slice."""
+    oracle = DegreeKeyed(module.ring, list(module.generators.values()),
+                         module.relations, module.complete_below)
+    vmap = variable_multiplication_map(module)
+    vmap_oracle = variable_multiplication_map(oracle)
+    vd = module.ring.v_degree
+    top = max(degrees)
+    for k, d in enumerate(degrees):
+        cells = module.slice_cells(d)
+        rows = module.slice_relation_rows(d)
+        want = SubQuot(module.ring.p, len(cells), None, rows)
+        # alternate which cache fills first, so that group_at is read both
+        # from its own cache and from a cached SubQuot of the same shape
+        if k % 2:
+            module.subquot_at(d)
+        assert module.group_at(d) == group_invariants(rows, len(cells), module.ring.p), d
+        got = module.subquot_at(d)
+        assert got.orders == want.orders, d
+        assert [got.generator_vector(i) for i in range(len(got.orders))] == \
+            [want.generator_vector(i) for i in range(len(want.orders))], d
+        assert module.summand_labels(d) == oracle.summand_labels(d), d
+        for gid, e in cells:
+            terms = ((1, e, gid),)
+            assert module.coordinates(d, terms) == oracle.coordinates(d, terms), (d, gid)
+        if d + vd <= top:
+            assert vmap.summand_matrix(d) == vmap_oracle.summand_matrix(d), d
+
+
+SHAPE_KEYED = {
+    "thh_ell-p2-w128": (lambda: thh_ell(PrimeContext(2), 128), 128),
+    "thh_ell-p3-w160": (lambda: thh_ell(PrimeContext(3), 160), 160),
+    "build_Tn-p5-n2": (lambda: build_Tn(PrimeContext(5), 2), tn_top_degree(5, 2)),
+    "thh_ko-w64": (lambda: thh_ko(64), 64),
+    "thh_ko_ku-w64": (lambda: thh_ko_ku(64), 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_KEYED))
+def test_shape_keyed_answers_match_each_degree(name):
+    make, top = SHAPE_KEYED[name]
+    module = make()
+    shapes = {module.slice_shape(d) for d in range(top + 1)}
+    assert len(shapes) < top + 1   # some slices repeat
+    assert_shape_keyed_answers(module, range(top, -1, -1))
+    degrees = list(range(top + 1))
+    random.Random(name).shuffle(degrees)
+    assert_shape_keyed_answers(make(), degrees)
+
+
+def test_slice_shape_counts_the_steps_of_the_residue():
+    # residue 0 steps at 0 (a), 4 (b) and 6 (4 v b); the cancelled relation
+    # at 2 is no step
+    m = GradedModulePresentation(R2, [Generator("a", 0), Generator("b", 4),
+                                      Generator("c", 1)], [])
+    m.add_relation(Relation(((4, 1, "b"),)))
+    m.add_relation(Relation(((1, 1, "a"), (-1, 1, "a"))))
+    assert [m.slice_shape(d) for d in range(9)] == [
+        (0, 1), (1, 1), (0, 1), (1, 1), (0, 2), (1, 1), (0, 3), (1, 1), (0, 3)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GradedModulePresentation(R2, [Generator("a", 0), Generator("b", 6)],
+                                     [Relation(((8, 0, "a"),))]),
+    lambda: thh_ell(PrimeContext(2), 128),
+], ids=["by-hand", "thh_ell-p2-w128"])
+def test_relation_added_after_a_cached_query_between_two_steps(make):
+    module = make()
+    top = 40
+    assert_shape_keyed_answers(module, range(top, -1, -1))
+    # a relation p v^e g = 0 at a base strictly between two step degrees of
+    # its residue: the shapes from the base on now name other slices
+    vd = module.ring.v_degree
+    steps = sorted({g.degree for g in module.generators.values()}
+                   | {module.term_degree(rel.terms) for rel in module.relations})
+    g, base = next((g, b) for g in module.generators.values()
+                   for b in range(g.degree + vd, top, vd)
+                   if b not in steps and any(s > b and (s - b) % vd == 0 for s in steps))
+    before = [module.group_at(d) for d in range(top + 1)]
+    module.add_relation(Relation(((module.ring.p, (base - g.degree) // vd, g.gid),)))
+    after = [module.group_at(d) for d in range(top + 1)]
+    assert after[base] != before[base]
+    assert_shape_keyed_answers(module, range(top, -1, -1))

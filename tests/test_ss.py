@@ -188,10 +188,11 @@ def test_slot_reduces_its_rule_matrix_once(monkeypatch):
     assert seq.assemble([], 1, 1) == {0: (0, []), 1: (0, [])}
 
 
-def test_assembly_builds_one_form_per_extension_source(monkeypatch):
+def test_assembly_builds_one_form_per_extension_matrix(monkeypatch):
     # lifting x of order 8 asks the unit ratio of x, 2x and 4x against the
-    # source x: one Smith form per (slot, source) serves all three, and the
-    # same source in another slot gets its own form
+    # source x: one Smith form of the source over the slot's zero rows
+    # serves all three, the same matrix in another slot reuses it, and a
+    # slot with other zero rows gets its own form
     built, asked = [], []
 
     class Counting(_intlin.SmithForm):
@@ -203,12 +204,15 @@ def test_assembly_builds_one_form_per_extension_source(monkeypatch):
     monkeypatch.setattr(ss, "SmithForm", Counting)
     monkeypatch.setattr(ss.SpectralSequence, "_class_unit_ratio",
                         lambda self, sf, vec: asked.append(sf) or ratio(self, sf, vec))
-    seq = ss.SpectralSequence(2, {(0, 0): [8], (0, 1): [16], (1, 0): [8], (1, 1): [16]})
-    exts = [ss.Extension((d, 0), (1,), ((1, (d, 1), (1,)),)) for d in (0, 1)]
-    # 2 x = y, so 8 x = 4 y beside 16 y = 0 in each degree
-    assert seq.assemble(exts, 1, 1) == {0: (0, [4, 32]), 1: (0, [4, 32])}
-    assert built == [[[(0, 1)], [(0, 8)]]] * 2
-    assert len(asked) == 6 and len({id(sf) for sf in asked}) == 2
+    seq = ss.SpectralSequence(2, {(0, 0): [8], (0, 1): [16], (1, 0): [8], (1, 1): [16],
+                                  (2, 0): [4], (2, 1): [16]})
+    exts = [ss.Extension((d, 0), (1,), ((1, (d, 1), (1,)),)) for d in (0, 1, 2)]
+    # 2 x = y, so 8 x = 4 y beside 16 y = 0 in degrees 0 and 1, and
+    # 4 x = 2 y in degree 2
+    assert seq.assemble(exts, 2, 1) == {0: (0, [4, 32]), 1: (0, [4, 32]),
+                                        2: (0, [2, 32])}
+    assert built == [[[(0, 1)], [(0, 8)]], [[(0, 1)], [(0, 4)]]]
+    assert len(asked) == 8 and len({id(sf) for sf in asked}) == 2
 
 
 @pytest.mark.parametrize("window", [50, 56, 98, 120, 194, 248])

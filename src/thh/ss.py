@@ -101,7 +101,21 @@ class Extension:
 
 
 class SpectralSequence:
-    """Each slot's cells are given by their ambient orders (a p-power, 0 if free)."""
+    """Each slot's cells are given by their ambient orders (a p-power, 0 if free).
+
+    The work is keyed by a slot's content, not its position: its cell
+    orders, Z rows and B rows, interned as one int (`content`).  A v-tower
+    repeats a slot from filtration to filtration, so equal contents share
+    one `SubQuot`, one page-turn result per (page, source content, target
+    content, rule sources and targets), and one passed d o d audit.  Every
+    key holds all that its computation reads, so a hit is the same pure
+    function of the same input; a computation that raises `EngineError`
+    stores nothing, and the error ends the run.  Cached `SubQuot`s and
+    rows are shared between slots, so nothing may mutate them: a turn
+    replaces a slot's Z and B lists, never edits them.  The caches live on
+    the instance, so a fresh sequence (`EngineSetup.sign_flipped`) starts
+    cold.
+    """
 
     def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
         self.p = p
@@ -109,17 +123,34 @@ class SpectralSequence:
         self.Z = {slot: [[(i, 1)] for i in range(len(cs))]
                   for slot, cs in cells.items()}
         self.B = {slot: [] for slot in cells}
-        self._sq_cache: dict[tuple[int, int], SubQuot] = {}
+        self._ids: dict[tuple, int] = {}    # content -> content key
+        self._key: dict[tuple[int, int], int] = {}   # slot -> content key
+        self._moves: dict[tuple, int] = {}  # (content key, turn step) -> content key
+        self._subquots: dict[int, SubQuot] = {}
+        self._turns: dict[tuple, tuple | None] = {}
+        self._closed: set[int] = set()      # contents whose zero rows are cycles
+        self._balanced: set[tuple] = set()  # (old, new) contents that pass rank-nullity
 
     def zero_rows(self, slot) -> list[list[tuple[int, int]]]:
         """The boundaries and ambient order rows of a slot, as `_intlin` rows."""
         return self.B[slot] + order_rows(self.cells[slot])
 
+    def content(self, slot) -> int:
+        """The key of the slot's cell orders, Z and B; equal contents share it."""
+        key = self._key.get(slot)
+        if key is None:
+            content = (tuple(self.cells[slot]), tuple(map(tuple, self.Z[slot])),
+                       tuple(map(tuple, self.B[slot])))
+            key = self._key[slot] = self._ids.setdefault(content, len(self._ids))
+        return key
+
     def subquot(self, slot) -> SubQuot:
-        if slot not in self._sq_cache:
-            self._sq_cache[slot] = SubQuot(self.p, len(self.cells[slot]),
-                                           self.Z[slot], self.zero_rows(slot))
-        return self._sq_cache[slot]
+        key = self.content(slot)
+        sq = self._subquots.get(key)
+        if sq is None:
+            sq = self._subquots[key] = SubQuot(self.p, len(self.cells[slot]),
+                                               self.Z[slot], self.zero_rows(slot))
+        return sq
 
     # -- page turns ---------------------------------------------------------
 
@@ -140,30 +171,48 @@ class SpectralSequence:
             by_slot.setdefault(rule.slot, []).append(rule)
         updates = []
         for slot, slot_rules in sorted(by_slot.items()):
-            upd = self._slot_differential(r, slot, slot_rules)
-            if upd is not None:
-                updates.append(upd)
-        # only the updated slots' pages change; each update carries their
-        # pre-turn pages for the audit below
-        for src, new_z, tgt, images, _ in updates:
+            d, s = slot
+            tgt = (d - 1, s + r)
+            if tgt not in self.cells:
+                raise EngineError(f"page {r} at {slot}: target slot {tgt} is not a cell")
+            key = (r, self.content(slot), self.content(tgt),
+                   tuple((rule.source, rule.target) for rule in slot_rules))
+            if key not in self._turns:
+                # numbered, so that `_rekey` can name the step a result takes
+                turn = self._slot_differential(r, slot, tgt, slot_rules)
+                self._turns[key] = None if turn is None else (len(self._turns), *turn)
+            if self._turns[key] is not None:
+                updates.append((slot, tgt, key[1], key[2], *self._turns[key]))
+        # only the updated slots' pages change; the pre-turn content keys
+        # stay in each update for the audit below
+        for src, tgt, _, _, turn, new_z, images in updates:
             self.Z[src] = new_z
-            self.B[tgt] = self.B[tgt] + sparse_rows(images)
-            self._sq_cache.pop(src, None)
-            self._sq_cache.pop(tgt, None)
+            self._rekey(src, (turn, "Z"))
+            self.B[tgt] = self.B[tgt] + images
+            self._rekey(tgt, (turn, "B"))
         # the zero lattice must stay inside the cycles: a boundary that the
         # same page maps to a nonzero class means d o d != 0
         for src, *_ in updates:
+            key = self.content(src)
+            if key in self._closed:
+                continue
             n = len(self.cells[src])
             cycles = row_hermite(self.Z[src], n, self.p)
             for row in self.zero_rows(src):
                 if row and solve_in_lattice(*cycles, dense_row(row, n), self.p) is None:
                     raise EngineError(
                         f"page {r}: a boundary at {src} is not a cycle (d o d != 0)")
+            self._closed.add(key)
         sources = {u[0] for u in updates}
-        targets = {u[2] for u in updates}
-        for src, _, tgt, _, (s_old, t_old) in updates:
+        targets = {u[1] for u in updates}
+        for src, tgt, s_key, t_key, *_ in updates:
             if src in targets or tgt in sources:
                 continue  # mixed roles: drops are not separable
+            key = (s_key, t_key, self.content(src), self.content(tgt))
+            if key in self._balanced:
+                continue
+            # the turn that made this update built both pre-turn SubQuots
+            s_old, t_old = self._subquots[s_key], self._subquots[t_key]
             s_new, t_new = self.subquot(src), self.subquot(tgt)
             if (s_new.free_rank() > s_old.free_rank()
                     or t_new.free_rank() > t_old.free_rank()):
@@ -175,13 +224,22 @@ class SpectralSequence:
                     raise EngineError(
                         f"page {r}: rank-nullity fails at {src}->{tgt}: "
                         f"source drop {s_drop}, target drop {t_drop}")
+            self._balanced.add(key)
 
-    def _slot_differential(self, r: int, slot, slot_rules):
+    def _rekey(self, slot, step) -> None:
+        """Key a slot whose Z or B `step` (a turn and the list it replaced)
+        has just replaced: the old content and the step fix the new one."""
+        move = (self._key.pop(slot), step)
+        key = self._moves.get(move)
+        if key is None:
+            key = self._moves[move] = self.content(slot)
+        self._key[slot] = key
+
+    def _slot_differential(self, r: int, slot, tgt_slot, slot_rules):
+        """(new Z rows, boundary rows of the target) of one slot's turn, or
+        None when every rule is vacuous; reads only the contents of the two
+        slots and the rules' sources and targets."""
         p = self.p
-        d, s = slot
-        tgt_slot = (d - 1, s + r)
-        if tgt_slot not in self.cells:
-            raise EngineError(f"page {r} at {slot}: target slot {tgt_slot} is not a cell")
         dim_s = len(self.cells[slot])
         dim_t = len(self.cells[tgt_slot])
         sq_s, sq_t = self.subquot(slot), self.subquot(tgt_slot)
@@ -251,7 +309,7 @@ class SpectralSequence:
                 vec = [sum(mu[i] * cycles[i][j] for i in range(len(mu)))
                        for j in range(dim_s)]
                 new_z.append(vec)
-        return slot, sparse_rows(new_z), tgt_slot, Y, (sq_s, sq_t)
+        return sparse_rows(new_z), sparse_rows(Y)
 
     # -- assembly -----------------------------------------------------------
 
@@ -272,22 +330,24 @@ class SpectralSequence:
         column: dict[tuple[tuple[int, int], int], int] = {}
         ngens = dict.fromkeys(range(hi + 1), 0)
         # the Smith form of each extension source over its slot's zero rows,
-        # keyed by that matrix: a v-tower repeats it from slot to slot
+        # keyed by (source, slot content): a v-tower repeats it from slot to
+        # slot; and each unit ratio asked of a form, keyed by (form key, vector)
         forms: dict[tuple, SmithForm] = {}
+        ratios: dict[tuple, Fraction | None] = {}
         for slot in sorted(self.cells):
             d, s = slot
             if not (d <= hi and s <= smax):
                 continue
             sq = self.subquot(slot)
-            if sq.orders:
+            if sq.summands:
                 sqs[slot] = sq
-                for i in range(len(sq.orders)):
+                for i in range(len(sq.summands)):
                     column[(slot, i)] = ngens[d]
                     ngens[d] += 1
 
         def to_y(slot, vec):
             if slot not in sqs:
-                if slot in self.cells and not self.subquot(slot).orders:
+                if slot in self.cells and not self.subquot(slot).summands:
                     return {}
                 raise _Ceiling()
             coords = sqs[slot].express(vec)
@@ -302,11 +362,14 @@ class SpectralSequence:
                 return to_y(slot, vec)
             out = lift(slot, [p * v for v in vec], k - 1)
             for ext in exts.get(slot, []):
-                zero = self.zero_rows(slot)
-                key = (ext.source, tuple(map(tuple, zero)), len(self.cells[slot]))
-                if key not in forms:
-                    forms[key] = SmithForm(sparse_rows([ext.source]) + zero, key[2], p=p)
-                u = self._class_unit_ratio(forms[key], vec)
+                key = (ext.source, self.content(slot))
+                ask = (key, tuple(vec))
+                if ask not in ratios:
+                    if key not in forms:
+                        forms[key] = SmithForm(sparse_rows([ext.source]) + self.zero_rows(slot),
+                                               len(self.cells[slot]), p=p)
+                    ratios[ask] = self._class_unit_ratio(forms[key], vec)
+                u = ratios[ask]
                 if u is None:
                     continue
                 for coeff, slot2, vec2 in ext.targets:

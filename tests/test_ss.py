@@ -188,11 +188,46 @@ def test_slot_reduces_its_rule_matrix_once(monkeypatch):
     assert seq.assemble([], 1, 1) == {0: (0, []), 1: (0, [])}
 
 
+@pytest.mark.parametrize("make, built", [
+    (lambda: ss.ko_base_setup(40), 7),
+    (lambda: ss.v1_tower_setup(PrimeContext(5), 360), 7),
+])
+def test_equal_slots_share_one_subquot(monkeypatch, make, built):
+    # the towers repeat a slot's content from filtration to filtration, so
+    # SubQuots are built per content: 572 and 538 when built per slot
+    made = []
+
+    class Counting(_intlin.SubQuot):
+        def __init__(self, *args, **kw):
+            made.append(args)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(ss, "SubQuot", Counting)
+    make().run()
+    assert len(made) == built
+
+
+def test_rank_nullity_is_checked_per_target_content():
+    # both slots hold Z/4 and read d1(2x) = (2, 0); into Z/4 + Z the free
+    # summand leaves rank-nullity unchecked, but into Z/4 + Z/4 the turn
+    # kills all of Z/4 at the source and only 2y at the target
+    seq = ss.SpectralSequence(2, {(1, 0): [4], (0, 1): [4, 0],
+                                  (3, 0): [4], (2, 1): [4, 4]})
+    assert seq.content((1, 0)) == seq.content((3, 0))
+    assert seq.content((0, 1)) != seq.content((2, 1))
+    rules = [ss.Rule(1, slot, (2,), (2, 0), f"d1(2x){slot}") for slot in ((1, 0), (3, 0))]
+    with pytest.raises(ss.EngineError, match=r"rank-nullity fails at \(3, 0\)->\(2, 1\)"):
+        seq.run(rules, 1)
+    seq = ss.SpectralSequence(2, {(1, 0): [4], (0, 1): [4, 0]})
+    seq.run(rules[:1], 1)
+    assert seq.subquot((1, 0)).orders == [] and seq.subquot((0, 1)).orders == [2, 0]
+
+
 def test_assembly_builds_one_form_per_extension_matrix(monkeypatch):
     # lifting x of order 8 asks the unit ratio of x, 2x and 4x against the
     # source x: one Smith form of the source over the slot's zero rows
-    # serves all three, the same matrix in another slot reuses it, and a
-    # slot with other zero rows gets its own form
+    # serves all three, a slot of the same content reuses the form and its
+    # answers, and a slot with other zero rows gets its own form (x and 2x)
     built, asked = [], []
 
     class Counting(_intlin.SmithForm):
@@ -212,7 +247,7 @@ def test_assembly_builds_one_form_per_extension_matrix(monkeypatch):
     assert seq.assemble(exts, 2, 1) == {0: (0, [4, 32]), 1: (0, [4, 32]),
                                         2: (0, [2, 32])}
     assert built == [[[(0, 1)], [(0, 8)]], [[(0, 1)], [(0, 4)]]]
-    assert len(asked) == 8 and len({id(sf) for sf in asked}) == 2
+    assert len(asked) == 5 and len({id(sf) for sf in asked}) == 2
 
 
 @pytest.mark.parametrize("window", [50, 56, 98, 120, 194, 248])

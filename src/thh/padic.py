@@ -41,10 +41,6 @@ class TorsionWord:
     def __len__(self) -> int:
         return len(self.digits)
 
-    def reversed_complement(self) -> "TorsionWord":
-        """Digit-reverse and complement each digit to p-1-a (duality involution)."""
-        return TorsionWord(tuple(self.p - 1 - d for d in reversed(self.digits)), self.p)
-
     def label(self) -> str:
         # digits past 9 take two characters; the separator only where they
         # occur keeps every id at p <= 7 as it was

@@ -69,13 +69,6 @@ def test_word_labels_are_distinct():
             assert len({w.label() for w in words}) == len(words)
 
 
-def test_word_duality_is_an_involution():
-    for p in (2, 3, 5):
-        for n in range(4):
-            for w in all_words(p, n):
-                assert w.reversed_complement().reversed_complement() == w
-
-
 def test_word_count_per_level():
     # digit strings of length exactly n with nonzero leading digit, plus the
     # empty word at every level

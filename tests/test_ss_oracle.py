@@ -1,12 +1,13 @@
-"""An oracle for the page turn that shares no code path with it.
+"""An oracle for the page turn.
 
 Random small chain complexes of p-local cells (orders 0, p and p^2) with
 v-free differentials are turned once by the engine, and each slot's page is
 compared with its homology computed directly: a Z-basis of the cycles from
-an integer row reduction, the boundaries and order rows written in that
-basis, and the invariants of the quotient.  A metamorphic check rescales
-cell generators of the v1 tower by p-units and rewrites the rules and
-extensions to match; the assembled table must not change.
+an integer row reduction written here, the boundaries and order rows in
+that basis, and the invariants of the quotient, read by `group_invariants`
+and, on the shorter chains, by sympy's Smith normal form.  A metamorphic
+check rescales cell generators of the v1 tower by p-units and rewrites the
+rules and extensions to match; the assembled table must not change.
 """
 import random
 from fractions import Fraction
@@ -214,7 +215,7 @@ def test_nonzero_composite_is_rejected(p):
 # -- metamorphic: a change of cell generators by p-units ---------------------------
 
 
-def rescaled(setup, units):
+def _rescaled(setup, units):
     """The same tower with the generator of each slot in `units` replaced by
     that unit times itself.  A vector x in the new coordinates stands for
     u * x in the old, so each rule and extension is multiplied through by
@@ -251,7 +252,7 @@ def _rescaled_slots(setup, where):
         return [ext.slot, ext.targets[0][1]]
     # every filtration of the rule source's base row
     shift = 2 * setup.ss.p - 2
-    return [(b, t) for b, t in setup.ss.cells if b - t * shift == d - s * shift]
+    return [slot for slot in setup.ss.cells if slot[0] - slot[1] * shift == d - s * shift]
 
 
 @pytest.mark.parametrize("p, window, unit", [(3, 160, 2), (5, 400, 3)])
@@ -262,6 +263,6 @@ def test_rescaled_generators_give_the_same_table(p, window, unit, where):
     setup = make()
     slots = _rescaled_slots(setup, where)
     assert slots
-    changed = rescaled(setup, {slot: unit for slot in slots})
+    changed = _rescaled(setup, {slot: unit for slot in slots})
     assert changed.rules != setup.rules or changed.extensions != setup.extensions
     assert changed.run() == plain

@@ -28,8 +28,8 @@ or extension stated once at its base degree wherever both its slots are cells.
 
 Every lattice and coordinate question goes to `_intlin`: one `SmithForm`
 of a slot's rules gives their consistency kernel and each cycle's image, and
-in `assemble` one per extension matrix gives every unit ratio asked of it,
-so this module runs no elimination of its own.
+in `assemble` one per extension source and slot content gives every unit
+ratio asked of it, so this module runs no elimination of its own.
 
 The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
 (l1, a_i, b_i), its d_(p+...+p^n) differentials are `thc.tower_rule_set`

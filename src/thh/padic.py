@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _is_prime(p: int) -> bool:
@@ -48,12 +47,10 @@ class TorsionWord:
         return "g_" + (sep.join(map(str, self.digits)) or "e")
 
 
-def nu(p: int, m: int | Fraction) -> int:
-    """p-adic valuation of a nonzero integer or Fraction."""
+def nu(p: int, m: int) -> int:
+    """p-adic valuation of a nonzero integer."""
     if m == 0:
         raise ValueError("nu(p, 0) is undefined")
-    if isinstance(m, Fraction):
-        return nu(p, m.numerator) - nu(p, m.denominator)
     m = abs(m)
     out = 0
     while m % p == 0:

@@ -1,17 +1,17 @@
 """Multiplicative Bockstein spectral sequence engine.
 
-Pages are stored as integer lattices per bidegree slot: Z (cycles) and B
-(boundaries), both as `_intlin` rows of (column, value) pairs, inside the
-ambient slot group.  The zero lattice L = B + the ambient order rows always
-lies inside Z, so each slot's page is Z / L and its cached `SubQuot`
-answers every question a page turn asks: a vector is a
-cycle when `express` finds coordinates, and a zero class when they all
-vanish.  Differentials are supplied as explicit rules d_r(source vector) =
-target vector; a page turn applies all same-page rules simultaneously,
-checks them for consistency, updates the lattices and checks that L is
-still inside Z (a boundary that is not a cycle means d o d != 0).  After
-the last page the E_infinity slots are assembled into one abelian group per
-degree, resolving filtration jumps through declared extension instances.
+A slot's page is its cell orders with Z (cycles) and B (boundaries), both
+tuples of `_intlin` rows of (column, value) pairs inside the ambient slot
+group.  The zero lattice L = B + the ambient order rows always lies inside Z,
+so the page is Z / L and its cached `SubQuot` answers every question a page
+turn asks: a vector is a cycle when `express` finds coordinates, and a zero
+class when they all vanish.  Differentials are supplied as explicit rules
+d_r(source vector) = target vector; a page turn applies all same-page rules
+simultaneously, checks them for consistency, gives each touched slot its new
+page and checks that L is still inside Z (a boundary that is not a cycle
+means d o d != 0).  After the last page the E_infinity slots are assembled
+into one abelian group per degree, resolving filtration jumps through
+declared extension instances.
 
 Conventions: a rule on slot (d, s) has its target in slot (d - 1, s + r),
 i.e. the Bockstein variable carries internal degree |v| with the slot's
@@ -27,9 +27,10 @@ and its differentials are linear over that variable, so `_tower` places a rule
 or extension stated once at its base degree wherever both its slots are cells.
 
 Every lattice and coordinate question goes to `_intlin`: one `SmithForm`
-of a slot's rules gives their consistency kernel and each cycle's image, and
-in `assemble` one per extension source and slot content gives every unit
-ratio asked of it, so this module runs no elimination of its own.
+of a slot's rules gives their consistency kernel and each cycle's image, one
+of a page's cycles answers the d o d audit, and in `assemble` one per
+extension source and page gives every unit ratio asked of it, so this module
+runs no elimination of its own.
 
 The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
 (l1, a_i, b_i), its d_(p+...+p^n) differentials are `thc.tower_rule_set`
@@ -51,6 +52,7 @@ chain class three degrees down.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from ._intlin import (
     SmithForm,
@@ -58,9 +60,7 @@ from ._intlin import (
     dense_row,
     group_invariants,
     order_rows,
-    row_hermite,
     row_kernel,
-    solve_in_lattice,
     sparse_rows,
 )
 from .padic import PrimeContext, nu
@@ -100,56 +100,62 @@ class Extension:
     targets: tuple[tuple[int, tuple[int, int], tuple[int, ...]], ...]
 
 
+class Page(NamedTuple):
+    """A slot's cell orders, cycles Z and boundaries B; B holds no empty row."""
+
+    orders: tuple[int, ...]
+    Z: tuple[tuple[tuple[int, int], ...], ...]
+    B: tuple[tuple[tuple[int, int], ...], ...]
+
+    def zero_rows(self) -> list:
+        """The boundaries and ambient order rows, as `_intlin` rows."""
+        return [*self.B, *order_rows(self.orders)]
+
+
 class SpectralSequence:
     """Each slot's cells are given by their ambient orders (a p-power, 0 if free).
 
-    The work is keyed by a slot's content, not its position: its cell
-    orders, Z rows and B rows, interned as one int (`content`).  A v-tower
-    repeats a slot from filtration to filtration, so equal contents share
-    one `SubQuot`, one page-turn result per (page, source content, target
-    content, rule sources and targets), and one passed d o d audit.  Every
-    key holds all that its computation reads, so a hit is the same pure
-    function of the same input; a computation that raises `EngineError`
-    stores nothing, and the error ends the run.  Cached `SubQuot`s and
-    rows are shared between slots, so nothing may mutate them: a turn
-    replaces a slot's Z and B lists, never edits them.  The caches live on
-    the instance, so a fresh sequence (`EngineSetup.sign_flipped`) starts
-    cold.
+    Pages are the only state: `pages` lists each distinct `Page` once, by
+    int key, and `key` maps each slot to the key of its current page.  A turn
+    gives each slot it touches a new page, (orders, new Z, B) at a source
+    and (orders, Z, B + images) at a target, and stores a page it has not
+    seen only once its zero lattice lies inside its cycles (an E1 page's
+    cycles are the whole slot).  A v-tower repeats a page from filtration to
+    filtration, so the work is keyed by page keys: one `SubQuot` per page,
+    one page-turn result per (page, source key, target key, rule sources and
+    targets), and one passed rank-nullity audit.  Pages are tuples, so a
+    cached answer is a function of its key alone; a computation that raises
+    `EngineError` stores nothing, and the error ends the run.  The caches
+    live on the instance, so a fresh sequence (`EngineSetup.sign_flipped`)
+    starts cold.
     """
 
     def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
         self.p = p
         self.cells = cells
-        self.Z = {slot: [[(i, 1)] for i in range(len(cs))]
-                  for slot, cs in cells.items()}
-        self.B = {slot: [] for slot in cells}
-        self._ids: dict[tuple, int] = {}    # content -> content key
-        self._key: dict[tuple[int, int], int] = {}   # slot -> content key
-        self._moves: dict[tuple, int] = {}  # (content key, turn step) -> content key
+        # the E1 page of a slot: every cell a cycle, no boundaries
+        self._ids: dict[Page, int] = {}      # page -> key
+        self.key = {slot: self._ids.setdefault(
+                        Page(tuple(cs), tuple(((i, 1),) for i in range(len(cs))), ()),
+                        len(self._ids))
+                    for slot, cs in cells.items()}
+        self.pages = list(self._ids)         # key -> page
         self._subquots: dict[int, SubQuot] = {}
         self._turns: dict[tuple, tuple | None] = {}
-        self._closed: set[int] = set()      # contents whose zero rows are cycles
-        self._balanced: set[tuple] = set()  # (old, new) contents that pass rank-nullity
+        self._balanced: set[tuple] = set()  # (old, new) page keys that pass rank-nullity
 
-    def zero_rows(self, slot) -> list[list[tuple[int, int]]]:
-        """The boundaries and ambient order rows of a slot, as `_intlin` rows."""
-        return self.B[slot] + order_rows(self.cells[slot])
-
-    def content(self, slot) -> int:
-        """The key of the slot's cell orders, Z and B; equal contents share it."""
-        key = self._key.get(slot)
-        if key is None:
-            content = (tuple(self.cells[slot]), tuple(map(tuple, self.Z[slot])),
-                       tuple(map(tuple, self.B[slot])))
-            key = self._key[slot] = self._ids.setdefault(content, len(self._ids))
-        return key
+    def page(self, slot) -> Page:
+        return self.pages[self.key[slot]]
 
     def subquot(self, slot) -> SubQuot:
-        key = self.content(slot)
+        return self._subquot(self.key[slot])
+
+    def _subquot(self, key: int) -> SubQuot:
         sq = self._subquots.get(key)
         if sq is None:
-            sq = self._subquots[key] = SubQuot(self.p, len(self.cells[slot]),
-                                               self.Z[slot], self.zero_rows(slot))
+            page = self.pages[key]
+            sq = self._subquots[key] = SubQuot(self.p, len(page.orders), list(page.Z),
+                                               page.zero_rows())
         return sq
 
     # -- page turns ---------------------------------------------------------
@@ -175,45 +181,44 @@ class SpectralSequence:
             tgt = (d - 1, s + r)
             if tgt not in self.cells:
                 raise EngineError(f"page {r} at {slot}: target slot {tgt} is not a cell")
-            key = (r, self.content(slot), self.content(tgt),
+            ask = (r, self.key[slot], self.key[tgt],
                    tuple((rule.source, rule.target) for rule in slot_rules))
-            if key not in self._turns:
-                # numbered, so that `_rekey` can name the step a result takes
-                turn = self._slot_differential(r, slot, tgt, slot_rules)
-                self._turns[key] = None if turn is None else (len(self._turns), *turn)
-            if self._turns[key] is not None:
-                updates.append((slot, tgt, key[1], key[2], *self._turns[key]))
-        # only the updated slots' pages change; the pre-turn content keys
-        # stay in each update for the audit below
-        for src, tgt, _, _, turn, new_z, images in updates:
-            self.Z[src] = new_z
-            self._rekey(src, (turn, "Z"))
-            self.B[tgt] = self.B[tgt] + images
-            self._rekey(tgt, (turn, "B"))
-        # the zero lattice must stay inside the cycles: a boundary that the
-        # same page maps to a nonzero class means d o d != 0
-        for src, *_ in updates:
-            key = self.content(src)
-            if key in self._closed:
-                continue
-            n = len(self.cells[src])
-            cycles = row_hermite(self.Z[src], n, self.p)
-            for row in self.zero_rows(src):
-                if row and solve_in_lattice(*cycles, dense_row(row, n), self.p) is None:
-                    raise EngineError(
-                        f"page {r}: a boundary at {src} is not a cycle (d o d != 0)")
-            self._closed.add(key)
+            if ask not in self._turns:
+                self._turns[ask] = self._slot_differential(r, slot, tgt, *ask[1:3], slot_rules)
+            if self._turns[ask] is not None:
+                updates.append((slot, tgt, *ask[1:3], *self._turns[ask]))
+        # every turn reads the pages before any changes; a slot that is both
+        # a source and a target takes its new Z and its new boundaries
+        pages = {}
+        for src, tgt, s_key, t_key, new_z, images in updates:
+            orders, _, B = pages.get(src) or self.pages[s_key]
+            pages[src] = Page(orders, new_z, B)
+            orders, Z, B = pages.get(tgt) or self.pages[t_key]
+            pages[tgt] = Page(orders, Z, B + images)
+        for slot, page in pages.items():
+            key = self._ids.get(page)
+            if key is None:
+                # a boundary that the page before maps to a nonzero class
+                # is not a cycle: d o d != 0
+                n = len(page.orders)
+                cycles = SmithForm(list(page.Z), n, p=self.p)
+                for row in page.zero_rows():
+                    sol = cycles.coordinates(dense_row(row, n))
+                    if sol is None or sol[1] % self.p == 0:
+                        raise EngineError(
+                            f"page {r}: a boundary at {slot} is not a cycle (d o d != 0)")
+                key = self._ids[page] = len(self.pages)
+                self.pages.append(page)
+            self.key[slot] = key
         sources = {u[0] for u in updates}
         targets = {u[1] for u in updates}
         for src, tgt, s_key, t_key, *_ in updates:
             if src in targets or tgt in sources:
                 continue  # mixed roles: drops are not separable
-            key = (s_key, t_key, self.content(src), self.content(tgt))
-            if key in self._balanced:
+            ask = (s_key, t_key, self.key[src], self.key[tgt])
+            if ask in self._balanced:
                 continue
-            # the turn that made this update built both pre-turn SubQuots
-            s_old, t_old = self._subquots[s_key], self._subquots[t_key]
-            s_new, t_new = self.subquot(src), self.subquot(tgt)
+            s_old, t_old, s_new, t_new = map(self._subquot, ask)
             if (s_new.free_rank() > s_old.free_rank()
                     or t_new.free_rank() > t_old.free_rank()):
                 raise EngineError(f"page {r}: slice rank grew at {src}->{tgt}")
@@ -224,25 +229,17 @@ class SpectralSequence:
                     raise EngineError(
                         f"page {r}: rank-nullity fails at {src}->{tgt}: "
                         f"source drop {s_drop}, target drop {t_drop}")
-            self._balanced.add(key)
+            self._balanced.add(ask)
 
-    def _rekey(self, slot, step) -> None:
-        """Key a slot whose Z or B `step` (a turn and the list it replaced)
-        has just replaced: the old content and the step fix the new one."""
-        move = (self._key.pop(slot), step)
-        key = self._moves.get(move)
-        if key is None:
-            key = self._moves[move] = self.content(slot)
-        self._key[slot] = key
-
-    def _slot_differential(self, r: int, slot, tgt_slot, slot_rules):
-        """(new Z rows, boundary rows of the target) of one slot's turn, or
-        None when every rule is vacuous; reads only the contents of the two
-        slots and the rules' sources and targets."""
+    def _slot_differential(self, r: int, slot, tgt_slot, s_key: int, t_key: int,
+                           slot_rules):
+        """(new Z rows, new boundary rows of the target) of one slot's turn,
+        or None when every rule is vacuous; reads only the pages of the two
+        keys and the rules' sources and targets (the slots name errors)."""
         p = self.p
-        dim_s = len(self.cells[slot])
-        dim_t = len(self.cells[tgt_slot])
-        sq_s, sq_t = self.subquot(slot), self.subquot(tgt_slot)
+        source, target = self.pages[s_key], self.pages[t_key]
+        dim_s, dim_t = len(source.orders), len(target.orders)
+        sq_s, sq_t = self._subquot(s_key), self._subquot(t_key)
 
         X, Y = [], []
         for rule in slot_rules:
@@ -266,26 +263,21 @@ class SpectralSequence:
             return None
         # the zero lattice represents the zero class, so the linear
         # differential must send it into the target's zero lattice; its rows
-        # join the rules with zero image and can force values on directions
-        # no rule names
-        X = sparse_rows(X)
-        for row in self.zero_rows(slot):
-            if row:
-                X.append(row)
-                Y.append([0] * dim_t)
+        # join the rules with zero image (Y stops at the rules) and can force
+        # values on directions no rule names
+        X = sparse_rows(X) + source.zero_rows()
         # combinations of sources that vanish must have vanishing image
         # classes, otherwise the rules are not a homomorphism
         sf = SmithForm(X, dim_s, p=p)
         for lam in sf.kernel():
-            img = [sum(lam[t] * Y[t][j] for t in range(len(X)))
-                   for j in range(dim_t)]
+            img = [sum(c * y[j] for c, y in zip(lam, Y)) for j in range(dim_t)]
             if not sq_t.is_zero(img):
                 raise EngineError(
                     f"page {r} at {slot}: inconsistent differentials")
         # the differential is the Q-linear extension of the rules: each
         # cycle's image is read off its coordinates over the rule sources
         images = []
-        cycles = [dense_row(z, dim_s) for z in self.Z[slot]]
+        cycles = [dense_row(z, dim_s) for z in source.Z]
         for z in cycles:
             sol = sf.coordinates(z)
             if sol is None:
@@ -301,15 +293,15 @@ class SpectralSequence:
         # new cycles: z with image zero modulo the target's zero lattice
         den = lcm(*(d for _, d in images))
         w_rows = [[v * (den // d) for v in img] for img, d in images]
-        scaled_lt = [[(j, den * v) for j, v in row] for row in self.zero_rows(tgt_slot)]
+        scaled_lt = [[(j, den * v) for j, v in row] for row in target.zero_rows()]
         new_z = []
         for row in row_kernel(sparse_rows(w_rows) + scaled_lt, dim_t, p):
             mu = row[:len(images)]
             if any(mu):
-                vec = [sum(mu[i] * cycles[i][j] for i in range(len(mu)))
-                       for j in range(dim_s)]
-                new_z.append(vec)
-        return sparse_rows(new_z), sparse_rows(Y)
+                new_z.append([sum(m * z[j] for m, z in zip(mu, cycles)) for j in range(dim_s)])
+        # an all-zero target adds no boundary
+        return (tuple(map(tuple, sparse_rows(new_z))),
+                tuple(tuple(row) for row in sparse_rows(Y) if row))
 
     # -- assembly -----------------------------------------------------------
 
@@ -330,7 +322,7 @@ class SpectralSequence:
         column: dict[tuple[tuple[int, int], int], int] = {}
         ngens = dict.fromkeys(range(hi + 1), 0)
         # the Smith form of each extension source over its slot's zero rows,
-        # keyed by (source, slot content): a v-tower repeats it from slot to
+        # keyed by (source, page key): a v-tower repeats it from slot to
         # slot; and each unit ratio asked of a form, keyed by (form key, vector)
         forms: dict[tuple, SmithForm] = {}
         ratios: dict[tuple, Fraction | None] = {}
@@ -362,12 +354,13 @@ class SpectralSequence:
                 return to_y(slot, vec)
             out = lift(slot, [p * v for v in vec], k - 1)
             for ext in exts.get(slot, []):
-                key = (ext.source, self.content(slot))
+                key = (ext.source, self.key[slot])
                 ask = (key, tuple(vec))
                 if ask not in ratios:
                     if key not in forms:
-                        forms[key] = SmithForm(sparse_rows([ext.source]) + self.zero_rows(slot),
-                                               len(self.cells[slot]), p=p)
+                        forms[key] = SmithForm(
+                            sparse_rows([ext.source]) + self.page(slot).zero_rows(),
+                            len(self.cells[slot]), p=p)
                     ratios[ask] = self._class_unit_ratio(forms[key], vec)
                 u = ratios[ask]
                 if u is None:

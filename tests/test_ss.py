@@ -184,17 +184,18 @@ def test_slot_reduces_its_rule_matrix_once(monkeypatch):
              ss.Rule(1, (1, 0), (1, 0, 1), (1, 1, 0), "d1(x0+x2)")]
     seq.run(rules, 1)
     assert seen.count(X) == 1
-    assert seq.Z[(1, 0)] == []
+    assert seq.page((1, 0)).Z == ()
     assert seq.assemble([], 1, 1) == {0: (0, []), 1: (0, [])}
 
 
 @pytest.mark.parametrize("make, built", [
-    (lambda: ss.ko_base_setup(40), 7),
+    (lambda: ss.ko_base_setup(40), 6),
     (lambda: ss.v1_tower_setup(PrimeContext(5), 360), 7),
-])
+], ids=["ko-base-w40", "v1-p5-w360"])
 def test_equal_slots_share_one_subquot(monkeypatch, make, built):
-    # the towers repeat a slot's content from filtration to filtration, so
-    # SubQuots are built per content: 572 and 538 when built per slot
+    # the towers repeat a page from filtration to filtration, so SubQuots
+    # are built per page: 572 and 538 when built per slot; the ko base built
+    # 7 while two of its pages differed only by empty boundary rows
     made = []
 
     class Counting(_intlin.SubQuot):
@@ -207,14 +208,25 @@ def test_equal_slots_share_one_subquot(monkeypatch, make, built):
     assert len(made) == built
 
 
+@pytest.mark.parametrize("make", [lambda: ss.v1_tower_setup(PrimeContext(2), 600),
+                                  lambda: ss.eta_tower_setup(64)],
+                         ids=["v1-p2-w600", "eta-w64"])
+def test_pages_hold_no_empty_boundary_row(make):
+    # the source's zero rows, which the turn maps to zero, and an all-zero
+    # rule target (an explicit d(x) = 0 in the eta tower) add no boundary row
+    setup = make()
+    setup.run()
+    assert all(row for page in setup.ss.pages for row in page.B)
+
+
 def test_rank_nullity_is_checked_per_target_content():
     # both slots hold Z/4 and read d1(2x) = (2, 0); into Z/4 + Z the free
     # summand leaves rank-nullity unchecked, but into Z/4 + Z/4 the turn
     # kills all of Z/4 at the source and only 2y at the target
     seq = ss.SpectralSequence(2, {(1, 0): [4], (0, 1): [4, 0],
                                   (3, 0): [4], (2, 1): [4, 4]})
-    assert seq.content((1, 0)) == seq.content((3, 0))
-    assert seq.content((0, 1)) != seq.content((2, 1))
+    assert seq.key[(1, 0)] == seq.key[(3, 0)]
+    assert seq.key[(0, 1)] != seq.key[(2, 1)]
     rules = [ss.Rule(1, slot, (2,), (2, 0), f"d1(2x){slot}") for slot in ((1, 0), (3, 0))]
     with pytest.raises(ss.EngineError, match=r"rank-nullity fails at \(3, 0\)->\(2, 1\)"):
         seq.run(rules, 1)

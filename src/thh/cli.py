@@ -156,7 +156,8 @@ def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]
     rows = []
 
     def take(checks, tag):
-        rows.extend(c._replace(name=f"{tag}:{c.name}") for c in checks)
+        rows.extend(verify.Check(f"{tag}:{name}", index, ok, detail)
+                    for name, index, ok, detail in checks)
 
     mod_eta, eta_squared = (_ko_answer_checks(suite, window)
                             if p == 2 and suite in ("cofiber", "ko", "all")

@@ -367,9 +367,14 @@ class ModuleMap:
     the whole degree slice.  That reading is a map of groups only when the
     map respects relations (`respects_relations`): the images of the source
     relations must vanish in the target.  `GradedModulePresentation.dual`
-    reads the same matrix for the map v.  The matrix is cached by slice
-    shapes, so neither presentation may gain relations once the map has
-    answered.
+    reads the same matrix for the map v.
+
+    The matrix, and so every group read off it, depends on d only through
+    the source's `slice_shape(d)` and the target's `slice_shape(d + shift)`;
+    `induced` caches each of them by that pair.  So neither presentation may
+    gain relations once the map has answered: `induced` records both
+    relation counts at its first answer and raises `ValueError` on any later
+    read if either has changed.
     """
 
     def __init__(self, source: GradedModulePresentation, target: GradedModulePresentation,
@@ -378,9 +383,10 @@ class ModuleMap:
         self.target = target
         self.images = images
         self.degree_shift = degree_shift
-        # keyed by the (source, target) `slice_shape` pair
-        self._summand_cache: dict[tuple[tuple[int, int], tuple[int, int]],
-                                  tuple[list[list[int]], list[int]]] = {}
+        # keyed by the (source, target) `slice_shape` pair, then by builder
+        self._induced: dict[tuple[tuple[int, int], tuple[int, int]], dict] = {}
+        # (source, target) relation counts at the first cached answer
+        self._relation_counts: tuple[int, int] | None = None
         for gid, terms in images.items():
             if terms:
                 want = source.generators[gid].degree + degree_shift
@@ -415,44 +421,46 @@ class ModuleMap:
                 return False
         return True
 
+    def induced(self, d: int, build):
+        """`build(self, d)`, cached by the source's `slice_shape(d)` and the
+        target's `slice_shape(d + shift)`; `build` must depend on d only
+        through that pair, as a group read off `summand_matrix(d)` and the
+        two `subquot_at` does.
+
+        Raises `ValueError` if either presentation has gained relations
+        since the map's first cached answer."""
+        counts = len(self.source.relations), len(self.target.relations)
+        if self._relation_counts is None:
+            self._relation_counts = counts
+        elif counts != self._relation_counts:
+            raise ValueError(f"relation counts (source, target) went from "
+                             f"{self._relation_counts} to {counts} after the map answered")
+        groups = self._induced.setdefault((self.source.slice_shape(d),
+                                           self.target.slice_shape(d + self.degree_shift)), {})
+        if build not in groups:
+            groups[build] = build(self, d)
+        return groups[build]
+
     def summand_matrix(self, d: int) -> tuple[list[list[int]], list[int]]:
         """(rows, units): the map from degree d to degree d + shift in summand
         coordinates.  Row j and units[j] are the target's `coordinates` of the
         image of summand j of `source.subquot_at(d)`, so the rows span the
         same Z_(p)-lattice as the map.
 
-        Cached by the source's `slice_shape(d)` and the target's
-        `slice_shape(d + shift)`: `image_of_cell` shifts v-exponents, so
-        every column the rows read names a generator, as in both slices'
-        relation matrices."""
-        key = (self.source.slice_shape(d),
-               self.target.slice_shape(d + self.degree_shift))
-        if key not in self._summand_cache:
-            src_sq = self.source.subquot_at(d)
-            cells = self.source.slice_cells(d)
-            rows, units = [], []
-            for j in range(len(src_sq.summands)):
-                terms: list[Term] = []
-                for (gid, e), c in zip(cells, src_sq.generator_vector(j)):
-                    if c:
-                        terms.extend((c * a, ve, t) for a, ve, t in self.image_of_cell(gid, e))
-                row, unit = self.target.coordinates(d + self.degree_shift, terms)
-                rows.append(row)
-                units.append(unit)
-            self._summand_cache[key] = rows, units
-        return self._summand_cache[key]
+        Cached by `induced`: `image_of_cell` shifts v-exponents, so every
+        column the rows read names a generator, as in both slices' relation
+        matrices."""
+        return self.induced(d, _summand_matrix)
 
     def image_subquot(self, d: int) -> SubQuot:
         """Image of the degree-d group, (span M + L_b) / L_b in the summand
-        coordinates of the target's `subquot_at(d + shift)`.
+        coordinates of the target's `subquot_at(d + shift)`; cached by
+        `induced`.
 
         M is the rows of `summand_matrix(d)` and L_b the target's order lattice;
         the map must respect relations.
         """
-        rows, _ = self.summand_matrix(d)
-        orders = self.target.subquot_at(d + self.degree_shift).orders
-        return SubQuot(self.target.ring.p, len(orders), sparse_rows(rows),
-                       order_rows(orders))
+        return self.induced(d, _image_subquot)
 
     def injective_at(self, d: int) -> bool:
         src_sq = self.source.subquot_at(d)
@@ -465,6 +473,30 @@ class ModuleMap:
         img = self.image_subquot(d)
         return (img.free_rank() == tgt_sq.free_rank()
                 and img.torsion() == tgt_sq.torsion())
+
+
+def _summand_matrix(mp: ModuleMap, d: int) -> tuple[list[list[int]], list[int]]:
+    """The uncached body of `ModuleMap.summand_matrix`."""
+    src_sq = mp.source.subquot_at(d)
+    cells = mp.source.slice_cells(d)
+    rows, units = [], []
+    for j in range(len(src_sq.summands)):
+        terms: list[Term] = []
+        for (gid, e), c in zip(cells, src_sq.generator_vector(j)):
+            if c:
+                terms.extend((c * a, ve, t) for a, ve, t in mp.image_of_cell(gid, e))
+        row, unit = mp.target.coordinates(d + mp.degree_shift, terms)
+        rows.append(row)
+        units.append(unit)
+    return rows, units
+
+
+def _image_subquot(mp: ModuleMap, d: int) -> SubQuot:
+    """The uncached body of `ModuleMap.image_subquot`."""
+    rows, _ = mp.summand_matrix(d)
+    orders = mp.target.subquot_at(d + mp.degree_shift).orders
+    return SubQuot(mp.target.ring.p, len(orders), sparse_rows(rows),
+                   order_rows(orders))
 
 
 def variable_multiplication_map(mod: GradedModulePresentation) -> ModuleMap:

@@ -223,10 +223,11 @@ def _mod_p_dim(mod: GradedModulePresentation, d: int) -> int:
 
 def _through_cofiber(mp: ModuleMap, n: int) -> tuple[int, int]:
     """(free rank, order exponent) in degree n of the map's cofiber: the
-    cokernel landing in degree n plus the kernel one degree below."""
+    cokernel landing in degree n plus the kernel one degree below, each
+    cached by the map's slice-shape pair."""
     d = n - mp.degree_shift
-    ck = _group_data(cokernel_subquot(mp, d))
-    kr = _group_data(kernel_subquot(mp, d - 1)) if d >= 1 else (0, 0)
+    ck = _group_data(mp.induced(d, cokernel_subquot))
+    kr = _group_data(mp.induced(d - 1, kernel_subquot)) if d >= 1 else (0, 0)
     return ck[0] + kr[0], ck[1] + kr[1]
 
 
@@ -455,8 +456,7 @@ def duality_check(ctx: PrimeContext, n_max: int, window: int) -> list[Check]:
         for d in range(top + 1):
             lo_r, lo_t = tn.group_at(d)
             hi_r, hi_t = tn.group_at(top - d)
-            out.append(agree(f"block-{n}-self-dual", d,
-                             (lo_r, sorted(lo_t)), (hi_r, sorted(hi_t))))
+            out.append(agree(f"block-{n}-self-dual", d, (lo_r, lo_t), (hi_r, hi_t)))
     mirror = thc.thh_ell_HZ_mirror(ctx, window)
     direct = thc.thc_ell_HZ(ctx, window)
     for d in range(window + 1):

@@ -15,8 +15,8 @@ from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
                         Relation, RingSpec, submodule_presentation,
                         variable_multiplication_map)
 from thh.padic import PrimeContext
-from thh.verify import (cokernel_subquot, eta_square_map, kernel_subquot,
-                        ko_to_ku_map)
+from thh.verify import (_through_cofiber, cokernel_subquot, eta_square_map,
+                        kernel_subquot, ko_to_ku_map)
 
 from test_closed_forms import PRESENTATIONS
 
@@ -139,6 +139,24 @@ def test_module_map_image_subquot():
     assert img.torsion() == [4]
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_module_map_raises_once_a_presentation_gains_relations(side):
+    # the map's groups are cached by slice shape, and a new relation renames
+    # the shapes from its base on
+    src = GradedModulePresentation(R2, [Generator("s", 0)], [])
+    tgt = cyclic(R2, 3, gid="t")
+    mp = ModuleMap(src, tgt, {"s": ((2, 0, "t"),)})
+    assert mp.summand_matrix(0) == ([[2]], [1])
+    if side == "source":
+        src.add_relation(Relation(((4, 0, "s"),)))
+    else:
+        tgt.add_relation(Relation(((2, 0, "t"),)))
+    with pytest.raises(ValueError, match="relation counts"):
+        mp.summand_matrix(0)
+    with pytest.raises(ValueError, match="relation counts"):
+        mp.image_subquot(2)
+
+
 def test_submodule_presentation_matches_by_hand():
     m = cyclic(R2, 3)  # Z/8[v]
     sub = submodule_presentation(m, [("u", ((2, 0, "t"),), "u")], hi=6)
@@ -254,10 +272,11 @@ def cell_cokernel_subquot(mp, d):
                    mp.target.slice_relation_rows(td) + sparse_rows(mp.matrix(d)))
 
 
-def assert_map_groups_match_cells(mp, degrees):
-    def data(sq):
-        return sq.free_rank(), sq.torsion()
+def data(sq):
+    return sq.free_rank(), sq.torsion()
 
+
+def assert_map_groups_match_cells(mp, degrees):
     for d in degrees:
         kernel = kernel_subquot(mp, d)
         assert data(mp.image_subquot(d)) == data(cell_image_subquot(mp, d)), d
@@ -479,6 +498,48 @@ def test_shape_keyed_answers_match_each_degree(name):
     degrees = list(range(top + 1))
     random.Random(name).shuffle(degrees)
     assert_shape_keyed_answers(make(), degrees)
+
+
+def assert_map_groups_keyed_by_shape(mp, degrees):
+    """Every group `mp` caches by slice-shape pair, visited in `degrees`
+    order, equals the one a fresh map computes on degree-keyed copies of its
+    presentations, where each degree is its own shape."""
+    def degree_keyed(module):
+        return DegreeKeyed(module.ring, list(module.generators.values()),
+                           module.relations, module.complete_below)
+
+    src = degree_keyed(mp.source)
+    tgt = src if mp.target is mp.source else degree_keyed(mp.target)
+    for d in degrees:
+        fresh = ModuleMap(src, tgt, mp.images, mp.degree_shift)
+        assert data(mp.image_subquot(d)) == data(fresh.image_subquot(d)), d
+        for build in (kernel_subquot, cokernel_subquot):
+            assert data(mp.induced(d, build)) == data(build(fresh, d)), (d, build)
+        n = d + mp.degree_shift
+        assert _through_cofiber(mp, n) == _through_cofiber(fresh, n), d
+
+
+SHAPE_KEYED_MAPS = {
+    "v-thh_ell-p3-w160": (
+        lambda: variable_multiplication_map(thh_ell(PrimeContext(3), 160)), 160 - 4),
+    "v-thh_ell_k1-p5-w400": (
+        lambda: variable_multiplication_map(thh_ell_k1(PrimeContext(5), 400)), 400 - 8),
+    "eta-thh_ko-w68": (lambda: thh_ko_eta_map(thh_ko(68)), 68 - 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_KEYED_MAPS))
+def test_map_groups_keyed_by_shape_match_each_degree(name):
+    make, top = SHAPE_KEYED_MAPS[name]
+    mp = make()
+    pairs = {(mp.source.slice_shape(d), mp.target.slice_shape(d + mp.degree_shift))
+             for d in range(top + 1)}
+    assert len(pairs) < top + 1   # some shape pairs repeat
+    degrees = list(range(top + 1))
+    assert_map_groups_keyed_by_shape(mp, degrees)
+    assert_map_groups_keyed_by_shape(make(), degrees[::-1])
+    random.Random(name).shuffle(degrees)
+    assert_map_groups_keyed_by_shape(make(), degrees)
 
 
 def test_slice_shape_counts_the_steps_of_the_residue():

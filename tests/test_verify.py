@@ -59,6 +59,15 @@ def test_cofiber_identities_short_window():
     assert _clean(verify.cofiber_checks_ko(cf.thh_ko(30 + 4), 30)) == []
 
 
+def test_cofiber_checks_build_each_shape_pairs_groups_once(monkeypatch):
+    # the v maps on thh_ell and thh_ell_k1 at p=5 w=360 read 722 cokernels
+    # and 704 kernels over 99 and 97 (source, target) slice-shape pairs
+    from test_cli import count_calls
+    calls = count_calls(monkeypatch, verify, ("kernel_subquot", "cokernel_subquot"))
+    assert _clean(verify.cofiber_checks(PrimeContext(5), 360)) == []
+    assert calls == {"kernel_subquot": 97, "cokernel_subquot": 99}
+
+
 def test_dueling_short_window():
     for p in (2, 3):
         assert _clean(verify.dueling_comparison(PrimeContext(p), 24)) == []

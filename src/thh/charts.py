@@ -10,7 +10,7 @@ the bytes are identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import closed_forms as cf
 from .padic import PrimeContext, nu
@@ -30,21 +30,18 @@ _UY = 14  # vertical pixels per filtration step
 _MARGIN = 30
 
 
-@dataclass(frozen=True)
-class ChartSpec:
-    kind: str
-    prime: int
-    lo: int
-    hi: int
-    paper_style: bool = False
+class ChartSpec(NamedTuple("ChartSpec", [("kind", str), ("prime", int), ("lo", int),
+                                          ("hi", int), ("paper_style", bool)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in CHART_KINDS:
-            raise ValueError(f"unknown chart kind {self.kind!r}")
-        if self.lo > self.hi or self.lo < 0:
-            raise ValueError(f"empty degree range [{self.lo}, {self.hi}]")
-        if self.kind in ("eta-page", "ko-answer") and self.prime != 2:
-            raise ValueError(f"{self.kind} charts exist only at the prime 2")
+    def __new__(cls, kind: str, prime: int, lo: int, hi: int, paper_style: bool = False):
+        if kind not in CHART_KINDS:
+            raise ValueError(f"unknown chart kind {kind!r}")
+        if lo > hi or lo < 0:
+            raise ValueError(f"empty degree range [{lo}, {hi}]")
+        if kind in ("eta-page", "ko-answer") and prime != 2:
+            raise ValueError(f"{kind} charts exist only at the prime 2")
+        return super().__new__(cls, kind, prime, lo, hi, paper_style)
 
 
 def _dots_from_groups(groups) -> tuple[list, list]:

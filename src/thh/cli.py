@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -116,6 +115,7 @@ def _format_group(records: list[dict], fmt: str) -> str:
             return _group_json(records[0], "") + "\n"
         return _json_list([_group_json(r, "  ") for r in records], "") + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["prime", "target", "coefficients", "degree",

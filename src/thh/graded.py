@@ -21,28 +21,26 @@ many shapes, however many degrees are asked.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from ._intlin import (SubQuot, group_invariants, order_rows, row_hermite,
                       row_kernel, solve_in_lattice, sparse_rows)
 from .padic import nu
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(NamedTuple("RingSpec", [("p", int), ("v_degree", int)])):
     """The coefficient ring Z_(p)[v] with |v| = v_degree > 0."""
 
-    p: int
-    v_degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.v_degree <= 0:
+    def __new__(cls, p: int, v_degree: int):
+        if v_degree <= 0:
             raise ValueError("v_degree must be positive (degree-0 bookkeeping lives in filtrations)")
+        return super().__new__(cls, p, v_degree)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     gid: str
     degree: int
     label: str = ""
@@ -54,8 +52,7 @@ class Generator:
 Term = tuple[int, int, str]  # (coefficient, v-exponent, generator id)
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A homogeneous Z_(p)[v]-linear combination of generators set to zero."""
 
     terms: tuple[Term, ...]

@@ -1,7 +1,7 @@
 """p-adic valuations, truncation lengths, and degree bookkeeping for the named classes."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def _is_prime(p: int) -> bool:
@@ -15,27 +15,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(NamedTuple("PrimeContext", [("p", int)])):
     """A prime p; construction raises ValueError unless p is prime."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+    def __new__(cls, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        return super().__new__(cls, p)
 
 
-@dataclass(frozen=True)
-class TorsionWord:
-    """A finite string of base-p digits indexing a torsion-module generator."""
+class TorsionWord(NamedTuple("TorsionWord", [("digits", tuple[int, ...]), ("p", int)])):
+    """A finite string of base-p digits indexing a torsion-module generator.
 
-    digits: tuple[int, ...]
-    p: int
+    `len` is the number of digits, not of fields, so `_make` and `_replace`,
+    which check the field count through `len`, do not apply."""
 
-    def __post_init__(self):
-        if any(d < 0 or d >= self.p for d in self.digits):
-            raise ValueError(f"digits must lie in [0, {self.p}): {self.digits}")
+    __slots__ = ()
+
+    def __new__(cls, digits: tuple[int, ...], p: int):
+        if any(d < 0 or d >= p for d in digits):
+            raise ValueError(f"digits must lie in [0, {p}): {digits}")
+        return super().__new__(cls, digits, p)
 
     def __len__(self) -> int:
         return len(self.digits)

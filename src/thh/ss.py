@@ -49,7 +49,6 @@ d1(v^t b'_m) for odd t, and the d2 shape, from v^(2j) b'_(2^n) onto the
 chain class three degrees down.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -75,8 +74,7 @@ class _Ceiling(Exception):
     """An extension chain left the assembled filtration range."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     page: int
     slot: tuple[int, int]
     source: tuple[int, ...]
@@ -84,8 +82,7 @@ class Rule:
     name: str
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(NamedTuple):
     """p * (lift of the class of `source`) = next layer + sum of targets.
 
     Each target is (coefficient, slot, cell vector) and stands for the
@@ -405,8 +402,7 @@ class SpectralSequence:
         return Fraction(sol[0][0], sol[1])
 
 
-@dataclass
-class EngineSetup:
+class EngineSetup(NamedTuple):
     ss: SpectralSequence
     rules: list[Rule]
     extensions: list[Extension]

@@ -8,7 +8,7 @@ per-degree (free rank, torsion) tables dual to the homology answers.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closed_forms import hidden_extension, thh_ell_HZ
 from .padic import (PrimeContext, a_degree, b_degree, binom_valuation, nu,
@@ -28,8 +28,7 @@ def dp_multiply(ctx: PrimeContext, i: int, j: int) -> tuple[int, int]:
     return binom_valuation(ctx.p, i, j), i + j
 
 
-@dataclass(frozen=True)
-class CapResult:
+class CapResult(NamedTuple):
     """Outcome of capping gamma_k against a_n or b_n."""
 
     family: str

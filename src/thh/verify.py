@@ -14,7 +14,6 @@ and hands it to both.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._intlin import SubQuot, order_rows, row_kernel, sparse_rows
@@ -102,7 +101,6 @@ def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[Check]:
 # -- reconstruction of the first matching ----------------------------------------
 
 
-@dataclass
 class MatchingReport:
     """A differential pattern on the exterior-times-polynomial basis.
 
@@ -111,10 +109,11 @@ class MatchingReport:
     monomials for which no pairing (or more than one) exists.
     """
 
-    window: int
-    survivors: dict[str, tuple[str, int, int]] = field(default_factory=dict)
-    pairs: dict[str, tuple[str, int, int, int]] = field(default_factory=dict)
-    leftovers: list[str] = field(default_factory=list)
+    def __init__(self, window: int):
+        self.window = window
+        self.survivors: dict[str, tuple[str, int, int]] = {}
+        self.pairs: dict[str, tuple[str, int, int, int]] = {}
+        self.leftovers: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -207,7 +206,15 @@ def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     return SubQuot(p, len(tgt), None, order_rows(tgt) + sparse_rows(rows))
 
 
-def _group_data(sq: SubQuot) -> tuple[int, int]:
+def _cokernel_data(mp: ModuleMap, d: int) -> tuple[int, int]:
+    """(free rank, order exponent) of `cokernel_subquot(mp, d)`."""
+    sq = cokernel_subquot(mp, d)
+    return sq.free_rank(), sq.total_order_exponent()
+
+
+def _kernel_data(mp: ModuleMap, d: int) -> tuple[int, int]:
+    """(free rank, order exponent) of `kernel_subquot(mp, d)`."""
+    sq = kernel_subquot(mp, d)
     return sq.free_rank(), sq.total_order_exponent()
 
 
@@ -223,11 +230,11 @@ def _mod_p_dim(mod: GradedModulePresentation, d: int) -> int:
 
 def _through_cofiber(mp: ModuleMap, n: int) -> tuple[int, int]:
     """(free rank, order exponent) in degree n of the map's cofiber: the
-    cokernel landing in degree n plus the kernel one degree below, each
-    cached by the map's slice-shape pair."""
+    cokernel landing in degree n plus the kernel one degree below.  Each
+    map caches only these pairs by its slice-shape pair, not the groups."""
     d = n - mp.degree_shift
-    ck = _group_data(mp.induced(d, cokernel_subquot))
-    kr = _group_data(mp.induced(d - 1, kernel_subquot)) if d >= 1 else (0, 0)
+    ck = mp.induced(d, _cokernel_data)
+    kr = mp.induced(d - 1, _kernel_data) if d >= 1 else (0, 0)
     return ck[0] + kr[0], ck[1] + kr[1]
 
 

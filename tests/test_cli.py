@@ -359,6 +359,24 @@ def test_cli_module_runs_from_the_source_tree():
     assert proc.stdout.rstrip().endswith("0 failures")
 
 
+def test_cli_import_loads_no_heavy_modules():
+    # in a fresh interpreter, since pytest itself loads dataclasses; -E drops
+    # PYTHONPATH, so the child puts the source tree on sys.path itself
+    import pathlib
+    import subprocess
+    import sys
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); from thh import cli; "
+            "print(cli.__file__); print(' '.join(m for m in ('dataclasses', "
+            "'inspect', 'csv', 'thh.ss') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    path, loaded = proc.stdout.split("\n")[:2]
+    assert path.startswith(src)
+    assert loaded == ""
+
+
 @pytest.mark.parametrize("p, target, coefficients", [
     (p, "ell", c) for p in (2, 3) for c in cli._ELL_COEFFS] + [
     (2, "ko", c) for c in cli._KO_COEFFS])

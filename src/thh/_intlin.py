@@ -36,11 +36,13 @@ a list of ints, `p_row(i)` and `qinv_row(i)` {column: int} dicts, and
 `SmithForm` applies the step to rows and then to columns, `row_hermite` to
 rows only, `solve_in_lattice` to back-substitution against a `row_hermite`
 basis.  Their transforms have p-unit determinants, so spans, kernels and
-invariant factors are exact over Z_(p), not over Z.  Membership and
-coordinates are fraction-free: integer coordinates over one positive common
-denominator, (nums, den).  `solve_in_lattice` answers over Z_(p), so den is
-a p-unit; `lattice_coordinates` answers over Q in lowest terms, so its
-coordinates are p-local exactly when p does not divide den.
+invariant factors are exact over Z_(p), not over Z.  Every fraction here is
+a pair of ints.  Membership and coordinates are fraction-free: integer
+coordinates over one positive common denominator, (nums, den).  `solve_in_lattice` answers over Z_(p), so den is a p-unit;
+`lattice_coordinates` answers over Q in lowest terms, so its coordinates
+are p-local exactly when p does not divide den.  `SubQuot.express` answers
+in summand coordinates as (ints, unit), over the least p-unit that clears
+the free coordinates' denominators.
 
 Each routine records only the transforms it reads (`Track`):
 `group_invariants` none, `SubQuot` the column transform Q with its inverse
@@ -54,7 +56,6 @@ coordinate vector, so it needs no `row_hermite` and no `solve_in_lattice`.
 from __future__ import annotations
 
 from enum import IntEnum
-from fractions import Fraction
 from math import gcd, lcm
 
 from .padic import nu
@@ -98,6 +99,22 @@ def _combine(row: dict, u: int, w: int, other: dict) -> None:
             row.pop(j, None)
 
 
+def _lowest(row: dict, den: int, dens: dict[int, int], key: int) -> None:
+    """Put the fraction row / den in lowest terms with a positive denominator,
+    kept in dens[key] unless it is 1."""
+    g = gcd(den, *row.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
+        den //= g
+    if den > 1:
+        dens[key] = den
+    else:
+        dens.pop(key, None)
+
+
 class Track(IntEnum):
     """The transforms a `SmithForm` records; falsy exactly when it records none."""
     NONE = 0
@@ -117,8 +134,9 @@ class SmithForm:
     """Smith normal form D = P * M * Q over Z_(p); Qinv is the inverse of Q.
 
     The nonzero diagonal entries of D have non-decreasing p-valuations.  P and
-    Qinv are integer matrices and P, Q have p-unit determinants; Q holds
-    p-local fractions only when some column step had to scale by a unit.
+    Qinv are integer matrices and P, Q have p-unit determinants; a column
+    of Q has a p-unit denominator other than 1 only when some column step
+    had to scale by a unit.
 
     `rows` are (column, value) rows; a column id outside range(ncols)
     raises ValueError, and so does a zero value that the pivot search
@@ -135,8 +153,10 @@ class SmithForm:
     position with `diagonal`, `p_row`, `q_column` and `qinv_row`.
 
     `transforms` names what is recorded; reading another raises ValueError.
-    When a column step scales by a unit, the p-unit denominator of each row
-    i of Qinv moves into column i of Q and, when P is recorded, row i of P.
+    When a column step scales by a unit, the rows of Qinv it touches keep
+    one p-unit denominator each, in lowest terms, beside their ints.  After
+    the last step the denominator of each row i of Qinv moves into column i
+    of Q and, when P is recorded, row i of P, so Qinv is left in ints.
     `kernel` and `coordinates` read P (and Q), so they need Track.ALL.
     """
 
@@ -167,8 +187,8 @@ class SmithForm:
         pos = col[:]           # the position of each column id
         prows: dict[int, dict] = {}   # P by starting row
         qcols: dict[int, dict] = {}   # Q by column id
-        qinv: dict[int, dict] = {}    # Qinv by column id
-        scaled = False
+        qinv: dict[int, dict] = {}    # Qinv by column id, each row times its qden
+        qden: dict[int, int] = {}     # the denominators of Qinv's rows other than 1
 
         for t in range(min(m, n)):
             piv = _pivot(R, live, pos, p)
@@ -234,31 +254,28 @@ class SmithForm:
                 below = holders[j]
                 below.discard(rt)
                 if u != 1:
-                    scaled = True
                     for r in below:
                         R[r][j] *= u
                 if track_q:
                     _combine(qcols.setdefault(j, {j: 1}), u, w,
                              qcols.get(c) or {c: 1})
                     rj = qinv.setdefault(j, {j: 1})
-                    _combine(qinv.setdefault(c, {c: 1}), 1,
-                             -w if u == 1 else Fraction(-w, u), rj)
-                    if u != 1:
-                        for r in rj:
-                            rj[r] = Fraction(rj[r]) / u
+                    rc = qinv.setdefault(c, {c: 1})
+                    if u == 1 and not qden:
+                        _combine(rc, 1, -w, rj)
+                    else:
+                        # row c += (w / u) * row j, then row j /= u
+                        dj, dc = qden.get(j, 1), qden.get(c, 1)
+                        _combine(rc, u * dj, -w * dc, rj)
+                        _lowest(rc, u * dj * dc, qden, c)
+                        _lowest(rj, u * dj, qden, j)
         self._diag = [R[rid[i]].get(col[i], 0) for i in range(min(m, n))]
-        qden: dict[int, int] = {}
-        if scaled and track_q:
+        if track_p:
             # move the p-unit denominator of each row i of Qinv into column i
-            # of Q and row i of P; D is diagonal, so P * M * Q is unchanged.
-            # Every stored row is rewritten in ints: units can cancel to den 1
-            for j, row in qinv.items():
-                den = lcm(*(x.denominator for x in row.values()))
-                qinv[j] = {y: int(x * den) for y, x in row.items()}
-                if den > 1:
-                    qden[j] = den
-                    if track_p and pos[j] < m:
-                        _scale(_p_of(prows, rid[pos[j]]), den)
+            # of Q and row i of P; D is diagonal, so P * M * Q is unchanged
+            for j, den in qden.items():
+                if pos[j] < m:
+                    _scale(_p_of(prows, rid[pos[j]]), den)
         self._rid, self._col = rid, col
         self._prows = prows if track_p else None
         self._qcols, self._qden, self._qinv = (
@@ -523,11 +540,13 @@ class SubQuot:
                     out[t] += c * x
         return out
 
-    def express(self, v: list[int]):
-        """Summand coordinates of v, or None when v is not p-locally in the subgroup.
+    def express(self, v: list[int]) -> tuple[list[int], int] | None:
+        """Summand coordinates of v as (ints, unit), or None when v is not
+        p-locally in the subgroup.
 
-        Torsion coordinates come back as ints mod the order; free coordinates as
-        p-local Fractions.
+        unit is the least positive p-unit that clears the denominators of the
+        free coordinates, and ints holds each coordinate times unit: a torsion
+        coordinate is an int mod its order before the scaling.
         """
         if self.basis is None:
             nums, den = v, 1
@@ -536,18 +555,20 @@ class SubQuot:
             if sol is None:
                 return None
             nums, den = sol
-        out = []
+        coords, unit = [], 1   # (numerator, denominator) pairs in lowest terms
         for (order, _), (col, cden) in zip(self.summands, self._cols):
-            y = sum(q * nums[r] for r, q in col.items())
-            out.append(y * pow(den * cden, -1, order) % order if order
-                       else Fraction(y, den * cden))
-        return out
+            y, t = sum(q * nums[r] for r, q in col.items()), den * cden
+            if order:
+                coords.append((y * pow(t, -1, order) % order, 1))
+            else:
+                g = gcd(y, t)
+                coords.append((y // g, t // g))
+                unit = lcm(unit, t // g)
+        return [y * (unit // t) for y, t in coords], unit
 
     def is_zero(self, v: list[int]) -> bool:
         e = self.express(v)
-        if e is None:
-            return False
-        return all(not x for x in e)
+        return e is not None and not any(e[0])
 
 
 def group_invariants(rel_rows: list[list[tuple[int, int]]], n: int,

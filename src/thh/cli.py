@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
+
+from _json import encode_basestring_ascii as _enc  # json.encoder's, without json
 
 from . import charts, closed_forms as cf, thc, verify
 from .padic import PrimeContext
@@ -96,12 +97,11 @@ def _json_list(items: list[str], indent: str) -> str:
 def _group_json(r: dict, indent: str) -> str:
     """One group record as json.dumps(indent=2) lays it out, `indent` being
     the record's own indent."""
-    enc = json.encoder.encode_basestring_ascii
     at = indent + "  "
-    gens = [f'{{\n{at}    "label": {enc(g["label"])},\n'
+    gens = [f'{{\n{at}    "label": {_enc(g["label"])},\n'
             f'{at}    "order": {g["order"]}\n{at}  }}' for g in r["generators"]]
-    return (f'{{\n{at}"prime": {r["prime"]},\n{at}"target": {enc(r["target"])},\n'
-            f'{at}"coefficients": {enc(r["coefficients"])},\n{at}"degree": {r["degree"]},\n'
+    return (f'{{\n{at}"prime": {r["prime"]},\n{at}"target": {_enc(r["target"])},\n'
+            f'{at}"coefficients": {_enc(r["coefficients"])},\n{at}"degree": {r["degree"]},\n'
             f'{at}"free_rank": {r["free_rank"]},\n'
             f'{at}"torsion": {_json_list(list(map(str, r["torsion"])), at)},\n'
             f'{at}"generators": {_json_list(gens, at)}\n{indent}}}')
@@ -189,16 +189,23 @@ def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]
 
 def _format_verify(rows: list[verify.Check], fmt: str) -> str:
     if fmt == "json":
-        # the rows have one fixed shape, written here directly: json.dumps
-        # with an indent takes the pure-Python encoder, for the same bytes
-        enc = json.encoder.encode_basestring_ascii
+        # the rows have one fixed shape, written here directly in the bytes
+        # of json.dumps(payload, indent=2): one template per row, its lists
+        # laid out as `_json_list` lays them out, and each check name
+        # encoded once
+        names: dict[str, str] = {}
         objects = []
         for n, d, ok, det in rows:
-            index = _json_list(list(map(str, d)), "    ") if isinstance(d, tuple) else str(d)
-            detail = _json_list([enc(str(x)) for x in det], "    ")
-            objects.append(f'{{\n    "check": {enc(n)},\n    "index": {index},\n'
+            name = names.get(n)
+            if name is None:
+                name = names[n] = _enc(n)
+            index = (("[\n      " + ",\n      ".join(map(str, d)) + "\n    ]" if d else "[]")
+                     if isinstance(d, tuple) else d)
+            detail = ("[\n      " + ",\n      ".join([_enc(str(x)) for x in det])
+                      + "\n    ]" if det else "[]")
+            objects.append(f'  {{\n    "check": {name},\n    "index": {index},\n'
                            f'    "ok": {"true" if ok else "false"},\n    "detail": {detail}\n  }}')
-        return _json_list(objects, "") + "\n"
+        return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
     failures = [r for r in rows if not r[2]]
     lines = [f"{len(rows)} checks, {len(failures)} failures"]
     for n, d, ok, det in failures:
@@ -289,6 +296,7 @@ def main(argv=None) -> int:
               else default_window(p))
         spec = charts.ChartSpec(args.kind, p, lo, hi, args.paper_style)
         if args.format == "json":
+            import json
             dots, lines = charts.chart_data(spec)
             _emit(json.dumps({"dots": sorted(dots),
                               "lines": sorted(lines)}) + "\n", args.out)

@@ -21,7 +21,7 @@ many shapes, however many degrees are asked.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from ._intlin import (SubQuot, group_invariants, order_rows, row_hermite,
@@ -219,11 +219,10 @@ class GradedModulePresentation:
 
     def coordinates(self, d: int, terms) -> tuple[list[int], int]:
         """(ints, unit): the summand coordinates of a homogeneous element in
-        `subquot_at(d)` times the least p-unit that clears their denominators
-        (on a whole slice `express` always finds them, over Z_(p))."""
-        coords = self.subquot_at(d).express(self.element_vector(d, terms))
-        unit = lcm(*(x.denominator for x in coords))
-        return [int(x * unit) for x in coords], unit
+        `subquot_at(d)` times the least p-unit that clears their denominators,
+        as `SubQuot.express` gives them (on a whole slice it always finds
+        them, over Z_(p))."""
+        return self.subquot_at(d).express(self.element_vector(d, terms))
 
     def is_zero_at(self, d: int, terms) -> bool:
         return self.subquot_at(d).is_zero(self.element_vector(d, terms))
@@ -232,7 +231,8 @@ class GradedModulePresentation:
         """p-local order of a homogeneous element (0 for infinite order)."""
         sq = self.subquot_at(d)
         order = 1
-        for c, o in zip(sq.express(self.element_vector(d, terms)), sq.orders):
+        # the coordinates are scaled by a p-unit, which leaves each order as it is
+        for c, o in zip(sq.express(self.element_vector(d, terms))[0], sq.orders):
             if o == 0:
                 if c:
                     return 0

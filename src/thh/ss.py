@@ -49,7 +49,6 @@ d1(v^t b'_m) for odd t, and the d2 shape, from v^(2j) b'_(2^n) onto the
 chain class three degrees down.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -124,22 +123,29 @@ class SpectralSequence:
     cached answer is a function of its key alone; a computation that raises
     `EngineError` stores nothing, and the error ends the run.  The caches
     live on the instance, so a fresh sequence (`EngineSetup.sign_flipped`)
-    starts cold.
+    starts cold, and one that `restart` puts back on its E1 pages keeps them.
+    `turned` tells whether `run` has turned a page since the E1 pages.
     """
 
     def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
         self.p = p
         self.cells = cells
-        # the E1 page of a slot: every cell a cycle, no boundaries
         self._ids: dict[Page, int] = {}      # page -> key
-        self.key = {slot: self._ids.setdefault(
-                        Page(tuple(cs), tuple(((i, 1),) for i in range(len(cs))), ()),
-                        len(self._ids))
-                    for slot, cs in cells.items()}
-        self.pages = list(self._ids)         # key -> page
+        self.pages: list[Page] = []          # key -> page
+        self.restart()
         self._subquots: dict[int, SubQuot] = {}
         self._turns: dict[tuple, tuple | None] = {}
         self._balanced: set[tuple] = set()  # (old, new) page keys that pass rank-nullity
+
+    def restart(self) -> None:
+        """Put every slot on its E1 page: every cell a cycle, no boundaries."""
+        ids = self._ids
+        self.key = {slot: ids.setdefault(
+                        Page(tuple(cs), tuple(((i, 1),) for i in range(len(cs))), ()),
+                        len(ids))
+                    for slot, cs in self.cells.items()}
+        self.pages += list(ids)[len(self.pages):]
+        self.turned = False
 
     def page(self, slot) -> Page:
         return self.pages[self.key[slot]]
@@ -158,6 +164,7 @@ class SpectralSequence:
     # -- page turns ---------------------------------------------------------
 
     def run(self, rules: list[Rule], last_page: int) -> None:
+        self.turned = True
         by_page: dict[int, list[Rule]] = {}
         for rule in rules:
             by_page.setdefault(rule.page, []).append(rule)
@@ -244,13 +251,13 @@ class SpectralSequence:
             coords = sq_s.express(src)
             if coords is None:
                 raise EngineError(f"{rule.name}: source is not a cycle")
-            if not any(coords):
+            if not any(coords[0]):
                 continue  # vacuous: the source class is already zero
             if any(tgt):
                 coords = sq_t.express(tgt)
                 if coords is None:
                     raise EngineError(f"{rule.name}: target is not a cycle")
-                if not any(coords):
+                if not any(coords[0]):
                     raise EngineError(f"{rule.name}: target class is already zero")
             # an all-zero target is an explicit d(x) = 0 statement; it still
             # pins the differential on the source's span
@@ -322,7 +329,7 @@ class SpectralSequence:
         # keyed by (source, page key): a v-tower repeats it from slot to
         # slot; and each unit ratio asked of a form, keyed by (form key, vector)
         forms: dict[tuple, SmithForm] = {}
-        ratios: dict[tuple, Fraction | None] = {}
+        ratios: dict[tuple, tuple[int, int] | None] = {}
         for slot in sorted(self.cells):
             d, s = slot
             if not (d <= hi and s <= smax):
@@ -334,22 +341,25 @@ class SpectralSequence:
                     column[(slot, i)] = ngens[d]
                     ngens[d] += 1
 
+        # a class in generator coordinates is ({generator: int}, den): the
+        # ints over one positive common p-unit denominator
         def to_y(slot, vec):
             if slot not in sqs:
                 if slot in self.cells and not self.subquot(slot).summands:
-                    return {}
+                    return {}, 1
                 raise _Ceiling()
             coords = sqs[slot].express(vec)
             if coords is None:
                 raise EngineError(f"assembly: class at {slot} escapes the cycles")
-            return {(slot, i): c for i, c in enumerate(coords) if c}
+            ints, unit = coords
+            return {(slot, i): c for i, c in enumerate(ints) if c}, unit
 
         def lift(slot, vec, k):
             if not any(vec):
-                return {}
+                return {}, 1
             if k == 0:
                 return to_y(slot, vec)
-            out = lift(slot, [p * v for v in vec], k - 1)
+            out, den = lift(slot, [p * v for v in vec], k - 1)
             for ext in exts.get(slot, []):
                 key = (ext.source, self.key[slot])
                 ask = (key, tuple(vec))
@@ -359,15 +369,22 @@ class SpectralSequence:
                             sparse_rows([ext.source]) + self.page(slot).zero_rows(),
                             len(self.cells[slot]), p=p)
                     ratios[ask] = self._class_unit_ratio(forms[key], vec)
-                u = ratios[ask]
-                if u is None:
+                if ratios[ask] is None:
                     continue
+                u, u_den = ratios[ask]
                 for coeff, slot2, vec2 in ext.targets:
                     c = nu(p, coeff)
-                    sub = lift(slot2, list(vec2), k - 1 + c)
+                    sub, sub_den = lift(slot2, list(vec2), k - 1 + c)
+                    # out / den += (u / u_den) * (coeff / p^c) * sub / sub_den
+                    t = u_den * sub_den
+                    new = lcm(den, t)
+                    if new != den:
+                        out = {gen: val * (new // den) for gen, val in out.items()}
+                        den = new
+                    w = u * (coeff // p**c) * (new // t)
                     for gen, val in sub.items():
-                        out[gen] = out.get(gen, 0) + u * (coeff // p**c) * val
-            return out
+                        out[gen] = out.get(gen, 0) + w * val
+            return out, den
 
         rows: dict[int, list[list[int]]] = {d: [] for d in ngens}
         for slot, sq in sqs.items():
@@ -376,30 +393,33 @@ class SpectralSequence:
                 if order == 0:
                     continue
                 try:
-                    rhs = lift(slot, sq.generator_vector(i), nu(p, order))
+                    rhs, den = lift(slot, sq.generator_vector(i), nu(p, order))
                 except _Ceiling:
                     continue  # the tower leaves the window: no relation
-                terms = {(slot, i): order}
+                terms = {(slot, i): order * den}
                 for gen, val in rhs.items():
                     if gen[0][0] != d:
                         raise EngineError(
                             f"assembly: extension at {slot} leaves degree {d}")
                     terms[gen] = terms.get(gen, 0) - val
-                den = lcm(*(val.denominator for val in terms.values()))
-                if den % p == 0:
+                # the relation is terms / den, written over its least denominator
+                g = gcd(den, *terms.values())
+                if den // g % p == 0:
                     raise EngineError(f"assembly: non-local relation at {slot}")
-                rows[d].append([(column[gen], int(val * den))
+                rows[d].append([(column[gen], val // g)
                                 for gen, val in terms.items() if val])
         return {d: group_invariants(rows[d], ngens[d], p) for d in ngens}
 
-    def _class_unit_ratio(self, sf: SmithForm, veca):
-        """A p-adic unit u with [veca] = u * [vecb], or None, for `sf` the
-        Smith form of vecb over the zero rows of the slot."""
+    def _class_unit_ratio(self, sf: SmithForm, veca) -> tuple[int, int] | None:
+        """(num, den), p-units in lowest terms with den > 0, with [veca] =
+        (num / den) * [vecb]; or None when there is no such p-adic unit.
+        `sf` is the Smith form of vecb over the zero rows of the slot."""
         p = self.p
         sol = sf.coordinates(veca)
         if sol is None or sol[1] % p == 0 or sol[0][0] % p == 0:
             return None
-        return Fraction(sol[0][0], sol[1])
+        g = gcd(sol[0][0], sol[1])
+        return sol[0][0] // g, sol[1] // g
 
 
 class EngineSetup(NamedTuple):
@@ -410,6 +430,10 @@ class EngineSetup(NamedTuple):
     chain_smax: int
 
     def run(self) -> dict[int, tuple[int, list[int]]]:
+        """The assembled table; a second run restarts the sequence from E1
+        and reads its page-keyed caches, so it gives the same table."""
+        if self.ss.turned:
+            self.ss.restart()
         self.ss.run(self.rules, max((rule.page for rule in self.rules), default=0))
         return self.ss.assemble(self.extensions, self.window, self.chain_smax)
 

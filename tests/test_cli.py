@@ -359,22 +359,67 @@ def test_cli_module_runs_from_the_source_tree():
     assert proc.stdout.rstrip().endswith("0 failures")
 
 
-def test_cli_import_loads_no_heavy_modules():
-    # in a fresh interpreter, since pytest itself loads dataclasses; -E drops
-    # PYTHONPATH, so the child puts the source tree on sys.path itself
+HEAVY_MODULES = ("dataclasses", "inspect", "csv", "fractions", "decimal", "json")
+
+
+def _fresh_process(body: str) -> list[str]:
+    """stdout lines of `python -E -s` running body after `from thh import
+    cli`; -E drops PYTHONPATH, so the child puts the source tree on sys.path
+    itself.  The first line is the path cli was imported from."""
     import pathlib
     import subprocess
     import sys
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); from thh import cli; "
-            "print(cli.__file__); print(' '.join(m for m in ('dataclasses', "
-            "'inspect', 'csv', 'thh.ss') if m in sys.modules))")
+            f"print(cli.__file__)\n{body}")
     proc = subprocess.run([sys.executable, "-E", "-s", "-c", code],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    path, loaded = proc.stdout.split("\n")[:2]
-    assert path.startswith(src)
+    lines = proc.stdout.split("\n")
+    assert lines[0].startswith(src)
+    return lines[1:]
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # in a fresh interpreter, since pytest itself loads dataclasses
+    loaded = _fresh_process(f"print(' '.join(m for m in {HEAVY_MODULES + ('thh.ss',)!r} "
+                            "if m in sys.modules))")
+    assert loaded[0] == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--prime", "2", "--max-degree", "40", "--format", "json"],
+    ["verify", "--suite", "all", "--prime", "5", "--max-degree", "100",
+     "--level", "2", "--format", "json"],
+], ids=["group-p2-w40", "verify-all-p5-w100"])
+def test_cli_run_loads_no_fractions_decimal_or_json(argv):
+    # the child counts the calls of SubQuot.express and of the assembly's
+    # unit ratios, which the verify run reaches (from w=100 at p=5)
+    body = ("import contextlib, io\n"
+            "from thh import _intlin, ss\n"
+            "calls = []\n"
+            "def counted(cls, name):\n"
+            "    f = getattr(cls, name)\n"
+            "    setattr(cls, name, lambda *a: calls.append(name) or f(*a))\n"
+            "counted(_intlin.SubQuot, 'express')\n"
+            "counted(ss.SpectralSequence, '_class_unit_ratio')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = cli.main({argv!r})\n"
+            "print(rc, sorted(set(calls)))\n"
+            "print(' '.join(m for m in ('fractions', 'decimal', 'json') "
+            "if m in sys.modules))")
+    rc_calls, loaded = _fresh_process(body)[:2]
+    if argv[0] == "verify":
+        assert rc_calls == "0 ['_class_unit_ratio', 'express']"
+    else:
+        assert rc_calls.startswith("0 ")
     assert loaded == ""
+
+
+def test_cli_encoder_is_the_json_one():
+    # the C function json.encoder re-exports, so the bytes are json's
+    import json.encoder
+    assert cli._enc is json.encoder.encode_basestring_ascii
 
 
 @pytest.mark.parametrize("p, target, coefficients", [

@@ -202,6 +202,20 @@ def test_invariant_checks_survive_optimized_mode():
 EXPRESS_PIN = pathlib.Path(__file__).parent / "golden" / "subquot-express.json"
 
 
+def express_coordinates(sq, got):
+    """The coordinates of express's (ints, unit) one by one: torsion ones as
+    ints mod their order, free ones as Fractions."""
+    ints, unit = got
+    assert unit > 0 and all(type(x) is int for x in ints)
+    out = []
+    for x, o in zip(ints, sq.orders):
+        assert x % unit == 0 or not o
+        out.append(x // unit if o else Fraction(x, unit))
+    # unit is the least denominator of the free coordinates
+    assert lcm(*(c.denominator for c in out if isinstance(c, Fraction))) == unit
+    return out
+
+
 def express_table(module, window):
     """{degree: subquot_at(d).express of each unit vector, each slice relation
     row and their sum}, with free coordinates as Fraction strings."""
@@ -215,7 +229,8 @@ def express_table(module, window):
         vecs += rels + [[sum(c) for c in zip(*rels)] if rels else [0] * n]
         sq = module.subquot_at(d)
         out[str(d)] = [None if e is None else
-                       [str(c) if isinstance(c, Fraction) else c for c in e]
+                       [str(c) if isinstance(c, Fraction) else c
+                        for c in express_coordinates(sq, e)]
                        for e in map(sq.express, vecs)]
     return out
 
@@ -327,7 +342,7 @@ def test_map_groups_with_unit_denominators():
 def presented_maps(draw):
     """A map between two small presentations over Z_(p)[v], |v| = 2: cyclic
     generators cut by p-powers and v-powers, glued by extensions p*g = u*v^k*h
-    with u a p-unit; units other than +-1 give p-local Fraction coordinates."""
+    with u a p-unit; units other than +-1 give p-local fractional coordinates."""
     p = draw(st.sampled_from([2, 3]))
     ring = RingSpec(p, 2)
 

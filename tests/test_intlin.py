@@ -227,8 +227,8 @@ def test_whole_lattice_subquot_matches_identity_generators(case, data):
     for i in range(len(orders)):
         vec = whole.generator_vector(i)
         assert vec == ident.generator_vector(i)
-        assert whole.express(vec) == [int(i == j) % o if o else int(i == j)
-                                      for j, o in enumerate(orders)]
+        assert whole.express(vec) == ([int(i == j) % o if o else int(i == j)
+                                       for j, o in enumerate(orders)], 1)
     vecs = [*rows, *eye(n), [sum(c) for c in zip(*rows)]]
     if data is not None:
         vecs.append(data.draw(st.lists(entries(p), min_size=n, max_size=n)))
@@ -274,7 +274,70 @@ def test_subquot_express_round_trip(case, k):
         vec = sq.generator_vector(i)
         assert all(isinstance(x, int) for x in vec)
         want = [int(i == j) % o if o else int(i == j) for j, o in enumerate(orders)]
-        assert sq.express(vec) == want
+        assert sq.express(vec) == (want, 1)
+
+
+def express_reference(p, n, gen_rows, rel_rows, v):
+    """`SubQuot(p, n, gen_rows, rel_rows).express(v)` in Fractions: v's
+    coordinates over the dense echelon basis times the dense Smith form's Q,
+    torsion ones read mod their order, free ones over their least common
+    denominator."""
+    if gen_rows is None:
+        k, coords, rel_coords = n, [Fraction(x) for x in v], rel_rows
+    else:
+        basis, pivots = dense_row_hermite(gen_rows + rel_rows, n, p)
+        k, coords = len(basis), solve_reference(basis, pivots, v, p)
+        if coords is None:
+            return None
+        rel_coords = []
+        for row in rel_rows:
+            c = solve_reference(basis, pivots, row, p)
+            den = lcm(*(x.denominator for x in c))
+            rel_coords.append([int(x * den) for x in c])
+    sf = DenseSmithForm(rel_coords, k, p=p, transforms=Track.Q)
+    diag = sf.diagonal()
+    out = []
+    for i in range(k):
+        d = diag[i] if i < len(diag) else 0
+        order = p ** nu(p, d) if d else 0
+        if order != 1:
+            y = sum((c * sf.Q[r][i] for r, c in enumerate(coords)), Fraction(0))
+            out.append(Fraction(y.numerator * pow(y.denominator, -1, order) % order)
+                       if order else y)
+    unit = lcm(*(y.denominator for y in out))
+    return [int(y * unit) for y in out], unit
+
+
+@settings(max_examples=100)
+@given(p_matrices(6, 3), st.integers(0, 6), st.lists(entries(5), min_size=3, max_size=3))
+# the column step 5 * 18 - 9 * 10 puts the unit 5 under a free coordinate
+@example((2, [[10, 18]]), 0, [1, 0, 0])
+# the Qinv rows carry the units 7 and 49, and a step cancels a 7
+@example((3, [[7, 0, 0, 27], [27, 0, 7, -3]]), 0, [1, 1, 1, 1])
+# the pivot -7 scales the other columns by the negative unit -7
+@example((2, [[-24, 20, -7, -7, 0]]), 0, [0, 0, 1, 0, 0])
+# [1, 0] is half the generator [2, 0]: the unit 2 comes from the membership solve
+@example((3, [[2, 0], [0, 3]]), 1, [1, 0, 0])
+def test_subquot_express_matches_fraction_reference(case, k, off):
+    p, rows = case
+    n = len(rows[0])
+    for gens in (None, rows[:k]):
+        sq = SubQuot(p, n, None if gens is None else sparse_rows(gens),
+                     sparse_rows(rows[k:]))
+        vecs = [*rows, [sum(c) for c in zip(*rows)], off[:n],
+                *map(sq.generator_vector, range(len(sq.orders)))]
+        for v in vecs:
+            assert sq.express(v) == express_reference(p, n, gens, rows[k:], v)
+
+
+def test_subquot_express_pinned_unit():
+    # the column step 5 * 18 - 9 * 10 leaves the free column of Q over the
+    # unit 5: [1, 0] has the torsion coordinate 1 and the free one -9/5
+    sq = SubQuot(2, 2, None, sparse_rows([[10, 18]]))
+    assert sq.orders == [2, 0]
+    assert sq.express([1, 0]) == ([5, -9], 5)
+    assert sq.express([0, 1]) == ([0, 1], 1)
+    assert sq.express([1, 0]) == express_reference(2, 2, None, [[10, 18]], [1, 0])
 
 
 def solve_reference(basis, pivots, v, p):
@@ -602,6 +665,10 @@ def sparse_shaped_matrices():
 # the pivot 3 sits in column 2, so columns 0 and 2 swap; it then clears the
 # 2 of column 1 with 3 * 2 - 2 * 3, which scales column 1 by the unit 3
 @example((2, [[0, 2, 3], [0, 5, 7]], 3), [1, 1, 0, 0, 0])
+# Qinv rows keep the units 7 and 49, and a later step cancels a 7 of them
+@example((3, [[7, 0, 0, 27], [27, 0, 7, -3]], 4), [1, 0, 1, 0, 0])
+# the pivot -7 scales the other columns by the negative unit -7
+@example((2, [[-24, 20, -7, -7, 0]], 5), [0, 1, 0, 0, 0])
 @example((3, [[0, 0], [0, 0], [0, 0]], 2), [1, 0, 0, 0, 0])
 @example((2, [], 3), [0, 0, 0, 0, 0])
 def test_sparse_kernel_matches_dense_oracle(case, off):

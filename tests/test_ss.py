@@ -63,6 +63,32 @@ def test_base_engine_reproduces_ko_coefficients():
         assert out[d] == cf.ko_homotopy(d)
 
 
+@pytest.mark.parametrize("make", [lambda: ss.ko_base_setup(40),
+                                  lambda: ss.v1_tower_setup(PrimeContext(3), 160)],
+                         ids=["ko-base-w40", "v1-p3-w160"])
+def test_second_run_gives_the_same_table(monkeypatch, make):
+    # the first run turns the setup's own sequence as it stands; a second
+    # one puts it back on its E1 pages and reads the page-keyed caches, so
+    # it builds no SubQuot
+    setup = make()
+    restarts, made = [], []
+    restart = ss.SpectralSequence.restart
+    monkeypatch.setattr(ss.SpectralSequence, "restart",
+                        lambda self: restarts.append(self) or restart(self))
+
+    class Counting(_intlin.SubQuot):
+        def __init__(self, *args, **kw):
+            made.append(args)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(ss, "SubQuot", Counting)
+    first = setup.run()
+    assert restarts == [] and made
+    built = len(made)
+    assert setup.run() == first
+    assert restarts == [setup.ss] and len(made) == built
+
+
 SIGN_FLIP_TOWERS = {
     "v0-p2-w64": lambda: ss.v0_tower_setup(PrimeContext(2), 64),
     "v0-p3-w160": lambda: ss.v0_tower_setup(PrimeContext(3), 160),
@@ -291,6 +317,16 @@ def test_extension_target_carries_its_own_extension():
     exts = [ss.Extension((0, 0), (1,), ((2, (0, 1), (1,)),)),
             ss.Extension((0, 1), (1,), ((1, (0, 2), (1,)),))]
     assert seq.assemble(exts, 0, 2) == {0: (0, [4, 4])}
+
+
+def test_assembly_keeps_the_denominator_of_a_unit_ratio():
+    # at p=3, x of order 9 reads 3 * [2x] = y and 3 * [x] = y, so
+    # 9 x = (1/2) * 3y + 3y = (9/2) y: Z/9 + Z/9; a ratio [x] / [2x] read as
+    # 1 in place of 1/2 would give 9 x = 6 y and Z/3 + Z/27
+    seq = ss.SpectralSequence(3, {(0, 0): [9], (0, 1): [9]})
+    exts = [ss.Extension((0, 0), (2,), ((1, (0, 1), (1,)),)),
+            ss.Extension((0, 0), (1,), ((1, (0, 1), (1,)),))]
+    assert seq.assemble(exts, 0, 1) == {0: (0, [9, 9])}
 
 
 PAGE_PIN = pathlib.Path(__file__).parent / "golden" / "ss-page-orders.json"

@@ -42,7 +42,8 @@ coordinates over one positive common denominator, (nums, den).  `solve_in_lattic
 `lattice_coordinates` answers over Q in lowest terms, so its coordinates
 are p-local exactly when p does not divide den.  `SubQuot.express` answers
 in summand coordinates as (ints, unit), over the least p-unit that clears
-the free coordinates' denominators.
+the free coordinates' denominators; `unit_scaled` puts coordinates given as
+fractions in that form, for `express` and for the sums of `graded`'s v-step.
 
 Each routine records only the transforms it reads (`Track`):
 `group_invariants` none, `SubQuot` the column transform Q with its inverse
@@ -555,20 +556,29 @@ class SubQuot:
             if sol is None:
                 return None
             nums, den = sol
-        coords, unit = [], 1   # (numerator, denominator) pairs in lowest terms
-        for (order, _), (col, cden) in zip(self.summands, self._cols):
-            y, t = sum(q * nums[r] for r, q in col.items()), den * cden
-            if order:
-                coords.append((y * pow(t, -1, order) % order, 1))
-            else:
-                g = gcd(y, t)
-                coords.append((y // g, t // g))
-                unit = lcm(unit, t // g)
-        return [y * (unit // t) for y, t in coords], unit
+        return unit_scaled([(sum(q * nums[r] for r, q in col.items()), den * cden)
+                            for col, cden in self._cols], self.orders)
 
     def is_zero(self, v: list[int]) -> bool:
         e = self.express(v)
         return e is not None and not any(e[0])
+
+
+def unit_scaled(coords: list[tuple[int, int]],
+                orders: list[int]) -> tuple[list[int], int]:
+    """Summand coordinates given as (numerator, p-unit denominator) pairs,
+    as (ints, unit): unit is the least positive p-unit that clears the free
+    coordinates' denominators, and ints holds each coordinate times unit,
+    a torsion coordinate reduced to an int mod its order before the scaling."""
+    pairs, unit = [], 1   # (numerator, denominator) pairs in lowest terms
+    for (y, t), order in zip(coords, orders):
+        if order:
+            pairs.append((y * pow(t, -1, order) % order, 1))
+        else:
+            g = gcd(y, t)
+            pairs.append((y // g, t // g))
+            unit = lcm(unit, t // g)
+    return [y * (unit // t) for y, t in pairs], unit
 
 
 def group_invariants(rel_rows: list[list[tuple[int, int]]], n: int,

@@ -17,15 +17,34 @@ v-exponents.  So the slice shape (d mod |v|, number of steps at or below d)
 determines the relation matrix, and the reductions of a slice are cached by
 its shape: a module that is finitely generated over Z_(p)[v] has finitely
 many shapes, however many degrees are asked.
+
+The slice of one step is the slice of the step before it with the step's new
+generator columns and new relation rows, and every older row stays in the
+older cells, since v is injective on the free cover.  So `vstep_at` reduces
+the steps of a residue in order, each from the one before, as persistent
+homology reduces a filtration (Zomorodian and Carlsson, "Computing persistent
+homology", DCG 33, 2005): one small `SubQuot` per step, whose columns are the
+previous summands and the new generators and whose rows are the previous
+orders and the new relations written in the previous coordinates.  It keeps
+each generator's summand coordinates, so an element's coordinates are a sum
+of its cells' coordinates, with no solve.  Every reader that needs a group and
+not a particular basis reads the v-step: `is_zero_at`, `order_of` (and so
+`ModuleMap.respects_relations`), `dual`, and the groups a `ModuleMap` induces
+(and so `verify`'s kernels and cokernels).  `group_at` reads a cached v-step
+of the same shape and otherwise reduces the whole slice without transforms,
+which on a small slice costs less than walking the steps below it.
+`subquot_at`, `coordinates` and `summand_labels` stay on the whole slice: the
+printed labels and the eta tower's classes are read in its basis, and their
+bytes are pinned, which the v-step basis does not reproduce.
 """
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from ._intlin import (SubQuot, group_invariants, order_rows, row_hermite,
-                      row_kernel, solve_in_lattice, sparse_rows)
+                      row_kernel, solve_in_lattice, sparse_rows, unit_scaled)
 from .padic import nu
 
 
@@ -58,6 +77,42 @@ class Relation(NamedTuple):
     terms: tuple[Term, ...]
 
 
+class VStep:
+    """The group of one step of a residue mod |v|, in its own summand basis.
+
+    `orders` are the summand orders as a `SubQuot` lists them (0 for a free
+    summand), `coords` maps every generator of the residue at or below the
+    step to its summand coordinates (ints, unit) in the form of
+    `SubQuot.express`, and `gens` gives each summand's generator as
+    {generator id: coefficient}, a sum of cells of any degree of the step.
+    A plain class: a NamedTuple would add a third of a millisecond to the
+    start of every `thh` process."""
+
+    __slots__ = ("orders", "coords", "gens")
+
+    def __init__(self, orders: list[int], coords: dict[str, tuple[list[int], int]],
+                 gens: list[dict[str, int]]):
+        self.orders, self.coords, self.gens = orders, coords, gens
+
+
+_NO_STEP = VStep([], {}, [])
+
+
+def _coordinate_sum(parts, orders: list[int]) -> tuple[list[int], int]:
+    """sum(c * ints / unit) over parts [(c, (ints, unit))], as `unit_scaled`
+    gives it."""
+    den = lcm(*(u for _, (_, u) in parts))
+    nums = [0] * len(orders)
+    for c, (ints, u) in parts:
+        f = c * (den // u)
+        for i, x in enumerate(ints):
+            if x:
+                nums[i] += f * x
+    if den == 1:
+        return [y % o if o else y for y, o in zip(nums, orders)], 1
+    return unit_scaled([(y, den) for y in nums], orders)
+
+
 class GradedModulePresentation:
     """Generators, relations in order, and the window bound `complete_below`.
 
@@ -66,11 +121,11 @@ class GradedModulePresentation:
     least bound among the parts that have one.  The bound is recorded but
     not yet enforced: `group_at` and `subquot_at` answer past it.
 
-    `group_at` and `subquot_at` cache by `slice_shape`, so degrees of one
-    shape share one reduction; `slice_cells` stays per degree, since its
-    v-exponents label the summands.  `add_relation` inserts its base into
-    the steps of its residue, which renames the shapes from there on, and
-    drops both caches.
+    `group_at`, `subquot_at` and `vstep_at` cache by `slice_shape`, so
+    degrees of one shape share one reduction; `slice_cells` stays per degree,
+    since its v-exponents label the summands.  `add_relation` inserts its
+    base into the steps of its residue, which renames the shapes from there
+    on, and drops every cache and the v-step walks.
     """
 
     def __init__(self, ring: RingSpec, generators: list[Generator],
@@ -99,6 +154,11 @@ class GradedModulePresentation:
         # keyed by `slice_shape`
         self._subquot_cache: dict[tuple[int, int], SubQuot] = {}
         self._group_cache: dict[tuple[int, int], tuple[int, list[int]]] = {}
+        # the v-step groups by (residue, step count); and per residue, the
+        # step count its walk has reached and its new generators and
+        # relations by step degree
+        self._vsteps: dict[tuple[int, int], VStep] = {}
+        self._walks: dict[int, list] = {}
         for rel in relations:
             self.add_relation(rel)
 
@@ -130,6 +190,8 @@ class GradedModulePresentation:
         # shapes from its base on now name other slices
         self._group_cache.clear()
         self._subquot_cache.clear()
+        self._vsteps.clear()
+        self._walks.clear()
 
     def term_degree(self, terms) -> int:
         degs = {self.generators[g].degree + e * self.ring.v_degree for _, e, g in terms}
@@ -192,14 +254,20 @@ class GradedModulePresentation:
     def group_at(self, d: int) -> tuple[int, list[int]]:
         """(free rank, sorted p-local torsion orders) of the degree-d group.
 
-        Cached by `slice_shape`; read off a cached `subquot_at` of the same
-        shape when there is one (its diagonal gives the same invariants)."""
+        Cached by `slice_shape`; read off a cached `subquot_at` or `vstep_at`
+        of the same shape when there is one (the group does not depend on
+        the basis), and otherwise off an invariants-only Smith form of the
+        whole slice, which on a small slice costs less than walking the
+        steps below it."""
         shape = self.slice_shape(d)
         got = self._group_cache.get(shape)
         if got is None:
             sq = self._subquot_cache.get(shape)
+            step = self._vsteps.get(shape)
             if sq is not None:
                 got = sq.free_rank(), sq.torsion()
+            elif step is not None:
+                got = step.orders.count(0), sorted(o for o in step.orders if o)
             else:
                 got = group_invariants(self.slice_relation_rows(d),
                                        len(self.slice_cells(d)), self.ring.p)
@@ -217,6 +285,101 @@ class GradedModulePresentation:
                                                       self.slice_relation_rows(d))
         return sq
 
+    def vstep_at(self, d: int) -> VStep:
+        """The degree-d group in the basis of the v-step reduction: the group
+        of the last step of d's residue at or below d, which every degree of
+        that shape shares.  Cached by (residue, step count)."""
+        r = d % self.ring.v_degree
+        steps = self._steps.get(r, ())
+        k = bisect_right(steps, d)
+        if not k:
+            return _NO_STEP
+        got = self._vsteps.get((r, k))
+        if got is None:
+            got = self._walk(r, steps, k)
+        return got
+
+    def _walk(self, r: int, steps: list[int], k: int) -> VStep:
+        """Reduce the steps of residue r from the last one walked up to step
+        count k, each from the one before it, caching each step's group."""
+        walk = self._walks.get(r)
+        if walk is None:
+            gens: dict[int, list[str]] = {}
+            rels: dict[int, list] = {}
+            for g in self._generators_by_residue.get(r, ()):
+                gens.setdefault(g.degree, []).append(g.gid)
+            for base, terms in self._relations_by_residue.get(r, ()):
+                rels.setdefault(base, []).append(terms)
+            walk = self._walks[r] = [0, gens, rels]
+        i, gens, rels = walk
+        step = self._vsteps[r, i] if i else _NO_STEP
+        while i < k:
+            top = steps[i]
+            i = bisect_right(steps, top, i)
+            step = self._vsteps[r, i] = self._vstep(step, gens.get(top, []),
+                                                    rels.get(top, ()))
+        walk[0] = i
+        return step
+
+    def _vstep(self, prev: VStep, new: list[str], rels) -> VStep:
+        """The group of a step from the group of the step before it.
+
+        v is injective on the free cover, so every older relation row stays
+        in the older cells, and the step's group is the cokernel of a small
+        matrix: its columns are the previous summands and the new
+        generators, and its rows the previous orders and the step's new
+        relations, written in the previous coordinates."""
+        s, n = len(prev.orders), len(prev.orders) + len(new)
+        fresh = {gid: [int(j == s + i) for j in range(n)] for i, gid in enumerate(new)}
+        cells = dict(prev.coords)
+        cells.update((gid, (e, 1)) for gid, e in fresh.items())
+        rows = order_rows(prev.orders)
+        for terms in rels:
+            # the sum of its cells' coordinates times a p-unit, which spans
+            # the same Z_(p)-line as the relation
+            ints, _ = _coordinate_sum([(c, cells[gid]) for gid, _, c in terms],
+                                      prev.orders + [0] * len(new))
+            rows.append([(j, x) for j, x in enumerate(ints) if x])
+        sq = SubQuot(self.ring.p, n, None, rows)
+        orders = sq.orders
+        columns = prev.gens + [{gid: 1} for gid in new]
+        gens = []
+        for idx in range(len(orders)):
+            gen: dict[str, int] = {}
+            for c, col in zip(sq.generator_vector(idx), columns):
+                for gid, x in col.items() if c else ():
+                    gen[gid] = gen.get(gid, 0) + c * x
+            gens.append({gid: x for gid, x in gen.items() if x})
+        # a cell's coordinates are those of its old ones divided by its unit;
+        # cells with equal old coordinates share one answer
+        pad = [0] * len(new)
+        coords, memo = {}, {}
+        for gid, (ints, u) in prev.coords.items():
+            key = u, *ints
+            if key not in memo:
+                got, unit = sq.express(ints + pad)
+                memo[key] = (_coordinate_sum([(1, (got, unit * u))], orders)
+                             if u != 1 else (got, unit))
+            coords[gid] = memo[key]
+        for gid, e in fresh.items():
+            coords[gid] = sq.express(e)
+        return VStep(orders, coords, gens)
+
+    def vstep_coordinates(self, d: int, terms) -> tuple[list[int], int]:
+        """(ints, unit): the summand coordinates of a homogeneous element in
+        `vstep_at(d)`, in the form of `coordinates`; a sum of its cells'
+        coordinates, with no solve."""
+        step = self.vstep_at(d)
+        vd = self.ring.v_degree
+        parts = []
+        for c, e, gid in terms:
+            g = self.generators.get(gid)
+            if g is None or e < 0 or g.degree + e * vd != d:
+                raise ValueError(f"term {c}*v^{e}*{gid} is not in degree {d}")
+            if c:
+                parts.append((c, step.coords[gid]))
+        return _coordinate_sum(parts, step.orders)
+
     def coordinates(self, d: int, terms) -> tuple[list[int], int]:
         """(ints, unit): the summand coordinates of a homogeneous element in
         `subquot_at(d)` times the least p-unit that clears their denominators,
@@ -225,14 +388,14 @@ class GradedModulePresentation:
         return self.subquot_at(d).express(self.element_vector(d, terms))
 
     def is_zero_at(self, d: int, terms) -> bool:
-        return self.subquot_at(d).is_zero(self.element_vector(d, terms))
+        return not any(self.vstep_coordinates(d, terms)[0])
 
     def order_of(self, d: int, terms) -> int:
         """p-local order of a homogeneous element (0 for infinite order)."""
-        sq = self.subquot_at(d)
+        ints, _ = self.vstep_coordinates(d, terms)
         order = 1
         # the coordinates are scaled by a p-unit, which leaves each order as it is
-        for c, o in zip(sq.express(self.element_vector(d, terms))[0], sq.orders):
+        for c, o in zip(ints, self.vstep_at(d).orders):
             if o == 0:
                 if c:
                     return 0
@@ -309,10 +472,10 @@ class GradedModulePresentation:
         vd = self.ring.v_degree
         summands: dict[int, list[int]] = {}
         for d in range(lo, hi + 1):
-            sq = self.subquot_at(d)
-            if sq.free_rank():
+            orders = self.vstep_at(d).orders
+            if 0 in orders:
                 raise ValueError(f"dual needs finite groups; degree {d} has free rank")
-            summands[d] = [o for o, _ in sq.summands]
+            summands[d] = orders
         gens = []
         rels = []
         for d in range(lo, hi + 1):
@@ -357,8 +520,8 @@ class ModuleMap:
 
     The groups a map induces in one degree (`image_subquot`, and the kernel
     and cokernel in `verify`) are read off `summand_matrix`: the map from the
-    summands of the source's `subquot_at(d)` to those of the target's
-    `subquot_at(d + shift)`.  There both groups are Z_(p)^s / L_a and
+    summands of the source's `vstep_at(d)` to those of the target's
+    `vstep_at(d + shift)`.  There both groups are Z_(p)^s / L_a and
     Z_(p)^t / L_b with L_a, L_b the diagonal lattices of the summand orders,
     so each answer is a tiny `SubQuot` in summand coordinates, not one over
     the whole degree slice.  That reading is a map of groups only when the
@@ -422,7 +585,7 @@ class ModuleMap:
         """`build(self, d)`, cached by the source's `slice_shape(d)` and the
         target's `slice_shape(d + shift)`; `build` must depend on d only
         through that pair, as a group read off `summand_matrix(d)` and the
-        two `subquot_at` does.
+        two `vstep_at` does.
 
         Raises `ValueError` if either presentation has gained relations
         since the map's first cached answer."""
@@ -440,9 +603,9 @@ class ModuleMap:
 
     def summand_matrix(self, d: int) -> tuple[list[list[int]], list[int]]:
         """(rows, units): the map from degree d to degree d + shift in summand
-        coordinates.  Row j and units[j] are the target's `coordinates` of the
-        image of summand j of `source.subquot_at(d)`, so the rows span the
-        same Z_(p)-lattice as the map.
+        coordinates.  Row j and units[j] are the target's `vstep_coordinates`
+        of the image of summand j of `source.vstep_at(d)`, so the rows span
+        the same Z_(p)-lattice as the map.
 
         Cached by `induced`: `image_of_cell` shifts v-exponents, so every
         column the rows read names a generator, as in both slices' relation
@@ -451,7 +614,7 @@ class ModuleMap:
 
     def image_subquot(self, d: int) -> SubQuot:
         """Image of the degree-d group, (span M + L_b) / L_b in the summand
-        coordinates of the target's `subquot_at(d + shift)`; cached by
+        coordinates of the target's `vstep_at(d + shift)`; cached by
         `induced`.
 
         M is the rows of `summand_matrix(d)` and L_b the target's order lattice;
@@ -460,29 +623,30 @@ class ModuleMap:
         return self.induced(d, _image_subquot)
 
     def injective_at(self, d: int) -> bool:
-        src_sq = self.source.subquot_at(d)
+        src = self.source.vstep_at(d).orders
         img = self.image_subquot(d)
-        return (img.free_rank() == src_sq.free_rank()
-                and img.total_order_exponent() == src_sq.total_order_exponent())
+        return (img.free_rank() == src.count(0)
+                and img.total_order_exponent() == sum(nu(self.source.ring.p, o)
+                                                      for o in src if o))
 
     def surjective_at(self, d: int) -> bool:
-        tgt_sq = self.target.subquot_at(d + self.degree_shift)
+        tgt = self.target.vstep_at(d + self.degree_shift).orders
         img = self.image_subquot(d)
-        return (img.free_rank() == tgt_sq.free_rank()
-                and img.torsion() == tgt_sq.torsion())
+        return (img.free_rank() == tgt.count(0)
+                and img.torsion() == sorted(o for o in tgt if o))
 
 
 def _summand_matrix(mp: ModuleMap, d: int) -> tuple[list[list[int]], list[int]]:
     """The uncached body of `ModuleMap.summand_matrix`."""
-    src_sq = mp.source.subquot_at(d)
-    cells = mp.source.slice_cells(d)
+    src = mp.source
+    vd = src.ring.v_degree
     rows, units = [], []
-    for j in range(len(src_sq.summands)):
+    for gen in src.vstep_at(d).gens:
         terms: list[Term] = []
-        for (gid, e), c in zip(cells, src_sq.generator_vector(j)):
-            if c:
-                terms.extend((c * a, ve, t) for a, ve, t in mp.image_of_cell(gid, e))
-        row, unit = mp.target.coordinates(d + mp.degree_shift, terms)
+        for gid, c in gen.items():
+            e = (d - src.generators[gid].degree) // vd
+            terms.extend((c * a, ve, t) for a, ve, t in mp.image_of_cell(gid, e))
+        row, unit = mp.target.vstep_coordinates(d + mp.degree_shift, terms)
         rows.append(row)
         units.append(unit)
     return rows, units
@@ -491,7 +655,7 @@ def _summand_matrix(mp: ModuleMap, d: int) -> tuple[list[list[int]], list[int]]:
 def _image_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """The uncached body of `ModuleMap.image_subquot`."""
     rows, _ = mp.summand_matrix(d)
-    orders = mp.target.subquot_at(d + mp.degree_shift).orders
+    orders = mp.target.vstep_at(d + mp.degree_shift).orders
     return SubQuot(mp.target.ring.p, len(orders), sparse_rows(rows),
                    order_rows(orders))
 

@@ -174,15 +174,15 @@ def matching_B1(ctx: PrimeContext, window: int) -> MatchingReport:
 
 def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """Kernel of the induced map on degree-d classes, K / L_a in the summand
-    coordinates of the source's `subquot_at(d)`.
+    coordinates of the source's `vstep_at(d)`.
 
     K is the set of x with x * M in L_b, for M the rows of the map's
     `summand_matrix(d)` and L_a, L_b the source and target order
     lattices; the map must respect relations.
     """
     p = mp.source.ring.p
-    src = mp.source.subquot_at(d).orders
-    tgt = mp.target.subquot_at(d + mp.degree_shift).orders
+    src = mp.source.vstep_at(d).orders
+    tgt = mp.target.vstep_at(d + mp.degree_shift).orders
     rows, units = mp.summand_matrix(d)
     kernel = None  # a zero target: the whole source
     if tgt:
@@ -195,13 +195,13 @@ def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
 
 def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """Cokernel at target degree d + shift, Z^t / (L_b + span M) in the
-    summand coordinates of the target's `subquot_at(d + shift)`.
+    summand coordinates of the target's `vstep_at(d + shift)`.
 
     M is the rows of the map's `summand_matrix(d)` and L_b the target order
     lattice; the map must respect relations.
     """
     p = mp.target.ring.p
-    tgt = mp.target.subquot_at(d + mp.degree_shift).orders
+    tgt = mp.target.vstep_at(d + mp.degree_shift).orders
     rows, _ = mp.summand_matrix(d)
     return SubQuot(p, len(tgt), None, order_rows(tgt) + sparse_rows(rows))
 
@@ -252,7 +252,7 @@ def cofiber_checks(ctx: PrimeContext, window: int) -> list[Check]:
     v_k1 = variable_multiplication_map(k1)
     out = []
     for n in range(window + 1):
-        # the cofibers first: their `subquot_at` of a slice shape also
+        # the cofibers first: their `vstep_at` of a slice shape also
         # answers the `group_at` of that shape below, which then reduces
         # nothing again
         mod_v, mod_pv = _through_cofiber(v_ell, n), _through_cofiber(v_k1, n)

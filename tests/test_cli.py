@@ -157,7 +157,8 @@ def test_group_degree_and_max_degree_are_exclusive(capsys):
 
 def count_calls(monkeypatch, module, names) -> dict[str, int]:
     """Count the calls of the named functions of `module` through every
-    binding in the `thh` package; the dict fills as they are called."""
+    binding in the `thh` package, or of the named methods when `module` is
+    a class; the dict fills as they are called."""
     import sys
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -167,6 +168,8 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
             calls[_name] += 1
             return _orig(*args, **kwargs)
 
+        if isinstance(module, type):
+            monkeypatch.setattr(module, name, counted)
         for key, mod in list(sys.modules.items()):
             if mod is not None and (key == "thh" or key.startswith("thh.")):
                 for attr, value in list(vars(mod).items()):
@@ -195,6 +198,18 @@ def test_group_table_reduces_each_slice_shape_once(monkeypatch):
                      "--format", "json"])
     assert code == 0 and len(json.loads(out)) == 257
     assert calls == {"SmithForm": 70}
+
+
+def test_ko_suite_reads_no_whole_slice_subquot(monkeypatch):
+    # the mod-eta cofiber, the ko-to-ku map and eta squared read their
+    # groups off the v-step reduction; only labels, `coordinates` and the
+    # eta tower need the whole-slice `subquot_at` (1,471 calls here when the
+    # maps read it)
+    from thh.graded import GradedModulePresentation
+    calls = count_calls(monkeypatch, GradedModulePresentation, ("subquot_at",))
+    code, _ = run(["verify", "--suite", "ko", "--prime", "2", "--max-degree", "160"])
+    assert code == 0
+    assert calls == {"subquot_at": 0}
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,15 +2,15 @@ import json
 import pathlib
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from thh._intlin import (SubQuot, dense_row, group_invariants, row_kernel,
                          sparse_rows)
-from thh.closed_forms import (build_Tn, thh_ell, thh_ell_k1, thh_ko, thh_ko_ku,
-                              thh_ko_eta_map, tn_top_degree)
+from thh.closed_forms import (build_Tn, thh_ell, thh_ell_HZ, thh_ell_k1, thh_ko,
+                              thh_ko_ku, thh_ko_eta_map, tn_top_degree)
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
                         Relation, RingSpec, submodule_presentation,
                         variable_multiplication_map)
@@ -291,19 +291,40 @@ def data(sq):
     return sq.free_rank(), sq.torsion()
 
 
+def whole_slice_subquot(module, d):
+    """The degree-d group as a `SubQuot` of the whole slice, built afresh."""
+    return SubQuot(module.ring.p, len(module.slice_cells(d)), None,
+                   module.slice_relation_rows(d))
+
+
+def assert_map_rows_respect_orders(mp, d):
+    """Each row of `summand_matrix(d)` times the order of its source summand
+    vanishes in the target, with both orders read off the whole slices."""
+    rows, _ = mp.summand_matrix(d)
+    src = whole_slice_subquot(mp.source, d).orders
+    tgt = whole_slice_subquot(mp.target, d + mp.degree_shift).orders
+    assert len(rows) == len(src), d
+    for j, (row, a) in enumerate(zip(rows, src)):
+        assert len(row) == len(tgt), (d, j)
+        for k, (x, b) in enumerate(zip(row, tgt)):
+            if a:
+                assert (a * x) % b == 0 if b else x == 0, (d, j, k)
+
+
 def assert_map_groups_match_cells(mp, degrees):
     for d in degrees:
         kernel = kernel_subquot(mp, d)
         assert data(mp.image_subquot(d)) == data(cell_image_subquot(mp, d)), d
         assert data(kernel) == data(cell_kernel_subquot(mp, d)), d
         assert data(cokernel_subquot(mp, d)) == data(cell_cokernel_subquot(mp, d)), d
+        assert_map_rows_respect_orders(mp, d)
         # each kernel generator maps into the target's order lattice: row j
         # is units[j] times the image of summand j, so with U = lcm(units),
         # a p-unit, x maps into L_b exactly when sum_j x_j (U / u_j) rows[j]
         # lies in L_b
         rows, units = mp.summand_matrix(d)
         scale = [lcm(*units) // u for u in units]
-        orders = mp.target.subquot_at(d + mp.degree_shift).orders
+        orders = whole_slice_subquot(mp.target, d + mp.degree_shift).orders
         for idx in range(len(kernel.summands)):
             x = kernel.generator_vector(idx)
             for k, o in enumerate(orders):
@@ -470,7 +491,6 @@ def assert_shape_keyed_answers(module, degrees):
     oracle = DegreeKeyed(module.ring, list(module.generators.values()),
                          module.relations, module.complete_below)
     vmap = variable_multiplication_map(module)
-    vmap_oracle = variable_multiplication_map(oracle)
     vd = module.ring.v_degree
     top = max(degrees)
     for k, d in enumerate(degrees):
@@ -491,7 +511,9 @@ def assert_shape_keyed_answers(module, degrees):
             terms = ((1, e, gid),)
             assert module.coordinates(d, terms) == oracle.coordinates(d, terms), (d, gid)
         if d + vd <= top:
-            assert vmap.summand_matrix(d) == vmap_oracle.summand_matrix(d), d
+            # the map's summand coordinates are those of the v-step, not of
+            # the whole slice, so only basis-free answers can be compared
+            assert_map_groups_match_whole_slices(vmap, d)
 
 
 SHAPE_KEYED = {
@@ -515,23 +537,33 @@ def test_shape_keyed_answers_match_each_degree(name):
     assert_shape_keyed_answers(make(), degrees)
 
 
+def assert_map_groups_match_whole_slices(mp, d):
+    """The image, kernel and cokernel `mp` caches by slice-shape pair, as
+    (free rank, torsion), equal those computed over the whole degree-d
+    slices, and the summand-matrix rows respect the summand orders."""
+    assert data(mp.image_subquot(d)) == data(cell_image_subquot(mp, d)), d
+    assert data(mp.induced(d, kernel_subquot)) == data(cell_kernel_subquot(mp, d)), d
+    assert data(mp.induced(d, cokernel_subquot)) == data(cell_cokernel_subquot(mp, d)), d
+    assert_map_rows_respect_orders(mp, d)
+
+
+def cell_cofiber(mp, n):
+    """(free rank, order exponent) in degree n of the map's cofiber, from the
+    whole slices: the cokernel landing in degree n plus the kernel below."""
+    d = n - mp.degree_shift
+    ck = cell_cokernel_subquot(mp, d)
+    kr = cell_kernel_subquot(mp, d - 1) if d >= 1 else None
+    return (ck.free_rank() + (kr.free_rank() if kr else 0),
+            ck.total_order_exponent() + (kr.total_order_exponent() if kr else 0))
+
+
 def assert_map_groups_keyed_by_shape(mp, degrees):
     """Every group `mp` caches by slice-shape pair, visited in `degrees`
-    order, equals the one a fresh map computes on degree-keyed copies of its
-    presentations, where each degree is its own shape."""
-    def degree_keyed(module):
-        return DegreeKeyed(module.ring, list(module.generators.values()),
-                           module.relations, module.complete_below)
-
-    src = degree_keyed(mp.source)
-    tgt = src if mp.target is mp.source else degree_keyed(mp.target)
+    order, equals the one computed over the whole slices of its degree."""
     for d in degrees:
-        fresh = ModuleMap(src, tgt, mp.images, mp.degree_shift)
-        assert data(mp.image_subquot(d)) == data(fresh.image_subquot(d)), d
-        for build in (kernel_subquot, cokernel_subquot):
-            assert data(mp.induced(d, build)) == data(build(fresh, d)), (d, build)
+        assert_map_groups_match_whole_slices(mp, d)
         n = d + mp.degree_shift
-        assert _through_cofiber(mp, n) == _through_cofiber(fresh, n), d
+        assert _through_cofiber(mp, n) == cell_cofiber(mp, n), d
 
 
 SHAPE_KEYED_MAPS = {
@@ -590,3 +622,104 @@ def test_relation_added_after_a_cached_query_between_two_steps(make):
     after = [module.group_at(d) for d in range(top + 1)]
     assert after[base] != before[base]
     assert_shape_keyed_answers(module, range(top, -1, -1))
+
+
+# -- the v-step reduction against whole-slice Smith forms ------------------------
+
+
+def whole_slice_order(sq, vec):
+    """p-local order of a slice vector in the whole-slice `SubQuot` sq."""
+    ints, _ = sq.express(vec)
+    order = 1
+    for c, o in zip(ints, sq.orders):
+        if not o:
+            if c:
+                return 0
+        else:
+            order = max(order, o // gcd(c, o))
+    return order
+
+
+def assert_vstep_matches_whole_slices(module, degrees):
+    """At the first degree of each slice shape in `degrees`: the v-step's
+    orders are the whole slice's, `is_zero_at` and `order_of` agree with the
+    whole slice on every cell, on p times it and on the sum of two
+    neighbouring cells, every slice relation is zero, and each v-step
+    summand generator has its own order in the whole slice."""
+    vd = module.ring.v_degree
+    seen = set()
+    for d in degrees:
+        shape = module.slice_shape(d)
+        if shape in seen:
+            continue
+        seen.add(shape)
+        step = module.vstep_at(d)
+        sq = whole_slice_subquot(module, d)
+        assert step.orders == sq.orders, d
+        cells = module.slice_cells(d)
+        elements = ([((c, e, gid),) for gid, e in cells for c in (1, module.ring.p)]
+                    + [((1, e, gid), (1, f, hid))
+                       for (gid, e), (hid, f) in zip(cells, cells[1:])])
+        for terms in elements:
+            vec = module.element_vector(d, terms)
+            assert module.is_zero_at(d, terms) == sq.is_zero(vec), (d, terms)
+            assert module.order_of(d, terms) == whole_slice_order(sq, vec), (d, terms)
+        for row in module.slice_relation_rows(d):
+            assert module.is_zero_at(d, [(x, cells[j][1], cells[j][0]) for j, x in row]), d
+        for k, gen in enumerate(step.gens):
+            terms = [(c, (d - module.generators[gid].degree) // vd, gid)
+                     for gid, c in gen.items()]
+            vec = module.element_vector(d, terms)
+            assert whole_slice_order(sq, vec) == step.orders[k], (d, k)
+    return seen
+
+
+VSTEP_MODULES = {
+    # b's coordinate in degree 2 is 2/3 of the summand's: the 2-unit 3 must
+    # divide it in every later step, where 3 v^2 b - 2 v a is already zero
+    "units-by-hand-p2": (lambda: GradedModulePresentation(
+        R2, [Generator("b", 0), Generator("a", 2), Generator("c", 4)],
+        [Relation(((2, 0, "a"), (-3, 1, "b"))), Relation(((3, 2, "b"), (-2, 1, "a"))),
+         Relation(((4, 0, "c"), (-5, 2, "b")))]), range(9)),
+    "thh_ell-p2-w256": (lambda: thh_ell(PrimeContext(2), 256), range(257)),
+    "thh_ell-p3-w600": (lambda: thh_ell(PrimeContext(3), 600), range(601)),
+    "thh_ell-p5-w1500": (lambda: thh_ell(PrimeContext(5), 1500), range(1501)),
+    "thh_ell_k1-p3-w600": (lambda: thh_ell_k1(PrimeContext(3), 600), range(601)),
+    "thh_ell_HZ-p3-w600": (lambda: thh_ell_HZ(PrimeContext(3), 600), range(601)),
+    "thh_ko-w256": (lambda: thh_ko(256), range(257)),
+    "thh_ko_ku-w256": (lambda: thh_ko_ku(256), range(257)),
+    "build_Tn-p5-n2": (lambda: build_Tn(PrimeContext(5), 2),
+                       range(tn_top_degree(5, 2) + 1)),
+    # generators in degrees -top..0: a walk from degree 0 would miss them all
+    "dual-build_Tn-p3-n2": (lambda: build_Tn(PrimeContext(3), 2).dual(
+        0, tn_top_degree(3, 2)), range(-tn_top_degree(3, 2) - 4, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VSTEP_MODULES))
+def test_vstep_matches_whole_slices_at_every_shape(name):
+    make, degrees = VSTEP_MODULES[name]
+    module = make()
+    seen = assert_vstep_matches_whole_slices(module, degrees)
+    assert len(seen) < len(degrees)   # some slices repeat
+    if name.startswith("dual"):
+        assert any(module.group_at(d) != (0, []) for d in degrees if d < 0)
+
+
+def test_vstep_drops_its_walk_when_a_relation_is_added():
+    # read every v-step, then add p v^e g = 0 at a base strictly between two
+    # step degrees of its residue, where the old walk's groups no longer hold
+    module = thh_ell(PrimeContext(2), 128)
+    top = 60
+    assert_vstep_matches_whole_slices(module, range(top + 1))
+    before = [module.vstep_at(d).orders for d in range(top + 1)]
+    vd = module.ring.v_degree
+    steps = sorted({g.degree for g in module.generators.values()}
+                   | {module.term_degree(rel.terms) for rel in module.relations})
+    g, base = next((g, b) for g in module.generators.values()
+                   for b in range(g.degree + vd, top, vd)
+                   if b not in steps and any(s > b and (s - b) % vd == 0 for s in steps)
+                   and module.group_at(b)[0])
+    module.add_relation(Relation(((module.ring.p, (base - g.degree) // vd, g.gid),)))
+    assert module.vstep_at(base).orders != before[base]
+    assert_vstep_matches_whole_slices(module, range(top + 1))

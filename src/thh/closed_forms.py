@@ -8,8 +8,8 @@ laid down up to the requested top degree, and complete_below records how far
 the presentation can be trusted.  None means every degree, as for the finite
 pieces T_n, Ttilde and their duals; a direct sum takes the least bound among
 its parts, so an answer's bound is that of its truncated free chain.
-`verify._require_complete` reads the bound of the ko answer its suites take;
-`group_at` and `subquot_at` still answer past it.
+`verify._require_complete` reads the bound of the ko answer its suites take,
+and every group reader raises `WindowError` past it.
 
 thh_ell, thh_ko_ku and thh_ko share one shape: the unit (unreduced only),
 a torsion-free chain on lambda_1 and the suspended torsion blocks.  The

@@ -1,14 +1,14 @@
 """Graded modules over Z_(p)[v] presented by generators and homogeneous relations.
 
 A presentation stores finitely many generators (each in a single degree) and
-relation rows whose terms are (coefficient, v-exponent, generator).  Per-degree
-abelian groups come out of Smith normal form on the degree slice, using every
-v-power multiple of every relation that lands in the slice, with invariant
-factors reduced to their p-parts.  Generators and relations are indexed by
-their degree mod |v|, so a slice reads only the generators and relations whose
-v-multiples can land in it.  A slice's relation rows are `_intlin` rows of
-(column, value) pairs, built straight from each relation's terms merged by
-(generator, v-exponent).
+relation rows whose terms are (coefficient, v-exponent, generator).  The
+degree-d group is the cokernel of the degree slice: the cells of the free
+cover in degree d modulo every v-power multiple of every relation that lands
+there, with invariant factors reduced to their p-parts.  Generators and
+relations are indexed by their degree mod |v|, so a slice reads only the
+generators and relations whose v-multiples can land in it.  A slice's
+relation rows are `_intlin` rows of (column, value) pairs, built straight
+from each relation's terms merged by (generator, v-exponent).
 
 Between two step degrees of a residue (generator degrees, and the bases of
 relations that keep a term) the slice repeats every |v| degrees: the same
@@ -27,15 +27,17 @@ homology", DCG 33, 2005): one small `SubQuot` per step, whose columns are the
 previous summands and the new generators and whose rows are the previous
 orders and the new relations written in the previous coordinates.  It keeps
 each generator's summand coordinates, so an element's coordinates are a sum
-of its cells' coordinates, with no solve.  Every reader that needs a group and
-not a particular basis reads the v-step: `is_zero_at`, `order_of` (and so
+of its cells' coordinates, with no solve.  Every reader that does not depend
+on the basis reads the v-step: `group_at`, `is_zero_at`, `order_of` (and so
 `ModuleMap.respects_relations`), `dual`, and the groups a `ModuleMap` induces
-(and so `verify`'s kernels and cokernels).  `group_at` reads a cached v-step
-of the same shape and otherwise reduces the whole slice without transforms,
-which on a small slice costs less than walking the steps below it.
-`subquot_at`, `coordinates` and `summand_labels` stay on the whole slice: the
-printed labels and the eta tower's classes are read in its basis, and their
-bytes are pinned, which the v-step basis does not reproduce.
+(and so `verify`'s kernels and cokernels).  The whole slice (`subquot_at`,
+`coordinates`, `summand_labels`) serves only the two readers whose basis is
+pinned: the printed labels and the eta tower's classes, which the v-step
+basis does not reproduce.
+
+A presentation answers only below its window bound `complete_below`:
+`vstep_at`, `subquot_at` and `ModuleMap.induced` raise `WindowError` at or
+past it, and every other group reader goes through one of them.
 """
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ from bisect import bisect_right, insort
 from math import gcd, lcm
 from typing import NamedTuple
 
-from ._intlin import (SubQuot, group_invariants, order_rows, row_hermite,
-                      row_kernel, solve_in_lattice, sparse_rows, unit_scaled)
+from ._intlin import (SubQuot, order_rows, row_hermite, row_kernel,
+                      solve_in_lattice, sparse_rows, unit_scaled)
 from .padic import nu
 
 
@@ -77,22 +79,28 @@ class Relation(NamedTuple):
     terms: tuple[Term, ...]
 
 
+class WindowError(ValueError):
+    """A degree at or past a presentation's `complete_below`."""
+
+
 class VStep:
     """The group of one step of a residue mod |v|, in its own summand basis.
 
     `orders` are the summand orders as a `SubQuot` lists them (0 for a free
-    summand), `coords` maps every generator of the residue at or below the
-    step to its summand coordinates (ints, unit) in the form of
-    `SubQuot.express`, and `gens` gives each summand's generator as
-    {generator id: coefficient}, a sum of cells of any degree of the step.
+    summand), `group` is (free rank, sorted torsion orders), `coords` maps
+    every generator of the residue at or below the step to its summand
+    coordinates (ints, unit) in the form of `SubQuot.express`, and `gens`
+    gives each summand's generator as {generator id: coefficient}, a sum of
+    cells of any degree of the step.
     A plain class: a NamedTuple would add a third of a millisecond to the
     start of every `thh` process."""
 
-    __slots__ = ("orders", "coords", "gens")
+    __slots__ = ("orders", "group", "coords", "gens")
 
     def __init__(self, orders: list[int], coords: dict[str, tuple[list[int], int]],
                  gens: list[dict[str, int]]):
         self.orders, self.coords, self.gens = orders, coords, gens
+        self.group = orders.count(0), sorted(o for o in orders if o)
 
 
 _NO_STEP = VStep([], {}, [])
@@ -118,14 +126,15 @@ class GradedModulePresentation:
 
     The groups are trusted in degrees below `complete_below`; None means in
     every degree.  `suspend` shifts the bound and `direct_sum` takes the
-    least bound among the parts that have one.  The bound is recorded but
-    not yet enforced: `group_at` and `subquot_at` answer past it.
+    least bound among the parts that have one.  `vstep_at` and `subquot_at`
+    raise `WindowError` at or past the bound, and so does every reader
+    built on them.
 
-    `group_at`, `subquot_at` and `vstep_at` cache by `slice_shape`, so
-    degrees of one shape share one reduction; `slice_cells` stays per degree,
-    since its v-exponents label the summands.  `add_relation` inserts its
-    base into the steps of its residue, which renames the shapes from there
-    on, and drops every cache and the v-step walks.
+    `subquot_at` and `vstep_at` cache by `slice_shape`, so degrees of one
+    shape share one reduction; `slice_cells` stays per degree, since its
+    v-exponents label the summands.  `add_relation` inserts its base into
+    the steps of its residue, which renames the shapes from there on, and
+    drops every cache and the v-step walks.
     """
 
     def __init__(self, ring: RingSpec, generators: list[Generator],
@@ -153,7 +162,6 @@ class GradedModulePresentation:
         self._slice_cache: dict[int, tuple[list[tuple[str, int]], dict[tuple[str, int], int]]] = {}
         # keyed by `slice_shape`
         self._subquot_cache: dict[tuple[int, int], SubQuot] = {}
-        self._group_cache: dict[tuple[int, int], tuple[int, list[int]]] = {}
         # the v-step groups by (residue, step count); and per residue, the
         # step count its walk has reached and its new generators and
         # relations by step degree
@@ -188,7 +196,6 @@ class GradedModulePresentation:
             insort(self._steps.setdefault(r, []), base)
         # the groups of every degree the relation reaches change, and the
         # shapes from its base on now name other slices
-        self._group_cache.clear()
         self._subquot_cache.clear()
         self._vsteps.clear()
         self._walks.clear()
@@ -252,31 +259,19 @@ class GradedModulePresentation:
     # -- groups ------------------------------------------------------------
 
     def group_at(self, d: int) -> tuple[int, list[int]]:
-        """(free rank, sorted p-local torsion orders) of the degree-d group.
+        """(free rank, sorted p-local torsion orders) of the degree-d group,
+        read off `vstep_at(d)`: the group does not depend on the basis."""
+        return self.vstep_at(d).group
 
-        Cached by `slice_shape`; read off a cached `subquot_at` or `vstep_at`
-        of the same shape when there is one (the group does not depend on
-        the basis), and otherwise off an invariants-only Smith form of the
-        whole slice, which on a small slice costs less than walking the
-        steps below it."""
-        shape = self.slice_shape(d)
-        got = self._group_cache.get(shape)
-        if got is None:
-            sq = self._subquot_cache.get(shape)
-            step = self._vsteps.get(shape)
-            if sq is not None:
-                got = sq.free_rank(), sq.torsion()
-            elif step is not None:
-                got = step.orders.count(0), sorted(o for o in step.orders if o)
-            else:
-                got = group_invariants(self.slice_relation_rows(d),
-                                       len(self.slice_cells(d)), self.ring.p)
-            self._group_cache[shape] = got
-        return got
+    def _check_window(self, d: int) -> None:
+        if self.complete_below is not None and d >= self.complete_below:
+            raise WindowError(f"degree {d} is past the window: the presentation "
+                              f"is complete below {self.complete_below}")
 
     def subquot_at(self, d: int) -> SubQuot:
         """Summand-level structure of the degree-d group, with generator
         vectors over `slice_cells(d)`; cached by `slice_shape`."""
+        self._check_window(d)
         shape = self.slice_shape(d)
         sq = self._subquot_cache.get(shape)
         if sq is None:
@@ -289,6 +284,7 @@ class GradedModulePresentation:
         """The degree-d group in the basis of the v-step reduction: the group
         of the last step of d's residue at or below d, which every degree of
         that shape shares.  Cached by (residue, step count)."""
+        self._check_window(d)
         r = d % self.ring.v_degree
         steps = self._steps.get(r, ())
         k = bisect_right(steps, d)
@@ -588,7 +584,10 @@ class ModuleMap:
         two `vstep_at` does.
 
         Raises `ValueError` if either presentation has gained relations
-        since the map's first cached answer."""
+        since the map's first cached answer, and `WindowError` if d or
+        d + shift is past its presentation's window, cached or not."""
+        self.source._check_window(d)
+        self.target._check_window(d + self.degree_shift)
         counts = len(self.source.relations), len(self.target.relations)
         if self._relation_counts is None:
             self._relation_counts = counts

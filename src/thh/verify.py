@@ -252,18 +252,16 @@ def cofiber_checks(ctx: PrimeContext, window: int) -> list[Check]:
     v_k1 = variable_multiplication_map(k1)
     out = []
     for n in range(window + 1):
-        # the cofibers first: their `vstep_at` of a slice shape also
-        # answers the `group_at` of that shape below, which then reduces
-        # nothing again
-        mod_v, mod_pv = _through_cofiber(v_ell, n), _through_cofiber(v_k1, n)
         # mod-p coefficients on the integral answer
         rank, tors = k1.group_at(n)
         out.append(agree("mod-p", n, (rank + len(tors),), (_mod_p_dim(ell, n),)))
         # killing v on the integral answer gives the HZ answer
         rank, tors = hz.group_at(n)
-        out.append(agree("mod-v", n, (rank, sum(nu(p, t) for t in tors)), mod_v))
+        out.append(agree("mod-v", n, (rank, sum(nu(p, t) for t in tors)),
+                         _through_cofiber(v_ell, n)))
         # killing v on the k(1) answer gives the mod-(p, v) answer
-        out.append(agree("mod-pv-from-k1", n, (hfp.get(n, 0),), (sum(mod_pv),)))
+        out.append(agree("mod-pv-from-k1", n, (hfp.get(n, 0),),
+                         (sum(_through_cofiber(v_k1, n)),)))
         # killing p on the HZ answer also gives the mod-(p, v) answer
         out.append(agree("mod-pv-from-hz", n, (hfp.get(n, 0),),
                          (_mod_p_dim(hz, n),)))

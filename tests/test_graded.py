@@ -12,12 +12,13 @@ from thh._intlin import (SubQuot, dense_row, group_invariants, row_kernel,
 from thh.closed_forms import (build_Tn, thh_ell, thh_ell_HZ, thh_ell_k1, thh_ko,
                               thh_ko_ku, thh_ko_eta_map, tn_top_degree)
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
-                        Relation, RingSpec, submodule_presentation,
+                        Relation, RingSpec, WindowError, submodule_presentation,
                         variable_multiplication_map)
 from thh.padic import PrimeContext
 from thh.verify import (_through_cofiber, cokernel_subquot, eta_square_map,
                         kernel_subquot, ko_to_ku_map)
 
+from test_cli import count_calls
 from test_closed_forms import PRESENTATIONS
 
 R2 = RingSpec(2, 2)
@@ -103,6 +104,29 @@ def test_order_of_reads_large_orders():
     free = GradedModulePresentation(R2, [Generator("x", 0)], [])
     assert free.order_of(0, [(3, 0, "x")]) == 0
     assert free.order_of(0, [(0, 0, "x")]) == 1
+
+
+def test_readers_refuse_degrees_past_the_window():
+    m = thh_ell(PrimeContext(2), 64)
+    assert m.complete_below == 65
+    assert m.group_at(64) == data(m.subquot_at(64))
+    for d in (65, 100):
+        for read in (m.group_at, m.subquot_at, m.vstep_at):
+            with pytest.raises(WindowError):
+                read(d)
+    # a map refuses a degree whose image lands past the target's window,
+    # even when an answer of the same shape pair is cached: v on Z/4[v],
+    # complete below 10, reads the pair of degrees (8, 10) as that of (2, 4)
+    z4 = GradedModulePresentation(R2, [Generator("t", 0)],
+                                  [Relation(((4, 0, "t"),))], 10)
+    vmap = variable_multiplication_map(z4)
+    assert vmap.image_subquot(2).torsion() == [4]
+    with pytest.raises(WindowError):
+        vmap.image_subquot(8)
+    # a dual has no bound and answers at negative degrees
+    dual = build_Tn(PrimeContext(3), 2).dual(0, tn_top_degree(3, 2))
+    assert dual.complete_below is None
+    assert dual.group_at(-4) == data(dual.subquot_at(-4)) != (0, [])
 
 
 def test_dual_reverses_degrees_and_keeps_orders():
@@ -335,7 +359,8 @@ def assert_map_groups_match_cells(mp, degrees):
 @pytest.mark.parametrize("name", ["eta", "eta^2", "v-ell", "v-k1", "ko-to-ku"])
 def test_map_groups_match_slice_cells(name):
     if name in ("eta", "eta^2"):
-        ko = thh_ko(40)
+        # eta^2 reads the target at d + 2, up to 41, past thh_ko(40)'s window
+        ko = thh_ko(42)
         mp = thh_ko_eta_map(ko) if name == "eta" else eta_square_map(ko)
         degrees = range(40)
     elif name == "ko-to-ku":
@@ -493,14 +518,10 @@ def assert_shape_keyed_answers(module, degrees):
     vmap = variable_multiplication_map(module)
     vd = module.ring.v_degree
     top = max(degrees)
-    for k, d in enumerate(degrees):
+    for d in degrees:
         cells = module.slice_cells(d)
         rows = module.slice_relation_rows(d)
         want = SubQuot(module.ring.p, len(cells), None, rows)
-        # alternate which cache fills first, so that group_at is read both
-        # from its own cache and from a cached SubQuot of the same shape
-        if k % 2:
-            module.subquot_at(d)
         assert module.group_at(d) == group_invariants(rows, len(cells), module.ring.p), d
         got = module.subquot_at(d)
         assert got.orders == want.orders, d
@@ -723,3 +744,18 @@ def test_vstep_drops_its_walk_when_a_relation_is_added():
     module.add_relation(Relation(((module.ring.p, (base - g.degree) // vd, g.gid),)))
     assert module.vstep_at(base).orders != before[base]
     assert_vstep_matches_whole_slices(module, range(top + 1))
+
+
+@pytest.mark.parametrize("make, top", [
+    (lambda: thh_ko_ku(256), 256),
+    (lambda: thh_ell(PrimeContext(5), 1500), 1500),
+], ids=["thh_ko_ku-w256", "thh_ell-p5-w1500"])
+def test_group_at_builds_no_whole_slice(monkeypatch, make, top):
+    # group_at reads the v-step alone; the v-step oracle above checks its
+    # values against the whole slices
+    module = make()
+    calls = count_calls(monkeypatch, GradedModulePresentation,
+                        ("slice_relation_rows", "subquot_at"))
+    groups = [module.group_at(d) for d in range(top + 1)]
+    assert any(g != (0, []) for g in groups)
+    assert calls == {"slice_relation_rows": 0, "subquot_at": 0}

@@ -48,11 +48,22 @@ fractions in that form, for `express` and for the sums of `graded`'s v-step.
 Each routine records only the transforms it reads (`Track`):
 `group_invariants` none, `SubQuot` the column transform Q with its inverse
 Qinv, and `SmithForm.kernel` and `SmithForm.coordinates` all of them;
-`row_kernel` and `lattice_coordinates` ask them of a fresh form, and a
-caller with several questions about one matrix keeps the form.
+`row_kernel` (through the intern below) and `lattice_coordinates` ask them
+of a fresh form, and a caller with several questions about one matrix keeps
+the form.
 `SubQuot(p, n, None, rels)` takes the generators to be all of Z^n; its
 echelon basis is then the standard one and every vector is its own
 coordinate vector, so it needs no `row_hermite` and no `solve_in_lattice`.
+
+The intern.  The small matrices of `graded`'s v-step and of the groups a
+map induces repeat across residues, maps and presentations, so
+`shared_subquot` and `row_kernel` keep every answer for the life of the
+process in one dict, keyed exactly by (p, n, generator rows, relation rows)
+as tuples (`row_kernel` by (p, n, rows)): each distinct matrix is reduced
+once.  A shared `SubQuot` is never mutated, and `row_kernel` hands out fresh
+lists.  Callers whose matrices rarely repeat build their `SubQuot`s
+themselves and cache them by a cheaper key (`graded.subquot_at` by slice
+shape, `ss` by page key).
 """
 from __future__ import annotations
 
@@ -458,12 +469,6 @@ def solve_in_lattice(
     return nums, den
 
 
-def row_kernel(rows: list[list[tuple[int, int]]], ncols: int,
-               p: int) -> list[list[int]]:
-    """Z_(p)-basis of { x : x * M == 0 } for the m-row matrix M, as dense integer rows."""
-    return SmithForm(rows, ncols, p=p).kernel() if rows else []
-
-
 def order_rows(orders: list[int]) -> list[list[tuple[int, int]]]:
     """The relation rows o * e_k of Z^t, one per torsion order o = orders[k]."""
     return [[(k, o)] for k, o in enumerate(orders) if o]
@@ -562,6 +567,38 @@ class SubQuot:
     def is_zero(self, v: list[int]) -> bool:
         e = self.express(v)
         return e is not None and not any(e[0])
+
+
+# The intern of the module docstring, keyed by argument content.
+_INTERN: dict[tuple, object] = {}
+
+
+def _rows_key(rows: list[list[tuple[int, int]]]) -> tuple:
+    return tuple(map(tuple, rows))
+
+
+def row_kernel(rows: list[list[tuple[int, int]]], ncols: int,
+               p: int) -> list[list[int]]:
+    """Z_(p)-basis of { x : x * M == 0 } for the m-row matrix M, as dense
+    integer rows; interned, and handed out as fresh lists."""
+    if not rows:
+        return []
+    key = (p, ncols, _rows_key(rows))
+    kernel = _INTERN.get(key)
+    if kernel is None:
+        kernel = _INTERN[key] = tuple(map(tuple, SmithForm(rows, ncols, p=p).kernel()))
+    return [list(row) for row in kernel]
+
+
+def shared_subquot(p: int, n: int, gen_rows: list[list[tuple[int, int]]] | None,
+                   rel_rows: list[list[tuple[int, int]]]) -> SubQuot:
+    """`SubQuot(p, n, gen_rows, rel_rows)`, interned: built once per distinct
+    argument content, so the caller must not mutate it."""
+    key = (p, n, None if gen_rows is None else _rows_key(gen_rows), _rows_key(rel_rows))
+    sq = _INTERN.get(key)
+    if sq is None:
+        sq = _INTERN[key] = SubQuot(p, n, gen_rows, rel_rows)
+    return sq
 
 
 def unit_scaled(coords: list[tuple[int, int]],

@@ -26,8 +26,13 @@ homology reduces a filtration (Zomorodian and Carlsson, "Computing persistent
 homology", DCG 33, 2005): one small `SubQuot` per step, whose columns are the
 previous summands and the new generators and whose rows are the previous
 orders and the new relations written in the previous coordinates.  It keeps
-each generator's summand coordinates, so an element's coordinates are a sum
-of its cells' coordinates, with no solve.  Every reader that does not depend
+each generator's summand coordinates, except those that vanish, so an
+element's coordinates are a sum of its cells' coordinates, with no solve.
+The step matrices, and the summand-coordinate matrices of the groups a map
+induces, repeat across residues, maps and presentations, so they are taken
+from `_intlin`'s intern (`shared_subquot`), which reduces each distinct one
+once per process; the whole slices of `subquot_at` rarely repeat and stay in
+its per-shape cache.  Every reader that does not depend
 on the basis reads the v-step: `group_at`, `is_zero_at`, `order_of` (and so
 `ModuleMap.respects_relations`), `dual`, and the groups a `ModuleMap` induces
 (and so `verify`'s kernels and cokernels).  The whole slice (`subquot_at`,
@@ -46,7 +51,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from ._intlin import (SubQuot, order_rows, row_hermite, row_kernel,
-                      solve_in_lattice, sparse_rows, unit_scaled)
+                      shared_subquot, solve_in_lattice, sparse_rows, unit_scaled)
 from .padic import nu
 
 
@@ -88,8 +93,9 @@ class VStep:
 
     `orders` are the summand orders as a `SubQuot` lists them (0 for a free
     summand), `group` is (free rank, sorted torsion orders), `coords` maps
-    every generator of the residue at or below the step to its summand
-    coordinates (ints, unit) in the form of `SubQuot.express`, and `gens`
+    each generator of the residue at or below the step to its summand
+    coordinates (ints, unit) in the form of `SubQuot.express`, with no entry
+    for a generator whose coordinates vanish, and `gens`
     gives each summand's generator as {generator id: coefficient}, a sum of
     cells of any degree of the step.
     A plain class: a NamedTuple would add a third of a millisecond to the
@@ -327,16 +333,18 @@ class GradedModulePresentation:
         relations, written in the previous coordinates."""
         s, n = len(prev.orders), len(prev.orders) + len(new)
         fresh = {gid: [int(j == s + i) for j in range(n)] for i, gid in enumerate(new)}
-        cells = dict(prev.coords)
-        cells.update((gid, (e, 1)) for gid, e in fresh.items())
+        cells = {gid: (e, 1) for gid, e in fresh.items()}
+        old = prev.coords
         rows = order_rows(prev.orders)
         for terms in rels:
             # the sum of its cells' coordinates times a p-unit, which spans
-            # the same Z_(p)-line as the relation
-            ints, _ = _coordinate_sum([(c, cells[gid]) for gid, _, c in terms],
-                                      prev.orders + [0] * len(new))
+            # the same Z_(p)-line as the relation; a cell with no
+            # coordinates is zero
+            parts = [(c, got) for gid, _, c in terms
+                     if (got := cells.get(gid) or old.get(gid)) is not None]
+            ints, _ = _coordinate_sum(parts, prev.orders + [0] * len(new))
             rows.append([(j, x) for j, x in enumerate(ints) if x])
-        sq = SubQuot(self.ring.p, n, None, rows)
+        sq = shared_subquot(self.ring.p, n, None, rows)
         orders = sq.orders
         columns = prev.gens + [{gid: 1} for gid in new]
         gens = []
@@ -347,18 +355,22 @@ class GradedModulePresentation:
                     gen[gid] = gen.get(gid, 0) + c * x
             gens.append({gid: x for gid, x in gen.items() if x})
         # a cell's coordinates are those of its old ones divided by its unit;
-        # cells with equal old coordinates share one answer
+        # cells with equal old coordinates share one answer, and a cell whose
+        # coordinates vanish is not stored
         pad = [0] * len(new)
         coords, memo = {}, {}
-        for gid, (ints, u) in prev.coords.items():
+        for gid, (ints, u) in old.items():
             key = u, *ints
             if key not in memo:
                 got, unit = sq.express(ints + pad)
                 memo[key] = (_coordinate_sum([(1, (got, unit * u))], orders)
                              if u != 1 else (got, unit))
-            coords[gid] = memo[key]
+            if any(memo[key][0]):
+                coords[gid] = memo[key]
         for gid, e in fresh.items():
-            coords[gid] = sq.express(e)
+            got = sq.express(e)
+            if any(got[0]):
+                coords[gid] = got
         return VStep(orders, coords, gens)
 
     def vstep_coordinates(self, d: int, terms) -> tuple[list[int], int]:
@@ -372,7 +384,7 @@ class GradedModulePresentation:
             g = self.generators.get(gid)
             if g is None or e < 0 or g.degree + e * vd != d:
                 raise ValueError(f"term {c}*v^{e}*{gid} is not in degree {d}")
-            if c:
+            if c and gid in step.coords:
                 parts.append((c, step.coords[gid]))
         return _coordinate_sum(parts, step.orders)
 
@@ -442,9 +454,8 @@ class GradedModulePresentation:
         raise ValueError(f"unknown action {op!r}")
 
     def suspend(self, shift: int) -> "GradedModulePresentation":
-        gens = [Generator(g.gid, g.degree + shift, g.label) for g in self.generators.values()]
         bound = None if self.complete_below is None else self.complete_below + shift
-        return GradedModulePresentation(self.ring, gens, self.relations, bound)
+        return _side_by_side(self.ring, [(self, shift)], bound)
 
     @staticmethod
     def direct_sum(parts: list["GradedModulePresentation"]) -> "GradedModulePresentation":
@@ -455,10 +466,8 @@ class GradedModulePresentation:
         for part in parts:
             if part.ring != ring:
                 raise ValueError(f"direct_sum over different rings {ring} and {part.ring}")
-        gens = [g for part in parts for g in part.generators.values()]
-        rels = [rel for part in parts for rel in part.relations]
         bounds = [part.complete_below for part in parts if part.complete_below is not None]
-        return GradedModulePresentation(ring, gens, rels, min(bounds, default=None))
+        return _side_by_side(ring, [(part, 0) for part in parts], min(bounds, default=None))
 
     def dual(self, lo: int, hi: int, prefix: str = "D") -> "GradedModulePresentation":
         """Per-degree character dual on [lo, hi]: negated degrees, transposed v-action.
@@ -509,6 +518,35 @@ class GradedModulePresentation:
 
     def isomorphic_on(self, other: "GradedModulePresentation", degrees) -> bool:
         return all(self.group_at(d) == other.group_at(d) for d in degrees)
+
+
+def _side_by_side(ring: RingSpec, parts: list[tuple[GradedModulePresentation, int]],
+                  complete_below: int | None) -> GradedModulePresentation:
+    """The parts, each (presentation, degree shift), side by side: what
+    `__init__` gives on their shifted generators and their relations in
+    order, with the same per-residue orders and repeated step degrees, but
+    built from the parts' indexes rather than by replaying `add_relation`."""
+    out = GradedModulePresentation(ring, [], [], complete_below)
+    vd = ring.v_degree
+    gens = out.generators
+    for part, shift in parts:
+        moved = {}
+        for gid, g in part.generators.items():
+            if gid in gens:
+                raise ValueError(f"duplicate generator id {gid}")
+            gens[gid] = moved[gid] = Generator(gid, g.degree + shift, g.label) if shift else g
+        for r, group in part._generators_by_residue.items():
+            out._generators_by_residue.setdefault((r + shift) % vd, []).extend(
+                moved[g.gid] for g in group)
+        for r, group in part._relations_by_residue.items():
+            out._relations_by_residue.setdefault((r + shift) % vd, []).extend(
+                (base + shift, terms) for base, terms in group)
+        for r, degrees in part._steps.items():
+            out._steps.setdefault((r + shift) % vd, []).extend(x + shift for x in degrees)
+        out.relations.extend(part.relations)
+    for degrees in out._steps.values():
+        degrees.sort()
+    return out
 
 
 class ModuleMap:
@@ -655,8 +693,8 @@ def _image_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """The uncached body of `ModuleMap.image_subquot`."""
     rows, _ = mp.summand_matrix(d)
     orders = mp.target.vstep_at(d + mp.degree_shift).orders
-    return SubQuot(mp.target.ring.p, len(orders), sparse_rows(rows),
-                   order_rows(orders))
+    return shared_subquot(mp.target.ring.p, len(orders), sparse_rows(rows),
+                          order_rows(orders))
 
 
 def variable_multiplication_map(mod: GradedModulePresentation) -> ModuleMap:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._intlin import SubQuot, order_rows, row_kernel, sparse_rows
+from ._intlin import SubQuot, order_rows, row_kernel, shared_subquot, sparse_rows
 from . import closed_forms as cf
 from .graded import (GradedModulePresentation, ModuleMap,
                      variable_multiplication_map)
@@ -190,7 +190,7 @@ def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
         # zip keeps the first len(src) coordinates, dropping those of L_b
         kernel = sparse_rows([[x * u for x, u in zip(k, units)] for k in
                               row_kernel(sparse_rows(rows) + order_rows(tgt), len(tgt), p)])
-    return SubQuot(p, len(src), kernel, order_rows(src))
+    return shared_subquot(p, len(src), kernel, order_rows(src))
 
 
 def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
@@ -203,7 +203,7 @@ def cokernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
     p = mp.target.ring.p
     tgt = mp.target.vstep_at(d + mp.degree_shift).orders
     rows, _ = mp.summand_matrix(d)
-    return SubQuot(p, len(tgt), None, order_rows(tgt) + sparse_rows(rows))
+    return shared_subquot(p, len(tgt), None, order_rows(tgt) + sparse_rows(rows))
 
 
 def _cokernel_data(mp: ModuleMap, d: int) -> tuple[int, int]:

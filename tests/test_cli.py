@@ -471,3 +471,41 @@ def test_group_json_past_the_bench_windows_is_pinned(argv):
     code, out = run(argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == pins[argv]
+
+
+def readme_commands() -> list[str]:
+    """The distinct `thh` command lines of README.md's fenced blocks, in order."""
+    import pathlib
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found, fenced = [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("thh ") and line not in found:
+            found.append(line)
+    return found
+
+
+def test_readme_has_nine_commands():
+    assert len(readme_commands()) == 9
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_exits_zero(tmp_path, command):
+    # each in a fresh process and a temporary directory, where the charts
+    # write their files
+    import os
+    import pathlib
+    import shlex
+    import subprocess
+    import sys
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = shlex.split(command)[1:]
+    proc = subprocess.run([sys.executable, "-m", "thh.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for i, arg in enumerate(argv[:-1]):
+        if arg == "--out":
+            assert (tmp_path / argv[i + 1]).stat().st_size > 0

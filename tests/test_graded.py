@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from thh._intlin import (SubQuot, dense_row, group_invariants, row_kernel,
                          sparse_rows)
-from thh.closed_forms import (build_Tn, thh_ell, thh_ell_HZ, thh_ell_k1, thh_ko,
-                              thh_ko_ku, thh_ko_eta_map, tn_top_degree)
+from thh.closed_forms import (build_Tn, build_Tnko, thh_ell, thh_ell_HZ, thh_ell_k1,
+                              thh_ko, thh_ko_ku, thh_ko_eta_map, tn_top_degree)
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
                         Relation, RingSpec, WindowError, submodule_presentation,
                         variable_multiplication_map)
@@ -87,6 +87,47 @@ def test_direct_sum_adds_groups():
     s = GradedModulePresentation.direct_sum([a, b])
     assert s.group_at(0) == (0, [2])
     assert s.group_at(2) == (0, [2, 4])
+
+
+def indexes(module):
+    """What `__init__` builds from the generators and relations: the
+    per-residue generators, relations and step degrees (with repeats), the
+    relations in order and the window bound."""
+    return (module.generators, module._generators_by_residue,
+            module._relations_by_residue, module._steps, module.relations,
+            module.complete_below)
+
+
+ASSEMBLED = {
+    "thh_ell-p2-w256": lambda: thh_ell(PrimeContext(2), 256),
+    "thh_ell-p3-w600": lambda: thh_ell(PrimeContext(3), 600),
+    "thh_ell-p5-w1500-unreduced": lambda: thh_ell(PrimeContext(5), 1500, False),
+    "thh_ko-w256": lambda: thh_ko(256),
+    "thh_ko-w160-unreduced": lambda: thh_ko(160, False),
+    "thh_ko_ku-w256": lambda: thh_ko_ku(256),
+    "build_Tnko-3": lambda: build_Tnko(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLED))
+def test_suspend_and_direct_sum_match_a_replay(name):
+    # they assemble the parts' indexes; a replay through `__init__` runs
+    # `add_relation` on every relation
+    module = ASSEMBLED[name]()
+    replay = GradedModulePresentation(module.ring, list(module.generators.values()),
+                                      module.relations, module.complete_below)
+    assert indexes(module) == indexes(replay)
+    assert [module.group_at(d) for d in range(60)] == [replay.group_at(d) for d in range(60)]
+
+
+def test_direct_sum_refuses_a_duplicate_generator_id():
+    a = cyclic(R2, 1, gid="a")
+    with pytest.raises(ValueError, match="duplicate generator id a"):
+        GradedModulePresentation.direct_sum([a, cyclic(R2, 2, degree=2, gid="a")])
+    with pytest.raises(ValueError, match="duplicate generator id a"):
+        GradedModulePresentation.direct_sum([a, a.suspend(2)])
+    with pytest.raises(ValueError, match="different rings"):
+        GradedModulePresentation.direct_sum([a, cyclic(R3, 1, gid="b")])
 
 
 def test_order_of_and_is_zero_at():

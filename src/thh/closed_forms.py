@@ -5,16 +5,16 @@ Everything is a GradedModulePresentation over Z_(p)[v] (|v| = 2p-2 on the
 one call from its generator and relation lists.  Each answer is the paper's
 direct sum of suspended pieces.  Windows are explicit: generators are only
 laid down up to the requested top degree, and complete_below records how far
-the presentation can be trusted.  None means every degree, as for the finite
-pieces T_n, Ttilde and their duals; a direct sum takes the least bound among
-its parts, so an answer's bound is that of its truncated free chain.
-`verify._require_complete` reads the bound of the ko answer its suites take,
-and every group reader raises `WindowError` past it.
+the presentation can be trusted.  The finite pieces T_n, Ttilde and their
+duals have no bound, so an answer's bound is that of its truncated free chain.
 
 thh_ell, thh_ko_ku and thh_ko share one shape: the unit (unreduced only),
 a torsion-free chain on lambda_1 and the suspended torsion blocks.  The
-chains F and F' are both `_divided_chain`; the ko-side levels are
-`ko_levels`.
+chains F and F' are both `_divided_chain`, the ko-side levels are
+`ko_levels`, and the ku-side blocks T'_n are `build_Tn_prime`.  The hidden
+extensions are stated once: `hidden_extension` on the b_m, and
+`ko_hidden_extension`, which thh_ko and the eta tower both read.  Fixed id
+prefixes (F:, F':, Fko:, T'[n]:, ko<n>:) name the pieces other code reads.
 """
 from __future__ import annotations
 

@@ -16,7 +16,10 @@ generators, the same relations, and each row's columns name generators, not
 v-exponents.  So the slice shape (d mod |v|, number of steps at or below d)
 determines the relation matrix, and the reductions of a slice are cached by
 its shape: a module that is finitely generated over Z_(p)[v] has finitely
-many shapes, however many degrees are asked.
+many shapes, however many degrees are asked.  A presentation is fixed when
+`__init__` returns (its relations are a tuple, and nothing adds one), so a
+shape always names the same slice, and neither these caches nor a
+`ModuleMap`'s cache by shape pair ever needs clearing.
 
 The slice of one step is the slice of the step before it with the step's new
 generator columns and new relation rows, and every older row stays in the
@@ -46,9 +49,9 @@ past it, and every other group reader goes through one of them.
 """
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._intlin import (SubQuot, order_rows, row_hermite, row_kernel,
                       shared_subquot, solve_in_lattice, sparse_rows, unit_scaled)
@@ -138,32 +141,54 @@ class GradedModulePresentation:
 
     `subquot_at` and `vstep_at` cache by `slice_shape`, so degrees of one
     shape share one reduction; `slice_cells` stays per degree, since its
-    v-exponents label the summands.  `add_relation` inserts its base into
-    the steps of its residue, which renames the shapes from there on, and
-    drops every cache and the v-step walks.
+    v-exponents label the summands.
     """
 
     def __init__(self, ring: RingSpec, generators: list[Generator],
-                 relations: list[Relation], complete_below: int | None = None):
+                 relations: Iterable[Relation], complete_below: int | None = None):
         self.ring = ring
+        vd = ring.v_degree
         self.generators: dict[str, Generator] = {}
         # generators by degree mod |v|, in insertion order
         self._generators_by_residue: dict[int, list[Generator]] = {}
-        # the sorted step degrees of each residue mod |v|: generator degrees
-        # and the bases of relations that keep a term
+        # the sorted step degrees of each residue mod |v|, with repeats:
+        # generator degrees and the bases of relations that keep a term
         self._steps: dict[int, list[int]] = {}
         for g in generators:
             if g.gid in self.generators:
                 raise ValueError(f"duplicate generator id {g.gid}")
             self.generators[g.gid] = g
-            r = g.degree % ring.v_degree
+            r = g.degree % vd
             self._generators_by_residue.setdefault(r, []).append(g)
-            insort(self._steps.setdefault(r, []), g.degree)
-        self.relations: list[Relation] = []
+            self._steps.setdefault(r, []).append(g.degree)
+        self.relations: tuple[Relation, ...] = tuple(relations)
         # (base degree, merged terms) of each relation whose merged terms do
-        # not all cancel, by base degree mod |v|, in insertion order; each
+        # not all cancel, by base degree mod |v|, in relation order; each
         # merged term is (generator, v-exponent, nonzero coefficient)
         self._relations_by_residue: dict[int, list[tuple[int, list[tuple[str, int, int]]]]] = {}
+        for rel in self.relations:
+            if not rel.terms:
+                raise ValueError("empty relation")
+            degs = set()
+            merged: dict[tuple[str, int], int] = {}
+            for coeff, v_exp, gid in rel.terms:
+                g = self.generators.get(gid)
+                if g is None:
+                    raise ValueError(f"relation references unknown generator {gid}")
+                if v_exp < 0:
+                    raise ValueError("negative v-exponent in relation")
+                degs.add(g.degree + v_exp * vd)
+                merged[gid, v_exp] = merged.get((gid, v_exp), 0) + coeff
+            if len(degs) != 1:
+                raise ValueError(f"inhomogeneous relation: degrees {sorted(degs)} in {rel.terms}")
+            terms = [(gid, v_exp, c) for (gid, v_exp), c in merged.items() if c]
+            if terms:
+                base = degs.pop()
+                r = base % vd
+                self._relations_by_residue.setdefault(r, []).append((base, terms))
+                self._steps.setdefault(r, []).append(base)
+        for degrees in self._steps.values():
+            degrees.sort()
         self.complete_below = complete_below
         self._slice_cache: dict[int, tuple[list[tuple[str, int]], dict[tuple[str, int], int]]] = {}
         # keyed by `slice_shape`
@@ -173,38 +198,8 @@ class GradedModulePresentation:
         # relations by step degree
         self._vsteps: dict[tuple[int, int], VStep] = {}
         self._walks: dict[int, list] = {}
-        for rel in relations:
-            self.add_relation(rel)
 
     # -- construction ------------------------------------------------------
-
-    def add_relation(self, rel: Relation) -> None:
-        if not rel.terms:
-            raise ValueError("empty relation")
-        degs = set()
-        for coeff, v_exp, gid in rel.terms:
-            if gid not in self.generators:
-                raise ValueError(f"relation references unknown generator {gid}")
-            if v_exp < 0:
-                raise ValueError("negative v-exponent in relation")
-            degs.add(self.generators[gid].degree + v_exp * self.ring.v_degree)
-        if len(degs) != 1:
-            raise ValueError(f"inhomogeneous relation: degrees {sorted(degs)} in {rel.terms}")
-        self.relations.append(rel)
-        merged: dict[tuple[str, int], int] = {}
-        for coeff, v_exp, gid in rel.terms:
-            merged[gid, v_exp] = merged.get((gid, v_exp), 0) + coeff
-        terms = [(gid, v_exp, c) for (gid, v_exp), c in merged.items() if c]
-        if terms:
-            base = degs.pop()
-            r = base % self.ring.v_degree
-            self._relations_by_residue.setdefault(r, []).append((base, terms))
-            insort(self._steps.setdefault(r, []), base)
-        # the groups of every degree the relation reaches change, and the
-        # shapes from its base on now name other slices
-        self._subquot_cache.clear()
-        self._vsteps.clear()
-        self._walks.clear()
 
     def term_degree(self, terms) -> int:
         degs = {self.generators[g].degree + e * self.ring.v_degree for _, e, g in terms}
@@ -525,7 +520,8 @@ def _side_by_side(ring: RingSpec, parts: list[tuple[GradedModulePresentation, in
     """The parts, each (presentation, degree shift), side by side: what
     `__init__` gives on their shifted generators and their relations in
     order, with the same per-residue orders and repeated step degrees, but
-    built from the parts' indexes rather than by replaying `add_relation`."""
+    built from the parts' indexes rather than by checking and merging every
+    relation again."""
     out = GradedModulePresentation(ring, [], [], complete_below)
     vd = ring.v_degree
     gens = out.generators
@@ -543,7 +539,7 @@ def _side_by_side(ring: RingSpec, parts: list[tuple[GradedModulePresentation, in
                 (base + shift, terms) for base, terms in group)
         for r, degrees in part._steps.items():
             out._steps.setdefault((r + shift) % vd, []).extend(x + shift for x in degrees)
-        out.relations.extend(part.relations)
+    out.relations = tuple(rel for part, _ in parts for rel in part.relations)
     for degrees in out._steps.values():
         degrees.sort()
     return out
@@ -565,10 +561,7 @@ class ModuleMap:
 
     The matrix, and so every group read off it, depends on d only through
     the source's `slice_shape(d)` and the target's `slice_shape(d + shift)`;
-    `induced` caches each of them by that pair.  So neither presentation may
-    gain relations once the map has answered: `induced` records both
-    relation counts at its first answer and raises `ValueError` on any later
-    read if either has changed.
+    `induced` caches each of them by that pair.
     """
 
     def __init__(self, source: GradedModulePresentation, target: GradedModulePresentation,
@@ -579,8 +572,6 @@ class ModuleMap:
         self.degree_shift = degree_shift
         # keyed by the (source, target) `slice_shape` pair, then by builder
         self._induced: dict[tuple[tuple[int, int], tuple[int, int]], dict] = {}
-        # (source, target) relation counts at the first cached answer
-        self._relation_counts: tuple[int, int] | None = None
         for gid, terms in images.items():
             if terms:
                 want = source.generators[gid].degree + degree_shift
@@ -621,17 +612,10 @@ class ModuleMap:
         through that pair, as a group read off `summand_matrix(d)` and the
         two `vstep_at` does.
 
-        Raises `ValueError` if either presentation has gained relations
-        since the map's first cached answer, and `WindowError` if d or
-        d + shift is past its presentation's window, cached or not."""
+        Raises `WindowError` if d or d + shift is past its presentation's
+        window, cached or not."""
         self.source._check_window(d)
         self.target._check_window(d + self.degree_shift)
-        counts = len(self.source.relations), len(self.target.relations)
-        if self._relation_counts is None:
-            self._relation_counts = counts
-        elif counts != self._relation_counts:
-            raise ValueError(f"relation counts (source, target) went from "
-                             f"{self._relation_counts} to {counts} after the map answered")
         groups = self._induced.setdefault((self.source.slice_shape(d),
                                            self.target.slice_shape(d + self.degree_shift)), {})
         if build not in groups:
@@ -720,13 +704,14 @@ def submodule_presentation(module: GradedModulePresentation,
         deg = module.term_degree(terms)
         gens.append(Generator(gid, deg, label))
         defs[gid] = terms
-    sub = GradedModulePresentation(ring, gens, [], hi)
-    inclusion = ModuleMap(sub, module, defs)
+    rels: list[Relation] = []
+    inclusion = ModuleMap(GradedModulePresentation(ring, gens, [], hi), module, defs)
     lo = min(g.degree for g in gens)
     for d in range(lo, hi, 1):
-        cells = sub.slice_cells(d)
+        cells = inclusion.source.slice_cells(d)
         if not cells:
             continue
+        sub = GradedModulePresentation(ring, gens, rels, hi)
         mat = inclusion.matrix(d)
         tgt_rows = module.slice_relation_rows(d)
         n_tgt = len(module.slice_cells(d))
@@ -743,9 +728,9 @@ def submodule_presentation(module: GradedModulePresentation,
             terms = tuple(
                 (c, e, gid) for (gid, e), c in zip(cells, row) if c
             )
-            sub.add_relation(Relation(terms))
+            rels.append(Relation(terms))
             # the new relation's degree-d slice row is `row`, so the old
             # basis plus `row` spans the lattice of the whole new slice
             have = row_hermite([list(b.items()) for b in have[0]] + sparse_rows([row]),
                                n_src, ring.p)
-    return sub
+    return GradedModulePresentation(ring, gens, rels, hi)

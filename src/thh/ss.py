@@ -117,14 +117,15 @@ class SpectralSequence:
     and (orders, Z, B + images) at a target, and stores a page it has not
     seen only once its zero lattice lies inside its cycles (an E1 page's
     cycles are the whole slot).  A v-tower repeats a page from filtration to
-    filtration, so the work is keyed by page keys: one `SubQuot` per page,
-    one page-turn result per (page, source key, target key, rule sources and
-    targets), and one passed rank-nullity audit.  Pages are tuples, so a
-    cached answer is a function of its key alone; a computation that raises
-    `EngineError` stores nothing, and the error ends the run.  The caches
-    live on the instance, so a fresh sequence (`EngineSetup.sign_flipped`)
-    starts cold, and one that `restart` puts back on its E1 pages keeps them.
-    `turned` tells whether `run` has turned a page since the E1 pages.
+    filtration (76 pages serve the 90,300 slots of the v-tower at p=2, w=1200),
+    so the work is keyed by page keys: one `SubQuot` per page, one turn result
+    per (page, source key, target key, rule sources and targets), and one
+    passed rank-nullity audit.  Pages are tuples, so a cached answer is a
+    function of its key alone; a computation that raises `EngineError` stores
+    nothing, and the error ends the run.  The caches live on the instance, so
+    a fresh sequence (`EngineSetup.sign_flipped`) starts cold, and `restart`,
+    which puts every slot back on its E1 page, keeps them.  `turned` tells
+    whether `run` has turned a page since the E1 pages.
     """
 
     def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
@@ -534,9 +535,8 @@ def v1_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
 
 
 def eta_tower_setup(window: int) -> EngineSetup:
-    """eta-Bockstein over the ku-coefficient answer, from the tables the
-    module docstring names; cells and classes are summand coordinates of
-    `thh_ko_ku(window + 1)`."""
+    """eta-Bockstein over the ku-coefficient answer `thh_ko_ku(window + 1)`,
+    from the tables the module docstring names."""
     p = 2
     chain_smax = 6
     smax = chain_smax + 2

@@ -22,10 +22,8 @@ def test_criterion_01_torsion_block_construction():
     from thh.graded import Generator, GradedModulePresentation, Relation, RingSpec
     for p in (2, 3, 5):
         t0 = cf.build_Tn(PrimeContext(p), 0)
-        trunc = GradedModulePresentation(RingSpec(p, 2 * p - 2),
-                                         [Generator("u", 0)], [])
-        trunc.add_relation(Relation(((p, 0, "u"),)))
-        trunc.add_relation(Relation(((1, p, "u"),)))
+        trunc = GradedModulePresentation(RingSpec(p, 2 * p - 2), [Generator("u", 0)],
+                                         [Relation(((p, 0, "u"),)), Relation(((1, p, "u"),))])
         assert t0.isomorphic_on(trunc, range(cf.tn_top_degree(p, 0) + 2))
     for p in (2, 3):
         for n in range(4):

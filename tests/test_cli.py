@@ -111,8 +111,13 @@ def test_all_suite_runs_mod_eta_rows_once():
     assert tags == ["cofiber:mod-eta"] * 17
 
 
-@pytest.mark.parametrize("prime, window", [("5", "600"), ("7", "1000")])
-def test_all_suite_passes_at_odd_primes(prime, window):
+@pytest.mark.parametrize("prime, window", [
+    ("2", "600"), ("5", "600"), ("7", "1000"),
+    pytest.param("3", "600", marks=pytest.mark.xfail(
+        strict=True, reason="the row units:extension-valuation @ (2, 10) fails at p=3 "
+                            "(ROADMAP item 1)")),
+])
+def test_all_suite_passes_at_level_2(prime, window):
     code, out = run(["verify", "--suite", "all", "--prime", prime,
                      "--max-degree", window, "--level", "2", "--format", "json"])
     assert code == 0

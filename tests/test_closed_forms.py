@@ -33,9 +33,8 @@ def test_torsion_block_zero_is_truncated_ring():
         ctx = PrimeContext(p)
         t0 = cf.build_Tn(ctx, 0)
         ring = RingSpec(p, 2 * p - 2)
-        trunc = GradedModulePresentation(ring, [Generator("u", 0)], [])
-        trunc.add_relation(Relation(((p, 0, "u"),)))
-        trunc.add_relation(Relation(((1, p, "u"),)))
+        trunc = GradedModulePresentation(ring, [Generator("u", 0)],
+                                         [Relation(((p, 0, "u"),)), Relation(((1, p, "u"),))])
         top = cf.tn_top_degree(p, 0)
         assert t0.isomorphic_on(trunc, range(0, top + 2))
 

@@ -25,10 +25,12 @@ R2 = RingSpec(2, 2)
 R3 = RingSpec(3, 4)
 
 
-def cyclic(ring, order_exp, degree=0, gid="t"):
-    m = GradedModulePresentation(ring, [Generator(gid, degree)], [])
-    m.add_relation(Relation(((ring.p**order_exp, 0, gid),)))
-    return m
+def cyclic(ring, order_exp, degree=0, gid="t", v_exp=None):
+    """Z_(p)[v] / (p^order_exp) on one generator, and / (v^v_exp) too if given."""
+    rels = [Relation(((ring.p**order_exp, 0, gid),))]
+    if v_exp is not None:
+        rels.append(Relation(((1, v_exp, gid),)))
+    return GradedModulePresentation(ring, [Generator(gid, degree)], rels)
 
 
 def test_free_module_groups():
@@ -41,35 +43,51 @@ def test_free_module_groups():
 
 def test_cyclic_with_v_truncation():
     # Z_(2)[v]/(4, v^3) on one degree-0 generator
-    m = cyclic(R2, 2)
-    m.add_relation(Relation(((1, 3, "t"),)))
+    m = cyclic(R2, 2, v_exp=3)
     assert m.group_at(0) == (0, [4])
     assert m.group_at(2) == (0, [4])
     assert m.group_at(4) == (0, [4])
     assert m.group_at(6) == (0, [])
 
 
-def test_adding_a_relation_drops_cached_groups():
-    # Z<g> read before 4g = 0 is added must not answer for Z/4<g>
+def test_a_relation_at_construction_gives_other_groups():
+    # Z<g>, read first, must not answer for Z/4<g>, built with 4g = 0
     m = GradedModulePresentation(R2, [Generator("g", 0)], [])
     assert m.group_at(0) == (1, [])
     assert m.subquot_at(0).orders == [0]
-    m.add_relation(Relation(((4, 0, "g"),)))
+    m = GradedModulePresentation(R2, [Generator("g", 0)], [Relation(((4, 0, "g"),))])
     assert m.group_at(0) == (0, [4])
     assert m.subquot_at(0).orders == [4]
 
 
 def test_inhomogeneous_relation_rejected():
-    m = GradedModulePresentation(R2, [Generator("a", 0), Generator("b", 1)], [])
     with pytest.raises(ValueError):
-        m.add_relation(Relation(((1, 0, "a"), (1, 0, "b"))))
+        GradedModulePresentation(R2, [Generator("a", 0), Generator("b", 1)],
+                                 [Relation(((1, 0, "a"), (1, 0, "b")))])
+
+
+@pytest.mark.parametrize("gens, rels, message", [
+    ([("a", 0)], [()], "empty relation"),
+    ([("a", 0)], [((1, 0, "a"),), ((1, 0, "z"),)],
+     "relation references unknown generator z"),
+    ([("a", 0)], [((2, 1, "a"), (1, -1, "a"))], "negative v-exponent in relation"),
+    ([("a", 0), ("b", 1)], [((1, 0, "a"), (1, 0, "b"))],
+     "inhomogeneous relation: degrees [0, 1] in ((1, 0, 'a'), (1, 0, 'b'))"),
+    ([("a", 0), ("b", 2), ("a", 4)], [], "duplicate generator id a"),
+], ids=["empty", "unknown-generator", "negative-v-exponent", "inhomogeneous",
+        "duplicate-generator"])
+def test_constructor_rejects_a_malformed_presentation(gens, rels, message):
+    with pytest.raises(ValueError) as err:
+        GradedModulePresentation(R2, [Generator(*g) for g in gens],
+                                 [Relation(terms) for terms in rels])
+    assert str(err.value) == message
 
 
 def test_mixed_extension_relation():
     # 2a = v b with |a| = 2, |b| = 0: degree-2 group is Z/4 generated by a
-    m = GradedModulePresentation(R2, [Generator("a", 2), Generator("b", 0)], [])
-    m.add_relation(Relation(((4, 0, "b"),)))
-    m.add_relation(Relation(((2, 0, "a"), (-1, 1, "b"))))
+    m = GradedModulePresentation(R2, [Generator("a", 2), Generator("b", 0)],
+                                 [Relation(((4, 0, "b"),)),
+                                  Relation(((2, 0, "a"), (-1, 1, "b")))])
     assert m.group_at(0) == (0, [4])
     assert m.group_at(2) == (0, [8])
 
@@ -111,8 +129,8 @@ ASSEMBLED = {
 
 @pytest.mark.parametrize("name", sorted(ASSEMBLED))
 def test_suspend_and_direct_sum_match_a_replay(name):
-    # they assemble the parts' indexes; a replay through `__init__` runs
-    # `add_relation` on every relation
+    # they assemble the parts' indexes; a replay through `__init__` checks
+    # and merges every relation again
     module = ASSEMBLED[name]()
     replay = GradedModulePresentation(module.ring, list(module.generators.values()),
                                       module.relations, module.complete_below)
@@ -171,8 +189,7 @@ def test_readers_refuse_degrees_past_the_window():
 
 
 def test_dual_reverses_degrees_and_keeps_orders():
-    m = cyclic(R2, 1)
-    m.add_relation(Relation(((1, 2, "t"),)))  # Z/2 in degrees 0, 2
+    m = cyclic(R2, 1, v_exp=2)  # Z/2 in degrees 0, 2
     d = m.dual(0, 3)
     assert d.group_at(0) == (0, [2])
     assert d.group_at(-2) == (0, [2])
@@ -205,21 +222,29 @@ def test_module_map_image_subquot():
 
 
 @pytest.mark.parametrize("side", ["source", "target"])
-def test_module_map_raises_once_a_presentation_gains_relations(side):
-    # the map's groups are cached by slice shape, and a new relation renames
-    # the shapes from its base on
+def test_module_map_reads_a_relation_given_at_construction(side):
+    # the map's groups are cached by slice-shape pair, and one more relation
+    # on either side gives other shapes: 2: Z -> Z/8, read first, must not
+    # answer for Z/4 -> Z/8 or for Z -> Z/2
     src = GradedModulePresentation(R2, [Generator("s", 0)], [])
     tgt = cyclic(R2, 3, gid="t")
     mp = ModuleMap(src, tgt, {"s": ((2, 0, "t"),)})
     assert mp.summand_matrix(0) == ([[2]], [1])
+    assert not mp.injective_at(0) and mp.image_subquot(2).torsion() == [4]
     if side == "source":
-        src.add_relation(Relation(((4, 0, "s"),)))
+        src = cyclic(R2, 2, gid="s")
     else:
-        tgt.add_relation(Relation(((2, 0, "t"),)))
-    with pytest.raises(ValueError, match="relation counts"):
-        mp.summand_matrix(0)
-    with pytest.raises(ValueError, match="relation counts"):
-        mp.image_subquot(2)
+        tgt = GradedModulePresentation(R2, [Generator("t", 0)],
+                                       tgt.relations + (Relation(((2, 0, "t"),)),))
+    mp = ModuleMap(src, tgt, {"s": ((2, 0, "t"),)})
+    assert mp.respects_relations()
+    if side == "source":
+        assert mp.summand_matrix(0) == ([[2]], [1])
+        assert mp.injective_at(0) and mp.image_subquot(2).torsion() == [4]
+    else:
+        assert mp.summand_matrix(0) == ([[0]], [1])
+        assert mp.image_subquot(2).torsion() == []
+    assert_map_groups_match_cells(mp, range(4))
 
 
 def test_submodule_presentation_matches_by_hand():
@@ -416,8 +441,8 @@ def test_map_groups_match_slice_cells(name):
 def test_map_groups_with_unit_denominators():
     # Z^2 / (2a - 3vb) is free of rank one in degree 2, and the summand
     # coordinates of a and of vb carry the 2-unit denominator 3
-    tgt = GradedModulePresentation(R2, [Generator("a", 2), Generator("b", 0)], [])
-    tgt.add_relation(Relation(((2, 0, "a"), (-3, 1, "b"))))
+    tgt = GradedModulePresentation(R2, [Generator("a", 2), Generator("b", 0)],
+                                   [Relation(((2, 0, "a"), (-3, 1, "b")))])
     src = GradedModulePresentation(R2, [Generator("s", 2), Generator("r", 0)], [])
     mp = ModuleMap(src, tgt, {"s": ((1, 0, "a"),), "r": ((1, 0, "b"),)})
     assert any(u > 1 for u in mp.summand_matrix(2)[1])
@@ -436,20 +461,20 @@ def presented_maps(draw):
     def presentation(prefix):
         gens = [Generator(f"{prefix}{i}", draw(st.sampled_from([0, 2, 4])))
                 for i in range(draw(st.integers(1, 3)))]
-        mod = GradedModulePresentation(ring, gens, [])
+        rels = []
         for g in gens:
             a, r = draw(st.integers(0, 3)), draw(st.integers(0, 3))
             if a:
-                mod.add_relation(Relation(((p**a, 0, g.gid),)))
+                rels.append(Relation(((p**a, 0, g.gid),)))
             if r:
-                mod.add_relation(Relation(((1, r, g.gid),)))
+                rels.append(Relation(((1, r, g.gid),)))
         for g in gens:
             for h in gens:
                 gap = g.degree - h.degree
                 if g is not h and gap >= 0 and gap % 2 == 0 and draw(st.booleans()):
                     u = draw(st.sampled_from([1, -1, p + 1]))
-                    mod.add_relation(Relation(((p, 0, g.gid), (-u, gap // 2, h.gid))))
-        return mod
+                    rels.append(Relation(((p, 0, g.gid), (-u, gap // 2, h.gid))))
+        return GradedModulePresentation(ring, gens, rels)
 
     src, tgt = presentation("s"), presentation("t")
     shift = draw(st.sampled_from([0, 2]))
@@ -536,7 +561,7 @@ def test_slice_rows_merge_repeated_terms_and_drop_cancelled_ones():
             Relation(((4, 0, "a"),))]
     m = GradedModulePresentation(R2, gens, rels)
     # the relations are kept as given; only the slice rows merge their terms
-    assert m.relations == rels
+    assert m.relations == tuple(rels)
     assert m.slice_relation_rows(2) == [[(0, 8), (1, 2)], [(2, 1)], [(0, 4)]]
     assert m.slice_relation_rows(4) == [[(0, 8), (1, 2)], [(2, 1)], [(0, 4)]]
     assert_slices_match_dense_builder(m, range(7))
@@ -655,11 +680,27 @@ def test_slice_shape_counts_the_steps_of_the_residue():
     # residue 0 steps at 0 (a), 4 (b) and 6 (4 v b); the cancelled relation
     # at 2 is no step
     m = GradedModulePresentation(R2, [Generator("a", 0), Generator("b", 4),
-                                      Generator("c", 1)], [])
-    m.add_relation(Relation(((4, 1, "b"),)))
-    m.add_relation(Relation(((1, 1, "a"), (-1, 1, "a"))))
+                                      Generator("c", 1)],
+                                 [Relation(((4, 1, "b"),)),
+                                  Relation(((1, 1, "a"), (-1, 1, "a")))])
     assert [m.slice_shape(d) for d in range(9)] == [
         (0, 1), (1, 1), (0, 1), (1, 1), (0, 2), (1, 1), (0, 3), (1, 1), (0, 3)]
+
+
+def with_relation_between_two_steps(module, top, where=lambda base: True):
+    """(base, `module` built with one more relation p v^e g = 0): the first
+    generator g and base < top of g's residue strictly between two step
+    degrees of that residue, with `where(base)`."""
+    vd = module.ring.v_degree
+    steps = sorted({g.degree for g in module.generators.values()}
+                   | {module.term_degree(rel.terms) for rel in module.relations})
+    g, base = next((g, b) for g in module.generators.values()
+                   for b in range(g.degree + vd, top, vd)
+                   if b not in steps and any(s > b and (s - b) % vd == 0 for s in steps)
+                   and where(b))
+    rel = Relation(((module.ring.p, (base - g.degree) // vd, g.gid),))
+    return base, GradedModulePresentation(module.ring, list(module.generators.values()),
+                                          module.relations + (rel,), module.complete_below)
 
 
 @pytest.mark.parametrize("make", [
@@ -667,23 +708,18 @@ def test_slice_shape_counts_the_steps_of_the_residue():
                                      [Relation(((8, 0, "a"),))]),
     lambda: thh_ell(PrimeContext(2), 128),
 ], ids=["by-hand", "thh_ell-p2-w128"])
-def test_relation_added_after_a_cached_query_between_two_steps(make):
+def test_relation_between_two_steps_gives_other_shapes(make):
     module = make()
     top = 40
     assert_shape_keyed_answers(module, range(top, -1, -1))
     # a relation p v^e g = 0 at a base strictly between two step degrees of
-    # its residue: the shapes from the base on now name other slices
-    vd = module.ring.v_degree
-    steps = sorted({g.degree for g in module.generators.values()}
-                   | {module.term_degree(rel.terms) for rel in module.relations})
-    g, base = next((g, b) for g in module.generators.values()
-                   for b in range(g.degree + vd, top, vd)
-                   if b not in steps and any(s > b and (s - b) % vd == 0 for s in steps))
+    # its residue: the shapes from the base on name other slices
+    base, extra = with_relation_between_two_steps(module, top)
+    assert extra.slice_shape(base) != module.slice_shape(base)
     before = [module.group_at(d) for d in range(top + 1)]
-    module.add_relation(Relation(((module.ring.p, (base - g.degree) // vd, g.gid),)))
-    after = [module.group_at(d) for d in range(top + 1)]
+    after = [extra.group_at(d) for d in range(top + 1)]
     assert after[base] != before[base]
-    assert_shape_keyed_answers(module, range(top, -1, -1))
+    assert_shape_keyed_answers(extra, range(top, -1, -1))
 
 
 # -- the v-step reduction against whole-slice Smith forms ------------------------
@@ -768,23 +804,18 @@ def test_vstep_matches_whole_slices_at_every_shape(name):
         assert any(module.group_at(d) != (0, []) for d in degrees if d < 0)
 
 
-def test_vstep_drops_its_walk_when_a_relation_is_added():
-    # read every v-step, then add p v^e g = 0 at a base strictly between two
-    # step degrees of its residue, where the old walk's groups no longer hold
+def test_vstep_of_a_relation_between_two_steps():
+    # read every v-step, then build the module again with p v^e g = 0 at a
+    # base strictly between two step degrees of its residue, where the
+    # first module's groups do not hold
     module = thh_ell(PrimeContext(2), 128)
     top = 60
     assert_vstep_matches_whole_slices(module, range(top + 1))
     before = [module.vstep_at(d).orders for d in range(top + 1)]
-    vd = module.ring.v_degree
-    steps = sorted({g.degree for g in module.generators.values()}
-                   | {module.term_degree(rel.terms) for rel in module.relations})
-    g, base = next((g, b) for g in module.generators.values()
-                   for b in range(g.degree + vd, top, vd)
-                   if b not in steps and any(s > b and (s - b) % vd == 0 for s in steps)
-                   and module.group_at(b)[0])
-    module.add_relation(Relation(((module.ring.p, (base - g.degree) // vd, g.gid),)))
-    assert module.vstep_at(base).orders != before[base]
-    assert_vstep_matches_whole_slices(module, range(top + 1))
+    base, extra = with_relation_between_two_steps(module, top,
+                                                  lambda b: module.group_at(b)[0])
+    assert extra.vstep_at(base).orders != before[base]
+    assert_vstep_matches_whole_slices(extra, range(top + 1))
 
 
 @pytest.mark.parametrize("make, top", [

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import pathlib
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -5,11 +8,11 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thh import _intlin
+from thh import _intlin, closed_forms as cf
 from thh._intlin import (SmithForm, SubQuot, Track, group_invariants,
                          lattice_coordinates, row_hermite, row_kernel,
                          solve_in_lattice, sparse_rows)
-from thh.padic import nu
+from thh.padic import PrimeContext, nu
 
 PRIMES = (2, 3, 5)
 # p-units other than +-1, so that the unit-scaled elimination branch runs
@@ -708,3 +711,53 @@ def test_malformed_rows_are_rejected(pair, match):
             SmithForm(rows, 3, p=2, transforms=track)
     with pytest.raises(ValueError, match=match):
         row_hermite(rows, 3, 2)
+
+
+TRANSFORM_PIN = pathlib.Path(__file__).parent / "golden" / "smith-transforms-sha256.json"
+
+WHOLE_SLICE_MODULES = {
+    "thh_ell-p2-w400": lambda: cf.thh_ell(PrimeContext(2), 400),
+    "thh_ell-p3-w600": lambda: cf.thh_ell(PrimeContext(3), 600),
+    "thh_ell-p5-w600": lambda: cf.thh_ell(PrimeContext(5), 600),
+    "thh_ko-w300": lambda: cf.thh_ko(300),
+}
+
+
+def whole_slices(module):
+    """(rows, ncols) of one degree slice per slice shape below the window,
+    empty slices included: the matrices `subquot_at` reduces."""
+    seen = set()
+    for d in range(module.complete_below):
+        shape = module.slice_shape(d)
+        if shape not in seen:
+            seen.add(shape)
+            yield module.slice_relation_rows(d), len(module.slice_cells(d))
+
+
+def transform_record(sf, m, n, track):
+    """The diagonal and whatever `track` records: the rows of P, the columns
+    of Q with their denominators and the rows of Qinv, entries sorted."""
+    record = [sf.diagonal()]
+    if track is Track.ALL:
+        record.append([sorted(sf.p_row(i).items()) for i in range(m)])
+    if track:
+        record.append([[sorted(col.items()), den]
+                       for col, den in map(sf.q_column, range(n))])
+        record.append([sorted(sf.qinv_row(i).items()) for i in range(n)])
+    return record
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_SLICE_MODULES))
+def test_whole_slice_transforms_are_pinned(name):
+    # recorded before the pivot search read a heap of the rows holding +-1:
+    # a change of pivot order moves P, Q or Qinv even when D stays, and the
+    # printed labels read Qinv
+    module = WHOLE_SLICE_MODULES[name]()
+    slices = list(whole_slices(module))
+    golden = json.loads(TRANSFORM_PIN.read_text())[name]
+    assert len(slices) == golden["forms"]
+    for track in Track:
+        records = [transform_record(SmithForm(rows, n, p=module.ring.p, transforms=track),
+                                    len(rows), n, track) for rows, n in slices]
+        blob = json.dumps(records, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == golden[track.name], track

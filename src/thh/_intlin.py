@@ -25,11 +25,15 @@ The elimination stores each row as a {column: value} dict of its nonzero
 entries, and a column swap moves no entries: it exchanges the positions of
 two column ids, which is all the tie-break reads.  `SmithForm` also keeps,
 for each column id, the set of rows that hold it, so a step visits only
-those rows.  It keeps Q as sparse columns and Qinv and P as sparse rows, each
-an implicit identity to start with: a row or column that no step touched is a
-unit vector and is not stored.  Its accessors read by position: `diagonal()`
-a list of ints, `p_row(i)` and `qinv_row(i)` {column: int} dicts, and
-`q_column(i)` a ({row: int}, den) pair with den > 0 in lowest terms.
+those rows.  Most pivots are +-1, which the rule takes from the first row
+holding one, so `SmithForm` keeps a min-heap of the positions of rows that
+may hold a +-1, and scans the rows with `_pivot`, the one statement of the
+rule, only when none does.  It keeps Q as sparse columns and Qinv and P as
+sparse rows, each an implicit identity to start with: a row or column that
+no step touched is a unit vector and is not stored.  Its accessors read by
+position: `diagonal()` a list of ints, `p_row(i)` and `qinv_row(i)`
+{column: int} dicts, and `q_column(i)` a ({row: int}, den) pair with
+den > 0 in lowest terms.
 `row_hermite` hands out its basis as {column: value} dicts, which
 `solve_in_lattice` reads.
 
@@ -68,6 +72,7 @@ shape, `ss` by page key).
 from __future__ import annotations
 
 from enum import IntEnum
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 from .padic import nu
@@ -151,15 +156,20 @@ class SmithForm:
     had to scale by a unit.
 
     `rows` are (column, value) rows; a column id outside range(ncols)
-    raises ValueError, and so does a zero value that the pivot search
-    reaches.  The elimination runs on dict copies, keyed by the row each
-    started as, and keeps for each column id the set of rows holding it:
-    fill-in adds a row to a column's set and cancellation removes it.  Rows
-    are visited in position order only by the pivot search, which keeps a
-    position-ordered list of the non-empty rows not yet pivoted and
-    drops a row from it when the row cancels to empty.  Columns are not
-    moved: a column swap only exchanges the positions of two column ids, and
-    the pivot tie-break reads those positions.  Q is kept as sparse columns
+    or a zero value raises ValueError.  The elimination runs on dict copies,
+    keyed by the row each started as, and keeps for each column id the set
+    of rows holding it: fill-in adds a row to a column's set and
+    cancellation removes it.  Under the pivot rule a +-1 beats every other
+    entry, so while some row holds one the pivot is the first such row by
+    position, at its +-1 of least column position.  A min-heap of positions
+    finds it: it starts with the rows that hold a +-1, takes the position of
+    each row that fill-in gives a new one, and is checked as it is popped,
+    since the row there may have been pivoted or lost its +-1.  A row swap
+    needs no entry, since the row it moves out of the pivot's place holds
+    no +-1.  Only when no row holds a +-1 does `_pivot` scan the rows not
+    yet pivoted, in position order.  Columns are not moved: a column swap
+    only exchanges the positions of two column ids, and the pivot tie-break
+    reads those positions.  Q is kept as sparse columns
     and Qinv and P as sparse rows, each keyed by the column or row it started
     as; an untouched one is a unit vector and is never stored.  Read them by
     position with `diagonal`, `p_row`, `q_column` and `qinv_row`.
@@ -180,6 +190,9 @@ class SmithForm:
         track_p, track_q = transforms is Track.ALL, bool(transforms)
         R = []          # the rows by the row each started as
         holders: dict[int, set[int]] = {}   # the rows holding each column id
+        # positions whose row may hold a +-1, as a min-heap: rows are at
+        # their starting positions, and ascending positions form a heap
+        ones = []
         for r, pairs in enumerate(rows):
             row = dict(pairs)
             R.append(row)
@@ -188,13 +201,15 @@ class SmithForm:
                     holders[j].add(r)
                 else:
                     holders[j] = {r}
+            values = row.values()
+            if 0 in values:
+                raise ValueError("a (column, value) row holds a zero value")
+            if 1 in values or -1 in values:
+                ones.append(r)
         if holders and (min(holders) < 0 or max(holders) >= n):
             raise ValueError(f"column id outside range({n})")
         rid = list(range(m))   # the row of P that sits at each position
         where = rid[:]         # the position of each row
-        # the non-empty rows at position t and after, by position: the
-        # pivot search reads only these
-        live = [r for r in rid if R[r]]
         col = list(range(n))   # the column id at each position
         pos = col[:]           # the position of each column id
         prows: dict[int, dict] = {}   # P by starting row
@@ -203,23 +218,32 @@ class SmithForm:
         qden: dict[int, int] = {}     # the denominators of Qinv's rows other than 1
 
         for t in range(min(m, n)):
-            piv = _pivot(R, live, pos, p)
-            if piv is None:
-                break
-            i, c = piv
-            rt = live[i]  # the pivot row
-            pi = where[rt]
-            if pi == t:
-                del live[0]
+            # the first row at or after t holding a +-1, at its +-1 of least
+            # column position; stale entries are dropped as they come up
+            c = None
+            while ones:
+                s = heappop(ones)
+                if s < t:
+                    continue
+                rt = rid[s]
+                for j, x in R[rt].items():
+                    if (x == 1 or x == -1) and (c is None or pos[j] < pos[c]):
+                        c = j
+                if c is not None:
+                    break
             else:
-                # the row at t, which heads `live` when it is not empty,
-                # takes the pivot row's place
+                # no row holds a +-1: the full rule over the rest
+                order = [r for r in rid[t:] if R[r]]
+                piv = _pivot(R, order, pos, p)
+                if piv is None:
+                    break
+                k, c = piv
+                rt = order[k]
+            pi = where[rt]
+            if pi != t:
+                # the row at t holds no +-1, or it would be the pivot, so
+                # its new position needs no heap entry
                 r0 = rid[t]
-                if R[r0]:
-                    live[i] = r0
-                    del live[0]
-                else:
-                    del live[i]
                 rid[t], rid[pi] = rt, r0
                 where[rt], where[r0] = t, pi
             k = pos[c]
@@ -235,28 +259,34 @@ class SmithForm:
             # c other than the top all sit below it
             below = holders.pop(c)
             below.discard(rt)
-            emptied = False
+            if not rest and not track_p and (a == 1 or a == -1):
+                # each row below only loses its entry in column c
+                for r in below:
+                    del R[r][c]
+                continue
             for r in below:
                 row = R[r]
                 u, w = _step(a, row.pop(c), p)
                 if u != 1:
                     _scale(row, u)
+                one = False
                 for j, y in rest:
                     x = row.get(j)
                     if x is None:
-                        row[j] = -w * y
+                        x = row[j] = -w * y
                         holders[j].add(r)
                     elif x := x - w * y:
                         row[j] = x
                     else:
                         del row[j]
                         holders[j].discard(r)
-                if not row:
-                    emptied = True
+                        continue
+                    if x == 1 or x == -1:
+                        one = True
+                if one:
+                    heappush(ones, where[r])
                 if track_p:
                     _combine(_p_of(prows, r), u, w, ptop)
-            if emptied:
-                live = [r for r in live if R[r]]
             # column c of D is now zero off the pivot, so the column step
             # col_j <- u col_j - w col_c only clears D[t][j] and scales the
             # rest of column j by u; Qinv takes the inverse row step
@@ -387,8 +417,6 @@ def _pivot(rows: list[dict], order, pos, p: int) -> tuple[int, int] | None:
                 e = 0
             elif at is not None and e0 == 0:
                 continue
-            elif not v:  # the valuation loop below would never end
-                raise ValueError("a (column, value) row holds a zero value")
             else:
                 e, q = 1, v // p
                 while q % p == 0:
@@ -408,12 +436,13 @@ def row_hermite(rows: list[list[tuple[int, int]]], ncols: int,
 
     Returns (basis_rows, pivot_columns); each basis row is a {column: value}
     dict of its nonzero entries, all at or after its pivot column.  A column
-    id outside range(ncols) raises ValueError, and so does a zero value that
-    the pivot search reaches.
+    id outside range(ncols) raises ValueError, and so does a zero value.
     """
     work = [dict(row) for row in rows if row]
     if work and (min(map(min, work)) < 0 or max(map(max, work)) >= ncols):
         raise ValueError(f"column id outside range({ncols})")
+    if any(0 in row.values() for row in work):
+        raise ValueError("a (column, value) row holds a zero value")
     basis: list[dict[int, int]] = []
     pivots: list[int] = []
     while work:

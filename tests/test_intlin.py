@@ -674,6 +674,12 @@ def sparse_shaped_matrices():
 @example((2, [[-24, 20, -7, -7, 0]], 5), [0, 1, 0, 0, 0])
 @example((3, [[0, 0], [0, 0], [0, 0]], 2), [1, 0, 0, 0, 0])
 @example((2, [], 3), [0, 0, 0, 0, 0])
+# fill-in gives row 1 a +-1 (3 - 2 * 1) while row 2 already holds one, so
+# the pivot at t = 1 is row 1's new +-1
+@example((2, [[1, 1, 0], [2, 3, 0], [0, 0, 1]], 3), [0, 1, 0, 0, 0])
+# row 1 holds a +-1 and fill-in gives it a second, so it is in the +-1
+# index twice; once it is pivoted at t = 1, its other entry is stale
+@example((2, [[1, 1, 0], [2, 3, 1], [0, 0, 2]], 3), [0, 0, 1, 0, 0])
 def test_sparse_kernel_matches_dense_oracle(case, off):
     p, rows, n = case
     for track in Track:

@@ -28,10 +28,9 @@ for each column id, the set of rows that hold it, so a step visits only
 those rows.  Most pivots are +-1, which the rule takes from the first row
 holding one, so `SmithForm` keeps a min-heap of the positions of rows that
 may hold a +-1, and scans the rows with `_pivot`, the one statement of the
-rule, only when none does.  It keeps Q as sparse columns and Qinv and P as
-sparse rows, each an implicit identity to start with: a row or column that
-no step touched is a unit vector and is not stored.  Its accessors read by
-position: `diagonal()` a list of ints, `p_row(i)` and `qinv_row(i)`
+rule, only when none does.  It logs each row step and each column step,
+and its accessors replay the logs from a unit vector, by position (see
+`SmithForm`): `diagonal()` a list of ints, `p_row(i)` and `qinv_row(i)`
 {column: int} dicts, and `q_column(i)` a ({row: int}, den) pair with
 den > 0 in lowest terms.
 `row_hermite` hands out its basis as {column: value} dicts, which
@@ -49,12 +48,10 @@ in summand coordinates as (ints, unit), over the least p-unit that clears
 the free coordinates' denominators; `unit_scaled` puts coordinates given as
 fractions in that form, for `express` and for the sums of `graded`'s v-step.
 
-Each routine records only the transforms it reads (`Track`):
-`group_invariants` none, `SubQuot` the column transform Q with its inverse
-Qinv, and `SmithForm.kernel` and `SmithForm.coordinates` all of them;
-`row_kernel` (through the intern below) and `lattice_coordinates` ask them
-of a fresh form, and a caller with several questions about one matrix keeps
-the form.
+So each routine pays only for what it reads: `group_invariants` for no
+transform, `SubQuot` for its summands' columns of Q and rows of Qinv, and
+`kernel` for the rows of P past the rank.  A caller with several questions
+about one matrix keeps the form.
 `SubQuot(p, n, None, rels)` takes the generators to be all of Z^n; its
 echelon basis is then the standard one and every vector is its own
 coordinate vector, so it needs no `row_hermite` and no `solve_in_lattice`.
@@ -71,7 +68,6 @@ shape, `ss` by page key).
 """
 from __future__ import annotations
 
-from enum import IntEnum
 from heapq import heappop, heappush
 from math import gcd, lcm
 
@@ -116,35 +112,20 @@ def _combine(row: dict, u: int, w: int, other: dict) -> None:
             row.pop(j, None)
 
 
-def _lowest(row: dict, den: int, dens: dict[int, int], key: int) -> None:
-    """Put the fraction row / den in lowest terms with a positive denominator,
-    kept in dens[key] unless it is 1."""
-    g = gcd(den, *row.values())
-    if den < 0:
-        g = -g
-    if g != 1:
-        for j in row:
-            row[j] //= g
-        den //= g
-    if den > 1:
-        dens[key] = den
-    else:
-        dens.pop(key, None)
-
-
-class Track(IntEnum):
-    """The transforms a `SmithForm` records; falsy exactly when it records none."""
-    NONE = 0
-    Q = 1    # the column transform Q and its inverse Qinv
-    ALL = 2  # Q, Qinv and the row transform P
-
-
-def _p_of(prows: dict[int, dict], r: int) -> dict[int, int]:
-    """The row of P that started as row r, stored on its first touch."""
-    row = prows.get(r)
-    if row is None:
-        row = prows[r] = {r: 1}
-    return row
+def _replay(steps: list[tuple[int, int, int, int]], y: dict[int, int]) -> dict[int, int]:
+    """y run back through the steps (t, s, u, w), last step first: y_s <- y_s
+    - w * y_t, then y_t <- u * y_t.  A row of P or a column of Q; mutates y."""
+    for t, s, u, w in reversed(steps):
+        yt = y.get(t)
+        if yt:
+            x = y.get(s, 0) - w * yt
+            if x:
+                y[s] = x
+            else:
+                del y[s]
+            if u != 1:
+                y[t] = u * yt
+    return y
 
 
 class SmithForm:
@@ -169,25 +150,28 @@ class SmithForm:
     no +-1.  Only when no row holds a +-1 does `_pivot` scan the rows not
     yet pivoted, in position order.  Columns are not moved: a column swap
     only exchanges the positions of two column ids, and the pivot tie-break
-    reads those positions.  Q is kept as sparse columns
-    and Qinv and P as sparse rows, each keyed by the column or row it started
-    as; an untouched one is a unit vector and is never stored.  Read them by
-    position with `diagonal`, `p_row`, `q_column` and `qinv_row`.
+    reads those positions.
 
-    `transforms` names what is recorded; reading another raises ValueError.
-    When a column step scales by a unit, the rows of Qinv it touches keep
-    one p-unit denominator each, in lowest terms, beside their ints.  After
-    the last step the denominator of each row i of Qinv moves into column i
-    of Q and, when P is recorded, row i of P, so Qinv is left in ints.
-    `kernel` and `coordinates` read P (and Q), so they need Track.ALL.
+    The transforms are two logs of steps on starting rows and column ids,
+    in the order taken: row steps (r, s, u, w), row r <- u * row r - w *
+    row s, and column steps (j, c, u, w), column j <- u * column j - w *
+    column c.  The accessors read by position and replay a log from a unit
+    vector, last step first:
+    - `qinv_row(i)`: x_j <- (x_j + w * x_c) / u over one p-unit
+      denominator in lowest terms; the row and its denominator are kept;
+    - `q_column(i)`: y_c <- y_c - w * y_j, then y_j <- u * y_j, over that
+      denominator;
+    - `p_row(i)`: y_s <- y_s - w * y_r, then y_r <- u * y_r, times that
+      denominator when i < n.
+    So Qinv is left in ints, and P * M * Q is still D, which is diagonal.
+    `coordinates` runs v forward through the column steps and back through
+    the row steps, where those denominators cancel.
     """
 
-    def __init__(self, rows: list[list[tuple[int, int]]], ncols: int, *, p: int,
-                 transforms: Track = Track.ALL):
+    def __init__(self, rows: list[list[tuple[int, int]]], ncols: int, *, p: int):
         m = len(rows)
         n = ncols
         self.m, self.n = m, n
-        track_p, track_q = transforms is Track.ALL, bool(transforms)
         R = []          # the rows by the row each started as
         holders: dict[int, set[int]] = {}   # the rows holding each column id
         # positions whose row may hold a +-1, as a min-heap: rows are at
@@ -208,14 +192,12 @@ class SmithForm:
                 ones.append(r)
         if holders and (min(holders) < 0 or max(holders) >= n):
             raise ValueError(f"column id outside range({n})")
-        rid = list(range(m))   # the row of P that sits at each position
+        rid = list(range(m))   # the starting row that sits at each position
         where = rid[:]         # the position of each row
         col = list(range(n))   # the column id at each position
         pos = col[:]           # the position of each column id
-        prows: dict[int, dict] = {}   # P by starting row
-        qcols: dict[int, dict] = {}   # Q by column id
-        qinv: dict[int, dict] = {}    # Qinv by column id, each row times its qden
-        qden: dict[int, int] = {}     # the denominators of Qinv's rows other than 1
+        rsteps: list[tuple[int, int, int, int]] = []   # (r, s, u, w)
+        csteps: list[tuple[int, int, int, int]] = []   # (j, c, u, w)
 
         for t in range(min(m, n)):
             # the first row at or after t holding a +-1, at its +-1 of least
@@ -254,19 +236,19 @@ class SmithForm:
             top = R[rt]
             a = top[c]
             rest = [(j, y) for j, y in top.items() if j != c]
-            ptop = _p_of(prows, rt) if track_p else None
             # rows above t hold only their pivot columns, so the rows holding
             # c other than the top all sit below it
             below = holders.pop(c)
             below.discard(rt)
-            if not rest and not track_p and (a == 1 or a == -1):
+            if not rest and (a == 1 or a == -1):
                 # each row below only loses its entry in column c
                 for r in below:
-                    del R[r][c]
+                    rsteps.append((r, rt, 1, R[r].pop(c) // a))
                 continue
             for r in below:
                 row = R[r]
                 u, w = _step(a, row.pop(c), p)
+                rsteps.append((r, rt, u, w))
                 if u != 1:
                     _scale(row, u)
                 one = False
@@ -285,84 +267,82 @@ class SmithForm:
                         one = True
                 if one:
                     heappush(ones, where[r])
-                if track_p:
-                    _combine(_p_of(prows, r), u, w, ptop)
             # column c of D is now zero off the pivot, so the column step
             # col_j <- u col_j - w col_c only clears D[t][j] and scales the
-            # rest of column j by u; Qinv takes the inverse row step
+            # rest of column j by u
             for j, y in rest:
                 u, w = _step(a, y, p)
+                csteps.append((j, c, u, w))
                 del top[j]
                 below = holders[j]
                 below.discard(rt)
                 if u != 1:
                     for r in below:
                         R[r][j] *= u
-                if track_q:
-                    _combine(qcols.setdefault(j, {j: 1}), u, w,
-                             qcols.get(c) or {c: 1})
-                    rj = qinv.setdefault(j, {j: 1})
-                    rc = qinv.setdefault(c, {c: 1})
-                    if u == 1 and not qden:
-                        _combine(rc, 1, -w, rj)
-                    else:
-                        # row c += (w / u) * row j, then row j /= u
-                        dj, dc = qden.get(j, 1), qden.get(c, 1)
-                        _combine(rc, u * dj, -w * dc, rj)
-                        _lowest(rc, u * dj * dc, qden, c)
-                        _lowest(rj, u * dj, qden, j)
         self._diag = [R[rid[i]].get(col[i], 0) for i in range(min(m, n))]
-        if track_p:
-            # move the p-unit denominator of each row i of Qinv into column i
-            # of Q and row i of P; D is diagonal, so P * M * Q is unchanged
-            for j, den in qden.items():
-                if pos[j] < m:
-                    _scale(_p_of(prows, rid[pos[j]]), den)
         self._rid, self._col = rid, col
-        self._prows = prows if track_p else None
-        self._qcols, self._qden, self._qinv = (
-            (qcols, qden, qinv) if track_q else (None, None, None))
+        self._rsteps, self._csteps = rsteps, csteps
+        self._qinv: dict[int, tuple[dict[int, int], int]] = {}
 
     def diagonal(self) -> list[int]:
         return self._diag[:]
 
-    def p_row(self, i: int) -> dict[int, int]:
-        """Row i of P as {column: int} over its nonzero entries; do not mutate."""
-        if self._prows is None:
-            raise ValueError("the row transform P was not recorded")
-        r = self._rid[i]
-        return self._prows.get(r) or {r: 1}
+    def _qinv_den(self, i: int) -> tuple[dict[int, int], int]:
+        """(row i of Qinv, den): the row replayed over Q times den, the least
+        positive p-unit that makes it integral; kept per position."""
+        got = self._qinv.get(i)
+        if got is None:
+            x, den = {self._col[i]: 1}, 1
+            for j, c, u, w in reversed(self._csteps):
+                xc = x.get(c)
+                if xc is not None:
+                    y = x.get(j, 0) + w * xc
+                elif u != 1 and j in x:
+                    y = x[j]
+                else:
+                    continue
+                if y % u:
+                    _scale(x, u)
+                    den *= u
+                else:
+                    y //= u
+                if y:
+                    x[j] = y
+                else:
+                    x.pop(j, None)
+                if den != 1 and (g := gcd(den, *x.values())) != 1:
+                    x = {k: v // g for k, v in x.items()}
+                    den //= g
+            if den < 0:
+                x, den = {k: -v for k, v in x.items()}, -den
+            got = self._qinv[i] = x, den
+        return got
+
+    def qinv_row(self, i: int) -> dict[int, int]:
+        """Row i of Qinv as {column: int} over its nonzero entries; do not mutate."""
+        return self._qinv_den(i)[0]
 
     def q_column(self, i: int) -> tuple[dict[int, int], int]:
         """Column i of Q as ({row: int}, den): den > 0 and in lowest terms with the ints."""
-        if self._qcols is None:
-            raise ValueError("the column transform Q was not recorded")
-        c = self._col[i]
-        ints = self._qcols.get(c) or {c: 1}
-        den = self._qden.get(c, 1)
+        ints = _replay(self._csteps, {self._col[i]: 1})
+        den = self._qinv_den(i)[1]
         g = gcd(den, *ints.values()) if den > 1 else 1
         if g > 1:
             return {r: x // g for r, x in ints.items()}, den // g
         return ints, den
 
-    def qinv_row(self, i: int) -> dict[int, int]:
-        """Row i of Qinv as {column: int} over its nonzero entries; do not mutate."""
-        if self._qinv is None:
-            raise ValueError("the column transform Q was not recorded")
-        c = self._col[i]
-        return self._qinv.get(c) or {c: 1}
+    def p_row(self, i: int) -> dict[int, int]:
+        """Row i of P as {column: int} over its nonzero entries."""
+        row = _replay(self._rsteps, {self._rid[i]: 1})
+        if i < self.n and (den := self._qinv_den(i)[1]) != 1:
+            _scale(row, den)
+        return row
 
     def kernel(self) -> list[list[int]]:
         """Z_(p)-basis of { x : x * M == 0 } as dense integer rows: the rows
         of P past the rank."""
         rank = sum(1 for d in self._diag if d)
-        out = []
-        for i in range(rank, self.m):
-            row = [0] * self.m
-            for j, x in self.p_row(i).items():
-                row[j] = x
-            out.append(row)
-        return out
+        return [dense_row(self.p_row(i).items(), self.m) for i in range(rank, self.m)]
 
     def coordinates(self, v: list[int]) -> tuple[list[int], int] | None:
         """Coordinates of v as a Q-combination of the rows of M.
@@ -373,24 +353,20 @@ class SmithForm:
         The coordinates are p-local exactly when p does not divide den.
         Returns None when v is not in the Q-span.
         """
-        diag = self._diag
-        # x = (v * Q) * D^-1 * P, where coordinate i of v * Q is s / qden
-        nums, den = [0] * self.m, 1
-        for i in range(self.n):
-            col, qden = self.q_column(i)
-            s = sum(v[r] * q for r, q in col.items())
-            if not s:
-                continue
-            if i >= len(diag) or not diag[i]:
-                return None
-            t = qden * diag[i]
-            k = lcm(den, t) // den
-            den *= k
-            c = s * den // t
-            if k != 1:
-                nums = [k * x for x in nums]
-            for r, y in self.p_row(i).items():
-                nums[r] += c * y
+        # x = (v * Q~) * D^-1 * P~ over the integral products Q~ and P~ of
+        # the logged steps
+        z = list(v)
+        for j, c, u, w in self._csteps:
+            z[j] = u * z[j] - w * z[c]
+        diag, den, terms = self._diag, 1, []
+        for i, c in enumerate(self._col):
+            if z[c]:
+                if i >= len(diag) or not diag[i]:
+                    return None
+                den = lcm(den, diag[i])
+                terms.append((i, z[c]))
+        nums = dense_row(_replay(self._rsteps, {self._rid[i]: s * (den // diag[i])
+                                                for i, s in terms}).items(), self.m)
         g = gcd(den, *nums)
         return [x // g for x in nums], den // g
 
@@ -536,7 +512,7 @@ class SubQuot:
                 rel_coords.append([x // g for x in nums])
             rel_coords = sparse_rows(rel_coords)
         # quotient Z^k / span(rel_coords); Smith over the relation matrix
-        sf = SmithForm(rel_coords, k, p=p, transforms=Track.Q) if k else None
+        sf = SmithForm(rel_coords, k, p=p) if k else None
         diag = sf.diagonal() if k else []
         self.summands: list[tuple[int, int]] = []  # (p-local order, coordinate index), order 0 = free
         for i in range(k):
@@ -653,7 +629,7 @@ def group_invariants(rel_rows: list[list[tuple[int, int]]], n: int,
     rows = [r for r in rel_rows if r]
     if not rows:
         return n, []
-    sf = SmithForm(rows, n, p=p, transforms=Track.NONE)
+    sf = SmithForm(rows, n, p=p)
     diag = [d for d in sf.diagonal() if d != 0]
     free = n - len(diag)
     torsion = sorted(q for q in (p ** nu(p, d) for d in diag) if q > 1)

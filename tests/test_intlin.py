@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from thh import _intlin, closed_forms as cf
-from thh._intlin import (SmithForm, SubQuot, Track, group_invariants,
+from thh._intlin import (SmithForm, SubQuot, group_invariants,
                          lattice_coordinates, row_hermite, row_kernel,
                          solve_in_lattice, sparse_rows)
 from thh.padic import PrimeContext, nu
@@ -50,34 +50,20 @@ def dense_row(row, n):
     return out
 
 
-def dense_transforms(sf, rows, n, track=Track.ALL):
-    """(D, P, Q, Qinv) of a SmithForm as dense lists; None for what it did not record.
-
-    Reading an unrecorded transform must raise.
-    """
+def dense_transforms(sf, rows, n):
+    """(D, P, Q, Qinv) of a SmithForm as dense lists."""
     m = len(rows)
     diag = sf.diagonal()
     D = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
          for i in range(m)]
-    P = Q = Qinv = None
-    if track is Track.ALL:
-        P = [dense_row(sf.p_row(i), m) for i in range(m)]
-    else:
-        with pytest.raises(ValueError):
-            sf.p_row(0)
-    if track:
-        Q = [[0] * n for _ in range(n)]
-        for i in range(n):
-            col, den = sf.q_column(i)
-            assert den > 0 and gcd(den, *col.values()) == 1
-            for r, x in col.items():
-                Q[r][i] = Fraction(x, den) if den > 1 else x
-        Qinv = [dense_row(sf.qinv_row(i), n) for i in range(n)]
-    else:
-        with pytest.raises(ValueError):
-            sf.q_column(0)
-        with pytest.raises(ValueError):
-            sf.qinv_row(0)
+    P = [dense_row(sf.p_row(i), m) for i in range(m)]
+    Q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        col, den = sf.q_column(i)
+        assert den > 0 and gcd(den, *col.values()) == 1
+        for r, x in col.items():
+            Q[r][i] = Fraction(x, den) if den > 1 else x
+    Qinv = [dense_row(sf.qinv_row(i), n) for i in range(n)]
     return D, P, Q, Qinv
 
 
@@ -138,7 +124,7 @@ def test_smith_form_p_parts_match_sympy():
     @given(p_matrices())
     def check(case):
         p, rows = case
-        sf = SmithForm(sparse_rows(rows), len(rows[0]), p=p, transforms=Track.NONE)
+        sf = SmithForm(sparse_rows(rows), len(rows[0]), p=p)
         ours = sorted(p ** nu(p, d) for d in sf.diagonal() if d)
         theirs = sorted(p ** nu(p, int(d)) for d in
                         normalforms.invariant_factors(Matrix(rows), domain=ZZ)
@@ -173,8 +159,7 @@ def test_row_kernel_annihilates(case):
         for j in range(n):
             assert sum(c * rows[i][j] for i, c in enumerate(comb)) == 0
     # and it spans the rational kernel: its size is the row nullity
-    rank = sum(1 for d in SmithForm(sparse_rows(rows), n, p=p,
-                                    transforms=Track.NONE).diagonal() if d)
+    rank = sum(1 for d in SmithForm(sparse_rows(rows), n, p=p).diagonal() if d)
     assert len(ker) == len(rows) - rank
 
 
@@ -187,17 +172,17 @@ def test_row_kernel_annihilates(case):
 def test_transform_subsets_match_the_full_path(case):
     p, rows = case
     n = len(rows[0])
-    sf = SmithForm(sparse_rows(rows), n, p=p, transforms=Track.ALL)
+    sf = SmithForm(sparse_rows(rows), n, p=p)
     D, P, Q, Qinv = dense_transforms(sf, rows, n)
     rank = sum(1 for i in range(min(len(rows), n)) if D[i][i])
+    # fresh forms read one transform each, so no replay finds another's
+    # denominators already kept
     assert row_kernel(sparse_rows(rows), n, p) == sf.kernel() == P[rank:]
-    q_only = dense_transforms(SmithForm(sparse_rows(rows), n, p=p, transforms=Track.Q),
-                              rows, n, Track.Q)
-    assert (q_only[0], q_only[2], q_only[3]) == (D, Q, Qinv)
-    assert q_only[1] is None
-    none = dense_transforms(SmithForm(sparse_rows(rows), n, p=p, transforms=Track.NONE),
-                            rows, n, Track.NONE)
-    assert none[0] == D and none[1] is none[2] is none[3] is None
+    assert SmithForm(sparse_rows(rows), n, p=p).kernel() == P[rank:]
+    q_first = SmithForm(sparse_rows(rows), n, p=p)
+    assert [q_first.q_column(i) for i in range(n)] == [sf.q_column(i) for i in range(n)]
+    assert dense_transforms(q_first, rows, n) == (D, P, Q, Qinv)
+    assert SmithForm(sparse_rows(rows), n, p=p).diagonal() == sf.diagonal()
 
 
 def test_row_kernel_pinned_scaled_steps():
@@ -207,8 +192,6 @@ def test_row_kernel_pinned_scaled_steps():
     # the unit 3 of column 2 moves to column 1 with a swap, so the kernel
     # row past the rank stays unscaled
     assert row_kernel(sparse_rows([[2, 0, 0], [0, 0, 0], [3, 0, 4]]), 3, 2) == [[0, 1, 0]]
-    # bench/spans.py tells invariants-only Smith forms apart by truthiness
-    assert not Track.NONE and Track.Q and Track.ALL
 
 
 @settings(max_examples=150)
@@ -297,7 +280,7 @@ def express_reference(p, n, gen_rows, rel_rows, v):
             c = solve_reference(basis, pivots, row, p)
             den = lcm(*(x.denominator for x in c))
             rel_coords.append([int(x * den) for x in c])
-    sf = DenseSmithForm(rel_coords, k, p=p, transforms=Track.Q)
+    sf = DenseSmithForm(rel_coords, k, p=p)
     diag = sf.diagonal()
     out = []
     for i in range(k):
@@ -507,15 +490,12 @@ def dense_step(a, b, p):
 
 
 class DenseSmithForm:
-    def __init__(self, rows, ncols, *, p, transforms=Track.ALL):
+    def __init__(self, rows, ncols, *, p):
         m, n = len(rows), ncols
         D = [row[:] for row in rows]
-        P = eye(m) if transforms is Track.ALL else None
-        Q = Qinv = None
-        if transforms:
-            Q, Qinv = eye(n), eye(n)
-        row_mats = (D,) if P is None else (D, P)
-        col_mats = (D,) if Q is None else (D, Q)
+        P, Q, Qinv = eye(m), eye(n), eye(n)
+        row_mats = (D, P)
+        col_mats = (D, Q)
         scaled = False
         for t in range(min(m, n)):
             piv = dense_pivot(D, range(t, m), range(t, n), p)
@@ -529,8 +509,7 @@ class DenseSmithForm:
                 for mat in col_mats:
                     for r in mat:
                         r[t], r[pj] = r[pj], r[t]
-                if Qinv is not None:
-                    Qinv[t], Qinv[pj] = Qinv[pj], Qinv[t]
+                Qinv[t], Qinv[pj] = Qinv[pj], Qinv[t]
             a = D[t][t]
             for i in range(t + 1, m):
                 if D[i][t]:
@@ -546,21 +525,20 @@ class DenseSmithForm:
                     scaled = True
                     for i in range(t + 1, m):
                         D[i][j] *= u
-                if Q is not None:
-                    for r in Q:
-                        r[j] = u * r[j] - w * r[t]
-                    c = w if u == 1 else Fraction(w, u)
-                    Qinv[t][:] = [x + c * y for x, y in zip(Qinv[t], Qinv[j])]
-                    if u != 1:
-                        Qinv[j][:] = [Fraction(y) / u for y in Qinv[j]]
-        if scaled and Q is not None:
+                for r in Q:
+                    r[j] = u * r[j] - w * r[t]
+                c = w if u == 1 else Fraction(w, u)
+                Qinv[t][:] = [x + c * y for x, y in zip(Qinv[t], Qinv[j])]
+                if u != 1:
+                    Qinv[j][:] = [Fraction(y) / u for y in Qinv[j]]
+        if scaled:
             for i, row in enumerate(Qinv):
                 den = lcm(*(x.denominator for x in row))
                 Qinv[i] = [int(x * den) for x in row]
                 if den > 1:
                     for r in Q:
                         r[i] = Fraction(r[i], den)
-                    if P is not None and i < m:
+                    if i < m:
                         P[i] = [den * x for x in P[i]]
         self.m, self.n = m, n
         self.D, self.P, self.Q, self.Qinv = D, P, Q, Qinv
@@ -611,14 +589,14 @@ def dense_solve_in_lattice(basis, pivots, v, p):
 def dense_row_kernel(rows, ncols, p):
     if not rows:
         return []
-    sf = DenseSmithForm(rows, ncols, p=p, transforms=Track.ALL)
+    sf = DenseSmithForm(rows, ncols, p=p)
     diag = sf.diagonal()
     return [sf.P[i][:] for i in range(len(rows))
             if i >= len(diag) or diag[i] == 0]
 
 
 def dense_lattice_coordinates(rows, ncols, v, p):
-    sf = DenseSmithForm(rows, ncols, p=p, transforms=Track.ALL)
+    sf = DenseSmithForm(rows, ncols, p=p)
     diag = sf.diagonal()
     nums, den = [0] * len(rows), 1
     for i in range(ncols):
@@ -682,12 +660,11 @@ def sparse_shaped_matrices():
 @example((2, [[1, 1, 0], [2, 3, 1], [0, 0, 2]], 3), [0, 0, 1, 0, 0])
 def test_sparse_kernel_matches_dense_oracle(case, off):
     p, rows, n = case
-    for track in Track:
-        want = DenseSmithForm(rows, n, p=p, transforms=track)
-        got = SmithForm(sparse_rows(rows), n, p=p, transforms=track)
-        assert got.diagonal() == want.diagonal()
-        _, P, Q, Qinv = dense_transforms(got, rows, n, track)
-        assert (P, Q, Qinv) == (want.P, want.Q, want.Qinv)
+    want = DenseSmithForm(rows, n, p=p)
+    got = SmithForm(sparse_rows(rows), n, p=p)
+    assert got.diagonal() == want.diagonal()
+    _, P, Q, Qinv = dense_transforms(got, rows, n)
+    assert (P, Q, Qinv) == (want.P, want.Q, want.Qinv)
     vecs = [*rows, [sum(c) for c in zip(*rows)] or [0] * n, off[:n]]
     for lattice in (rows, [[p * x for x in r] for r in rows]):
         sf = SmithForm(sparse_rows(lattice), n, p=p)
@@ -715,9 +692,8 @@ def test_sparse_kernel_matches_dense_oracle(case, off):
     pytest.param([[(0, 1), (1, 0)]], 2, "zero value", id="zero-beside-a-one"),
 ])
 def test_malformed_rows_are_rejected(rows, ncols, match):
-    for track in Track:
-        with pytest.raises(ValueError, match=match):
-            SmithForm(rows, ncols, p=2, transforms=track)
+    with pytest.raises(ValueError, match=match):
+        SmithForm(rows, ncols, p=2)
     with pytest.raises(ValueError, match=match):
         row_hermite(rows, ncols, 2)
 
@@ -743,17 +719,15 @@ def whole_slices(module):
             yield module.slice_relation_rows(d), len(module.slice_cells(d))
 
 
-def transform_record(sf, m, n, track):
-    """The diagonal and whatever `track` records: the rows of P, the columns
-    of Q with their denominators and the rows of Qinv, entries sorted."""
-    record = [sf.diagonal()]
-    if track is Track.ALL:
-        record.append([sorted(sf.p_row(i).items()) for i in range(m)])
-    if track:
-        record.append([[sorted(col.items()), den]
-                       for col, den in map(sf.q_column, range(n))])
-        record.append([sorted(sf.qinv_row(i).items()) for i in range(n)])
-    return record
+def transform_records(sf, m, n):
+    """The three pinned records of one form, entries sorted: NONE the
+    diagonal, Q also the columns of Q with their denominators and the rows
+    of Qinv, ALL also the rows of P, before Q's."""
+    diag = sf.diagonal()
+    q = [[[sorted(col.items()), den] for col, den in map(sf.q_column, range(n))],
+         [sorted(sf.qinv_row(i).items()) for i in range(n)]]
+    p = [sorted(sf.p_row(i).items()) for i in range(m)]
+    return {"NONE": [diag], "Q": [diag, *q], "ALL": [diag, p, *q]}
 
 
 @pytest.mark.parametrize("name", sorted(WHOLE_SLICE_MODULES))
@@ -765,11 +739,11 @@ def test_whole_slice_transforms_are_pinned(name):
     slices = list(whole_slices(module))
     golden = json.loads(TRANSFORM_PIN.read_text())[name]
     assert len(slices) == golden["forms"]
-    for track in Track:
-        records = [transform_record(SmithForm(rows, n, p=module.ring.p, transforms=track),
-                                    len(rows), n, track) for rows, n in slices]
-        blob = json.dumps(records, separators=(",", ":")).encode()
-        assert hashlib.sha256(blob).hexdigest() == golden[track.name], track
+    records = [transform_records(SmithForm(rows, n, p=module.ring.p), len(rows), n)
+               for rows, n in slices]
+    for track in ("NONE", "Q", "ALL"):
+        blob = json.dumps([r[track] for r in records], separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == golden[track], track
 
 
 def test_full_pivot_scans_are_few():
@@ -789,7 +763,7 @@ def test_full_pivot_scans_are_few():
     forms = others = 0
     with mock.patch.object(_intlin, "_pivot", counted):
         for rows, n in whole_slices(module):
-            diag = SmithForm(rows, n, p=2, transforms=Track.Q).diagonal()
+            diag = SmithForm(rows, n, p=2).diagonal()
             forms += 1
             others += sum(1 for d in diag if d not in (0, 1, -1))
     assert forms == 71

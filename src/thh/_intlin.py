@@ -48,8 +48,8 @@ in summand coordinates as (ints, unit), over the least p-unit that clears
 the free coordinates' denominators; `unit_scaled` puts coordinates given as
 fractions in that form, for `express` and for the sums of `graded`'s v-step.
 
-So each routine pays only for what it reads: `group_invariants` for no
-transform, `SubQuot` for its summands' columns of Q and rows of Qinv, and
+Replay makes each routine pay only for what it reads: `group_invariants`
+for no transform, `SubQuot` for its summands' columns of Q and rows of Qinv, and
 `kernel` for the rows of P past the rank.  A caller with several questions
 about one matrix keeps the form.
 `SubQuot(p, n, None, rels)` takes the generators to be all of Z^n; its
@@ -159,11 +159,11 @@ class SmithForm:
     vector, last step first:
     - `qinv_row(i)`: x_j <- (x_j + w * x_c) / u over one p-unit
       denominator in lowest terms; the row and its denominator are kept;
-    - `q_column(i)`: y_c <- y_c - w * y_j, then y_j <- u * y_j, over that
-      denominator;
+    - `q_column(i)`: y_c <- y_c - w * y_j, then y_j <- u * y_j, divided
+      by that denominator;
     - `p_row(i)`: y_s <- y_s - w * y_r, then y_r <- u * y_r, times that
       denominator when i < n.
-    So Qinv is left in ints, and P * M * Q is still D, which is diagonal.
+    So Qinv is left in ints, and P * M * Q is still D, since D is diagonal.
     `coordinates` runs v forward through the column steps and back through
     the row steps, where those denominators cancel.
     """
@@ -242,8 +242,7 @@ class SmithForm:
             below.discard(rt)
             if not rest and (a == 1 or a == -1):
                 # each row below only loses its entry in column c
-                for r in below:
-                    rsteps.append((r, rt, 1, R[r].pop(c) // a))
+                rsteps += [(r, rt, 1, R[r].pop(c) // a) for r in below]
                 continue
             for r in below:
                 row = R[r]
@@ -294,6 +293,8 @@ class SmithForm:
         if got is None:
             x, den = {self._col[i]: 1}, 1
             for j, c, u, w in reversed(self._csteps):
+                # x_j <- (x_j + w * x_c) / u, which leaves x alone when
+                # x_c = 0 and u = 1 or x_j = 0
                 xc = x.get(c)
                 if xc is not None:
                     y = x.get(j, 0) + w * xc
@@ -365,8 +366,8 @@ class SmithForm:
                     return None
                 den = lcm(den, diag[i])
                 terms.append((i, z[c]))
-        nums = dense_row(_replay(self._rsteps, {self._rid[i]: s * (den // diag[i])
-                                                for i, s in terms}).items(), self.m)
+        y = _replay(self._rsteps, {self._rid[i]: s * (den // diag[i]) for i, s in terms})
+        nums = dense_row(y.items(), self.m)
         g = gcd(den, *nums)
         return [x // g for x in nums], den // g
 

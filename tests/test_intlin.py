@@ -175,9 +175,9 @@ def test_transform_subsets_match_the_full_path(case):
     sf = SmithForm(sparse_rows(rows), n, p=p)
     D, P, Q, Qinv = dense_transforms(sf, rows, n)
     rank = sum(1 for i in range(min(len(rows), n)) if D[i][i])
-    # fresh forms read one transform each, so no replay finds another's
-    # denominators already kept
     assert row_kernel(sparse_rows(rows), n, p) == sf.kernel() == P[rank:]
+    # fresh forms that each read one transform first, so no replay finds
+    # another's denominators already kept
     assert SmithForm(sparse_rows(rows), n, p=p).kernel() == P[rank:]
     q_first = SmithForm(sparse_rows(rows), n, p=p)
     assert [q_first.q_column(i) for i in range(n)] == [sf.q_column(i) for i in range(n)]

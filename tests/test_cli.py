@@ -305,6 +305,65 @@ def test_group_json_labels_are_pinned(argv, name):
     assert out == golden.read_text()
 
 
+def labelled_cells(mod, d):
+    """The index in `slice_cells(d)` of the cell that each printed label of
+    degree d names."""
+    cells = {}
+    for i, (gid, e) in enumerate(mod.slice_cells(d)):
+        name = mod.generators[gid].display()
+        cells.setdefault(name if e == 0 else f"v^{e} {name}", []).append(i)
+    out = []
+    for label in mod.summand_labels(d):
+        # "<p-power> <cell>" names a cell whose coefficient is not a unit
+        idx = cells.get(label) or cells[label.split(" ", 1)[1]]
+        assert len(idx) == 1, (d, label)
+        out.append(idx[0])
+    return out
+
+
+def invertible_mod(rows, p):
+    a = [[x % p for x in row] for row in rows]
+    for t in range(len(a)):
+        k = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if k is None:
+            return False
+        a[t], a[k] = a[k], a[t]
+        inv = pow(a[t][t], -1, p)
+        for i in range(t + 1, len(a)):
+            f = a[i][t] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[t])]
+    return True
+
+
+@pytest.mark.parametrize("p, target, window, failing", [
+    (2, "ell", 1024, [86, 88, 170, 172, 174, 176, 342, 344, 346, 348, 430, 432,
+                      598, 600, 614, 616, 618, 620, 682, 684, 686, 688, 690, 692,
+                      706, 708, 710, 712, 714, 716, 718, 720, 818, 820, 822, 824,
+                      854, 856, 858, 860, 918, 920]),
+    (3, "ell", 1500, [1096, 1100, 1104, 1108, 1112, 1116]),
+    (5, "ell", 1500, []),
+    (2, "ko", 512, []),
+])
+def test_labelled_cells_generate_the_group(p, target, window, failing):
+    # By Nakayama's lemma the labelled cells generate the degree-d group
+    # exactly when their summand coordinates, read mod p, form an invertible
+    # matrix.  The failures are an open defect (ROADMAP item 12): two
+    # summands print the same cell.  A label rule that meets the contract
+    # changes this pin knowingly.  The labels read the rows of Qinv.
+    mod = cli._module_for(p, target, target, window, False)
+    bad = []
+    for d in range(window + 1):
+        sq = mod.subquot_at(d)
+        coords = []
+        for i in labelled_cells(mod, d):
+            cell = [0] * sq.n
+            cell[i] = 1
+            coords.append(sq.express(cell)[0])
+        if not invertible_mod(coords, p):
+            bad.append(d)
+    assert bad == failing
+
+
 @pytest.mark.parametrize("argv, name", [
     # the detail fields carry the kernel and cokernel data of eta and of v,
     # read in summand coordinates

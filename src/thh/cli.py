@@ -245,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify")
     common(v, ("table", "json"))
     v.add_argument("--max-degree", type=_nonnegative, default=None)
-    v.add_argument("--suite", choices=SUITES, required=True)
+    v.add_argument("--suite", choices=SUITES, required=True,
+                   help="the checks to run; ko checks ko -> ku injectivity only "
+                        "through degree 64 and the ko base tower only through 40")
     v.add_argument("--level", type=_nonnegative, default=3)
 
     c = sub.add_parser("chart")

@@ -382,14 +382,7 @@ def _pivot(rows: list[dict], order, pos, p: int) -> tuple[int, int] | None:
     """
     at = None
     for i, r in enumerate(order):
-        one = None  # the first +-1 of this row: no entry can beat it
         for c, v in rows[r].items():
-            if v == 1 or v == -1:
-                if one is None or pos[c] < pos[one]:
-                    one = c
-                continue
-            if one is not None:
-                continue
             if v % p:
                 e = 0
             elif at is not None and e0 == 0:
@@ -402,8 +395,6 @@ def _pivot(rows: list[dict], order, pos, p: int) -> tuple[int, int] | None:
             if (at is None or e < e0 or e == e0 and (
                     a < a0 or a == a0 and i == at[0] and pos[c] < pos[at[1]])):
                 e0, a0, at = e, a, (i, c)
-        if one is not None:
-            return i, one
     return at
 
 

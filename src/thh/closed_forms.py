@@ -409,7 +409,8 @@ def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
     unit = [] if reduced else [_ko_coefficients(window)]
     chain = build_Fko(window - 5).suspend(5)
     blocks = [build_Tnko(n).suspend(2 ** (n + 3) + 4) for n in ko_levels(window, 1)]
-    merged = GradedModulePresentation.direct_sum(unit + [chain] + blocks)
+    parts = unit + [chain] + blocks
+    gens = [g for part in parts for g in part.generators.values()]
     # replace the pure order relations of each main dual piece with hidden
     # extensions: 2 * (v^k * bottom dual class) = eta*u_i
     hidden = {}
@@ -419,17 +420,17 @@ def thh_ko(window: int, reduced: bool = True) -> GradedModulePresentation:
             _, i, _ = ko_hidden_extension(n, k)
             hidden[f"ko{n}:main.D[{top - 4 * k},0]"] = f"Fko:eu{i}"
     rels, orders = [], {}
-    for rel in merged.relations:
+    for rel in (rel for part in parts for rel in part.relations):
         (order, e, gid), *rest = rel.terms
         if not rest and e == 0 and gid in hidden:
             orders[gid] = order
         else:
             rels.append(rel)
     for gid, target in hidden.items():
-        onto = ((-1, 0, target),) if target in merged.generators else ()
+        onto = ((-1, 0, target),) if target in chain.generators else ()
         rels.append(Relation(((orders[gid], 0, gid),) + onto))
-    return GradedModulePresentation(merged.ring, list(merged.generators.values()), rels,
-                                    merged.complete_below)
+    bound = min(part.complete_below for part in parts if part.complete_below is not None)
+    return GradedModulePresentation(ko_ring(), gens, rels, bound)
 
 
 def _ko_coefficients(window: int) -> GradedModulePresentation:

@@ -36,12 +36,12 @@ induces, repeat across residues, maps and presentations, so they are taken
 from `_intlin`'s intern (`shared_subquot`), which reduces each distinct one
 once per process; the whole slices of `subquot_at` rarely repeat and stay in
 its per-shape cache.  Every reader that does not depend
-on the basis reads the v-step: `group_at`, `is_zero_at`, `order_of` (and so
-`ModuleMap.respects_relations`), `dual`, and the groups a `ModuleMap` induces
-(and so `verify`'s kernels and cokernels).  The whole slice (`subquot_at`,
-`coordinates`, `summand_labels`) serves only the two readers whose basis is
-pinned: the printed labels and the eta tower's classes, which the v-step
-basis does not reproduce.
+on the basis reads the v-step: `group_at`, `is_zero_at` (and so
+`ModuleMap.respects_relations`), `order_of`, `dual`, and the groups a
+`ModuleMap` induces (and so `verify`'s kernels and cokernels).  The whole
+slice (`subquot_at`, `coordinates`, `summand_labels`) serves only the two
+readers whose basis is pinned: the printed labels and the eta tower's
+classes, which the v-step basis does not reproduce.
 
 A presentation answers only below its window bound `complete_below`:
 `vstep_at`, `subquot_at` and `ModuleMap.induced` raise `WindowError` at or
@@ -449,8 +449,11 @@ class GradedModulePresentation:
         raise ValueError(f"unknown action {op!r}")
 
     def suspend(self, shift: int) -> "GradedModulePresentation":
+        """Every generator `shift` degrees up; a relation's terms name
+        generators and v-exponents, so the relations stay as they are."""
         bound = None if self.complete_below is None else self.complete_below + shift
-        return _side_by_side(self.ring, [(self, shift)], bound)
+        gens = [Generator(g.gid, g.degree + shift, g.label) for g in self.generators.values()]
+        return GradedModulePresentation(self.ring, gens, self.relations, bound)
 
     @staticmethod
     def direct_sum(parts: list["GradedModulePresentation"]) -> "GradedModulePresentation":
@@ -462,7 +465,9 @@ class GradedModulePresentation:
             if part.ring != ring:
                 raise ValueError(f"direct_sum over different rings {ring} and {part.ring}")
         bounds = [part.complete_below for part in parts if part.complete_below is not None]
-        return _side_by_side(ring, [(part, 0) for part in parts], min(bounds, default=None))
+        gens = [g for part in parts for g in part.generators.values()]
+        rels = [rel for part in parts for rel in part.relations]
+        return GradedModulePresentation(ring, gens, rels, min(bounds, default=None))
 
     def dual(self, lo: int, hi: int, prefix: str = "D") -> "GradedModulePresentation":
         """Per-degree character dual on [lo, hi]: negated degrees, transposed v-action.
@@ -515,36 +520,6 @@ class GradedModulePresentation:
         return all(self.group_at(d) == other.group_at(d) for d in degrees)
 
 
-def _side_by_side(ring: RingSpec, parts: list[tuple[GradedModulePresentation, int]],
-                  complete_below: int | None) -> GradedModulePresentation:
-    """The parts, each (presentation, degree shift), side by side: what
-    `__init__` gives on their shifted generators and their relations in
-    order, with the same per-residue orders and repeated step degrees, but
-    built from the parts' indexes rather than by checking and merging every
-    relation again."""
-    out = GradedModulePresentation(ring, [], [], complete_below)
-    vd = ring.v_degree
-    gens = out.generators
-    for part, shift in parts:
-        moved = {}
-        for gid, g in part.generators.items():
-            if gid in gens:
-                raise ValueError(f"duplicate generator id {gid}")
-            gens[gid] = moved[gid] = Generator(gid, g.degree + shift, g.label) if shift else g
-        for r, group in part._generators_by_residue.items():
-            out._generators_by_residue.setdefault((r + shift) % vd, []).extend(
-                moved[g.gid] for g in group)
-        for r, group in part._relations_by_residue.items():
-            out._relations_by_residue.setdefault((r + shift) % vd, []).extend(
-                (base + shift, terms) for base, terms in group)
-        for r, degrees in part._steps.items():
-            out._steps.setdefault((r + shift) % vd, []).extend(x + shift for x in degrees)
-    out.relations = tuple(rel for part, _ in parts for rel in part.relations)
-    for degrees in out._steps.values():
-        degrees.sort()
-    return out
-
-
 class ModuleMap:
     """A degree-shifting map of presentations given on generators.
 
@@ -591,13 +566,16 @@ class ModuleMap:
         return out
 
     def respects_relations(self, degrees=None) -> bool:
-        """Check the images of all source relations vanish in the target."""
-        for base, terms in (pair for group in self.source._relations_by_residue.values()
-                            for pair in group):
+        """Check the images of all source relations vanish in the target.
+
+        `degrees`, if given, keeps only the relations whose base degree is
+        in it, so that a caller can stay inside the target's window."""
+        for rel in self.source.relations:
+            base = self.source.term_degree(rel.terms)
             if degrees is not None and base not in degrees:
                 continue
             img: list[Term] = []
-            for gid, v_exp, coeff in terms:
+            for coeff, v_exp, gid in rel.terms:
                 img.extend((coeff * c, v_exp + ve, t) for c, ve, t in self.images.get(gid, ()))
             if not img:
                 continue

@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from thh._intlin import (SubQuot, dense_row, group_invariants, row_kernel,
                          sparse_rows)
-from thh.closed_forms import (build_Tn, build_Tnko, thh_ell, thh_ell_HZ, thh_ell_k1,
-                              thh_ko, thh_ko_ku, thh_ko_eta_map, tn_top_degree)
+from thh.closed_forms import (_divided_chain, build_Tn, ell_ring, thh_ell, thh_ell_HZ,
+                              thh_ell_k1, thh_ko, thh_ko_ku, thh_ko_eta_map, tn_top_degree,
+                              torsion_block_shifts)
 from thh.graded import (Generator, GradedModulePresentation, ModuleMap,
                         Relation, RingSpec, WindowError, submodule_presentation,
                         variable_multiplication_map)
-from thh.padic import PrimeContext
+from thh.padic import PrimeContext, staircase_sum
 from thh.verify import (_through_cofiber, cokernel_subquot, eta_square_map,
                         kernel_subquot, ko_to_ku_map)
 
@@ -107,35 +108,34 @@ def test_direct_sum_adds_groups():
     assert s.group_at(2) == (0, [2, 4])
 
 
-def indexes(module):
-    """What `__init__` builds from the generators and relations: the
-    per-residue generators, relations and step degrees (with repeats), the
-    relations in order and the window bound."""
-    return (module.generators, module._generators_by_residue,
-            module._relations_by_residue, module._steps, module.relations,
-            module.complete_below)
-
-
-ASSEMBLED = {
-    "thh_ell-p2-w256": lambda: thh_ell(PrimeContext(2), 256),
-    "thh_ell-p3-w600": lambda: thh_ell(PrimeContext(3), 600),
-    "thh_ell-p5-w1500-unreduced": lambda: thh_ell(PrimeContext(5), 1500, False),
-    "thh_ko-w256": lambda: thh_ko(256),
-    "thh_ko-w160-unreduced": lambda: thh_ko(160, False),
-    "thh_ko_ku-w256": lambda: thh_ko_ku(256),
-    "build_Tnko-3": lambda: build_Tnko(3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ASSEMBLED))
-def test_suspend_and_direct_sum_match_a_replay(name):
-    # they assemble the parts' indexes; a replay through `__init__` checks
-    # and merges every relation again
-    module = ASSEMBLED[name]()
-    replay = GradedModulePresentation(module.ring, list(module.generators.values()),
-                                      module.relations, module.complete_below)
-    assert indexes(module) == indexes(replay)
-    assert [module.group_at(d) for d in range(60)] == [replay.group_at(d) for d in range(60)]
+@pytest.mark.parametrize("p, window", [(2, 256), (3, 600)])
+def test_direct_sum_slices_are_the_parts_slices_in_part_order(p, window):
+    # the printed labels read a slice's cells in order and the pivot
+    # sequence reads its rows in order, so in each degree a sum's slice is
+    # its parts' own cells and rows in part order, each part's columns
+    # offset by the cells of the parts before it; thh_ell is such a sum
+    ctx = PrimeContext(p)
+    ring = ell_ring(p)
+    unit = GradedModulePresentation(ring, [Generator("iota", 0, "iota")], [])
+    chain = _divided_chain(ring, "F:phi{}", "phi{}*l1",
+                           lambda k: 2 * p - 1 + 2 * (p - 1) * staircase_sum(p, k), window)
+    blocks = [build_Tn(ctx, n, prefix=f"T[{n},{k}]:").suspend(shift)
+              for n, k, shift in torsion_block_shifts(p, window)]
+    parts = [unit, chain] + blocks
+    total = GradedModulePresentation.direct_sum(parts)
+    ell = thh_ell(ctx, window, False)
+    shared = 0
+    for d in range(-1, window + 1):
+        cells, rows, offset = [], [], 0
+        for part in parts:
+            rows += [[(offset + j, c) for j, c in row] for row in part.slice_relation_rows(d)]
+            part_cells = part.slice_cells(d)
+            cells += part_cells
+            offset += len(part_cells)
+        shared += sum(1 for part in parts if part.slice_cells(d)) > 1
+        assert total.slice_cells(d) == ell.slice_cells(d) == cells, d
+        assert total.slice_relation_rows(d) == ell.slice_relation_rows(d) == rows, d
+    assert shared > window // 4
 
 
 def test_direct_sum_refuses_a_duplicate_generator_id():

@@ -750,15 +750,16 @@ def test_full_pivot_scans_are_few():
     # a +-1 pivot comes off the heap of rows holding one, so the full-rule
     # scan runs only for a pivot that is not +-1 and for the scan that finds
     # no pivot left: about 93 and 71 here, against 1,845 scans when every
-    # pivot came from a scan
+    # pivot came from a scan; and no row it scans holds a +-1
     module = cf.thh_ell(PrimeContext(2), 256)
-    scans = 0
+    scans = with_one = 0
     pivot = _intlin._pivot
 
-    def counted(*args):
-        nonlocal scans
+    def counted(rows, order, pos, p):
+        nonlocal scans, with_one
         scans += 1
-        return pivot(*args)
+        with_one += any(v in (1, -1) for r in order for v in rows[r].values())
+        return pivot(rows, order, pos, p)
 
     forms = others = 0
     with mock.patch.object(_intlin, "_pivot", counted):
@@ -768,3 +769,4 @@ def test_full_pivot_scans_are_few():
             others += sum(1 for d in diag if d not in (0, 1, -1))
     assert forms == 71
     assert scans <= others + forms
+    assert with_one == 0

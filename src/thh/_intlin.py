@@ -495,11 +495,10 @@ class SubQuot:
             k = len(self.basis)
             rel_coords = []
             for row in rel_rows:
-                sol = solve_in_lattice(self.basis, self.pivots, dense_row(row, n), p)
-                if sol is None:
-                    raise ArithmeticError("relation row escapes its own lattice")
+                # the relation rows are part of the basis's input, so each
+                # lies in its lattice and the solve always finds it
+                nums, den = solve_in_lattice(self.basis, self.pivots, dense_row(row, n), p)
                 # a p-unit multiple of the row spans the same Z_(p)-line
-                nums, den = sol
                 g = gcd(den, *nums)
                 rel_coords.append([x // g for x in nums])
             rel_coords = sparse_rows(rel_coords)

@@ -498,7 +498,7 @@ class GradedModulePresentation:
             src_orders = summands[d]
             if not tgt_orders:
                 continue
-            mat, _ = v_map.summand_matrix(d)  # finite groups: every unit is 1
+            mat = v_map.summand_matrix(d)
             # (m[j][k]) with p^{a_j} source orders, p^{b_k} target orders
             for k, bk in enumerate(tgt_orders):
                 terms: list[Term] = [(1, 1, f"{prefix}[{d + vd},{k}]")]
@@ -526,13 +526,13 @@ class ModuleMap:
     The groups a map induces in one degree (`image_subquot`, and the kernel
     and cokernel in `verify`) are read off `summand_matrix`: the map from the
     summands of the source's `vstep_at(d)` to those of the target's
-    `vstep_at(d + shift)`.  There both groups are Z_(p)^s / L_a and
-    Z_(p)^t / L_b with L_a, L_b the diagonal lattices of the summand orders,
-    so each answer is a tiny `SubQuot` in summand coordinates, not one over
-    the whole degree slice.  That reading is a map of groups only when the
-    map respects relations (`respects_relations`): the images of the source
-    relations must vanish in the target.  `GradedModulePresentation.dual`
-    reads the same matrix for the map v.
+    `vstep_at(d + shift)`, times a p-unit.  There both groups are
+    Z_(p)^s / L_a and Z_(p)^t / L_b with L_a, L_b the diagonal lattices of
+    the summand orders, so each answer is a tiny `SubQuot` in summand
+    coordinates, not one over the whole degree slice.  That reading is a map
+    of groups only when the map respects relations (`respects_relations`):
+    the images of the source relations must vanish in the target.
+    `GradedModulePresentation.dual` reads the same matrix for the map v.
 
     The matrix, and so every group read off it, depends on d only through
     the source's `slice_shape(d)` and the target's `slice_shape(d + shift)`;
@@ -554,15 +554,17 @@ class ModuleMap:
                 if want != got:
                     raise ValueError(f"image of {gid} has degree {got}, expected {want}")
 
-    def image_of_cell(self, gid: str, e: int) -> list[Term]:
-        return [(c, e + ve, t) for c, ve, t in self.images.get(gid, ())]
+    def image_of(self, terms) -> list[Term]:
+        """The image of the element sum(c * v^e * gid) over terms, term by term."""
+        return [(c * a, e + ve, t) for c, e, gid in terms
+                for a, ve, t in self.images.get(gid, ())]
 
     def matrix(self, d: int) -> list[list[int]]:
         """Matrix from the degree-d slice cells to the degree-(d+shift) target slice."""
         out = []
         td = d + self.degree_shift
         for gid, e in self.source.slice_cells(d):
-            out.append(self.target.element_vector(td, self.image_of_cell(gid, e)))
+            out.append(self.target.element_vector(td, self.image_of(((1, e, gid),))))
         return out
 
     def respects_relations(self, degrees=None) -> bool:
@@ -574,9 +576,7 @@ class ModuleMap:
             base = self.source.term_degree(rel.terms)
             if degrees is not None and base not in degrees:
                 continue
-            img: list[Term] = []
-            for coeff, v_exp, gid in rel.terms:
-                img.extend((coeff * c, v_exp + ve, t) for c, ve, t in self.images.get(gid, ()))
+            img = self.image_of(rel.terms)
             if not img:
                 continue
             td = base + self.degree_shift
@@ -600,15 +600,15 @@ class ModuleMap:
             groups[build] = build(self, d)
         return groups[build]
 
-    def summand_matrix(self, d: int) -> tuple[list[list[int]], list[int]]:
-        """(rows, units): the map from degree d to degree d + shift in summand
-        coordinates.  Row j and units[j] are the target's `vstep_coordinates`
-        of the image of summand j of `source.vstep_at(d)`, so the rows span
-        the same Z_(p)-lattice as the map.
+    def summand_matrix(self, d: int) -> list[list[int]]:
+        """The map from degree d to degree d + shift in summand coordinates,
+        times one p-unit U = lcm(u_j): row j is the target's (ints, u_j)
+        `vstep_coordinates` of the image of summand j of `source.vstep_at(d)`,
+        with ints times U // u_j.  Kernel, image and cokernel over Z_(p) do not
+        see U, which is 1 when every target summand is finite.
 
-        Cached by `induced`: `image_of_cell` shifts v-exponents, so every
-        column the rows read names a generator, as in both slices' relation
-        matrices."""
+        Cached by `induced`: `image_of` shifts v-exponents, so every column the
+        rows read names a generator, as in both slices' relation matrices."""
         return self.induced(d, _summand_matrix)
 
     def image_subquot(self, d: int) -> SubQuot:
@@ -635,27 +635,25 @@ class ModuleMap:
                 and img.torsion() == sorted(o for o in tgt if o))
 
 
-def _summand_matrix(mp: ModuleMap, d: int) -> tuple[list[list[int]], list[int]]:
+def _summand_matrix(mp: ModuleMap, d: int) -> list[list[int]]:
     """The uncached body of `ModuleMap.summand_matrix`."""
     src = mp.source
     vd = src.ring.v_degree
-    rows, units = [], []
+    coords = []
     for gen in src.vstep_at(d).gens:
-        terms: list[Term] = []
-        for gid, c in gen.items():
-            e = (d - src.generators[gid].degree) // vd
-            terms.extend((c * a, ve, t) for a, ve, t in mp.image_of_cell(gid, e))
-        row, unit = mp.target.vstep_coordinates(d + mp.degree_shift, terms)
-        rows.append(row)
-        units.append(unit)
-    return rows, units
+        terms = [(c, (d - src.generators[gid].degree) // vd, gid) for gid, c in gen.items()]
+        coords.append(mp.target.vstep_coordinates(d + mp.degree_shift, mp.image_of(terms)))
+    common = lcm(*(unit for _, unit in coords))
+    rows = []
+    for ints, unit in coords:
+        rows.append([x * (common // unit) for x in ints])
+    return rows
 
 
 def _image_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """The uncached body of `ModuleMap.image_subquot`."""
-    rows, _ = mp.summand_matrix(d)
     orders = mp.target.vstep_at(d + mp.degree_shift).orders
-    return shared_subquot(mp.target.ring.p, len(orders), sparse_rows(rows),
+    return shared_subquot(mp.target.ring.p, len(orders), sparse_rows(mp.summand_matrix(d)),
                           order_rows(orders))
 
 

@@ -229,7 +229,7 @@ def test_module_map_reads_a_relation_given_at_construction(side):
     src = GradedModulePresentation(R2, [Generator("s", 0)], [])
     tgt = cyclic(R2, 3, gid="t")
     mp = ModuleMap(src, tgt, {"s": ((2, 0, "t"),)})
-    assert mp.summand_matrix(0) == ([[2]], [1])
+    assert mp.summand_matrix(0) == [[2]]
     assert not mp.injective_at(0) and mp.image_subquot(2).torsion() == [4]
     if side == "source":
         src = cyclic(R2, 2, gid="s")
@@ -239,10 +239,10 @@ def test_module_map_reads_a_relation_given_at_construction(side):
     mp = ModuleMap(src, tgt, {"s": ((2, 0, "t"),)})
     assert mp.respects_relations()
     if side == "source":
-        assert mp.summand_matrix(0) == ([[2]], [1])
+        assert mp.summand_matrix(0) == [[2]]
         assert mp.injective_at(0) and mp.image_subquot(2).torsion() == [4]
     else:
-        assert mp.summand_matrix(0) == ([[0]], [1])
+        assert mp.summand_matrix(0) == [[0]]
         assert mp.image_subquot(2).torsion() == []
     assert_map_groups_match_cells(mp, range(4))
 
@@ -390,7 +390,7 @@ def whole_slice_subquot(module, d):
 def assert_map_rows_respect_orders(mp, d):
     """Each row of `summand_matrix(d)` times the order of its source summand
     vanishes in the target, with both orders read off the whole slices."""
-    rows, _ = mp.summand_matrix(d)
+    rows = mp.summand_matrix(d)
     src = whole_slice_subquot(mp.source, d).orders
     tgt = whole_slice_subquot(mp.target, d + mp.degree_shift).orders
     assert len(rows) == len(src), d
@@ -408,17 +408,15 @@ def assert_map_groups_match_cells(mp, degrees):
         assert data(kernel) == data(cell_kernel_subquot(mp, d)), d
         assert data(cokernel_subquot(mp, d)) == data(cell_cokernel_subquot(mp, d)), d
         assert_map_rows_respect_orders(mp, d)
-        # each kernel generator maps into the target's order lattice: row j
-        # is units[j] times the image of summand j, so with U = lcm(units),
-        # a p-unit, x maps into L_b exactly when sum_j x_j (U / u_j) rows[j]
-        # lies in L_b
-        rows, units = mp.summand_matrix(d)
-        scale = [lcm(*units) // u for u in units]
+        # each kernel generator maps into the target's order lattice: the
+        # rows are the map times one p-unit, so x maps into L_b exactly when
+        # sum_j x_j rows[j] lies in L_b
+        rows = mp.summand_matrix(d)
         orders = whole_slice_subquot(mp.target, d + mp.degree_shift).orders
         for idx in range(len(kernel.summands)):
             x = kernel.generator_vector(idx)
             for k, o in enumerate(orders):
-                y = sum(c * f * row[k] for c, f, row in zip(x, scale, rows))
+                y = sum(c * row[k] for c, row in zip(x, rows))
                 assert (y % o == 0) if o else (y == 0), (d, idx, k)
 
 
@@ -439,13 +437,16 @@ def test_map_groups_match_slice_cells(name):
 
 
 def test_map_groups_with_unit_denominators():
-    # Z^2 / (2a - 3vb) is free of rank one in degree 2, and the summand
-    # coordinates of a and of vb carry the 2-unit denominator 3
+    # Z^2 / (2a - 3vb) is free of rank one in degree 2, and in the v-step
+    # only the summand coordinate of vb carries the 2-unit denominator 3
     tgt = GradedModulePresentation(R2, [Generator("a", 2), Generator("b", 0)],
                                    [Relation(((2, 0, "a"), (-3, 1, "b")))])
     src = GradedModulePresentation(R2, [Generator("s", 2), Generator("r", 0)], [])
     mp = ModuleMap(src, tgt, {"s": ((1, 0, "a"),), "r": ((1, 0, "b"),)})
-    assert any(u > 1 for u in mp.summand_matrix(2)[1])
+    # r and s map to vb = -2/3 and a = -1, over the common unit 3
+    assert mp.summand_matrix(2) == [[-2], [-3]]
+    # the degree-2 element 2s + vr
+    assert mp.image_of(((2, 0, "s"), (1, 1, "r"))) == [(2, 0, "a"), (1, 1, "b")]
     assert_map_groups_match_cells(mp, range(6))
     assert kernel_subquot(mp, 2).free_rank() == 1
 

@@ -64,7 +64,7 @@ as tuples (`row_kernel` by (p, n, rows)): each distinct matrix is reduced
 once.  A shared `SubQuot` is never mutated, and `row_kernel` hands out fresh
 lists.  Callers whose matrices rarely repeat build their `SubQuot`s
 themselves and cache them by a cheaper key (`graded.subquot_at` by slice
-shape, `ss` by page key).
+shape; `ss` stores one with each page).
 """
 from __future__ import annotations
 
@@ -472,13 +472,14 @@ def order_rows(orders: list[int]) -> list[list[tuple[int, int]]]:
 
 
 class SubQuot:
-    """p-local subquotient (span(gens) + span(rels)) / span(rels) of Z^n.
+    """p-local subquotient span(gens) / span(rels) of Z^n, where span(rels)
+    must lie inside span(gens) over Z_(p): a relation row outside raises ValueError.
 
     Summands are recorded with explicit generator vectors in Z^n so that
     arbitrary lattice vectors can be expressed in summand coordinates.
     gen_rows=None means the generators are all of Z^n; `basis` is then None,
     standing for the standard basis.  Otherwise `basis` and `pivots` are the
-    `row_hermite` echelon basis, with {column: value} dict rows.
+    `row_hermite` echelon basis of gen_rows, with {column: value} dict rows.
     """
 
     def __init__(self, p: int, n: int, gen_rows: list[list[tuple[int, int]]] | None,
@@ -491,13 +492,14 @@ class SubQuot:
             k = n
             rel_coords = rel_rows
         else:
-            self.basis, self.pivots = row_hermite(gen_rows + rel_rows, n, p)
+            self.basis, self.pivots = row_hermite(gen_rows, n, p)
             k = len(self.basis)
             rel_coords = []
             for row in rel_rows:
-                # the relation rows are part of the basis's input, so each
-                # lies in its lattice and the solve always finds it
-                nums, den = solve_in_lattice(self.basis, self.pivots, dense_row(row, n), p)
+                sol = solve_in_lattice(self.basis, self.pivots, dense_row(row, n), p)
+                if sol is None:
+                    raise ValueError("a relation row lies outside the generators' span")
+                nums, den = sol
                 # a p-unit multiple of the row spans the same Z_(p)-line
                 g = gcd(den, *nums)
                 rel_coords.append([x // g for x in nums])

@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--coefficients", default=None)
     g.add_argument("--reduced", action="store_true")
     span = g.add_mutually_exclusive_group()
-    span.add_argument("--degree", type=int, default=None)
+    span.add_argument("--degree", type=_nonnegative, default=None)
     span.add_argument("--max-degree", type=_nonnegative, default=None)
 
     v = sub.add_parser("verify")
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("chart")
     c.add_argument("kind", choices=charts.CHART_KINDS)
     common(c, ("svg", "json"))
-    c.add_argument("--degree", type=int, default=None)
+    c.add_argument("--degree", type=_nonnegative, default=None)
     c.add_argument("--max-degree", type=_nonnegative, default=None)
     c.add_argument("--paper-style", action="store_true")
     return ap

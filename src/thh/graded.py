@@ -653,8 +653,9 @@ def _summand_matrix(mp: ModuleMap, d: int) -> list[list[int]]:
 def _image_subquot(mp: ModuleMap, d: int) -> SubQuot:
     """The uncached body of `ModuleMap.image_subquot`."""
     orders = mp.target.vstep_at(d + mp.degree_shift).orders
-    return shared_subquot(mp.target.ring.p, len(orders), sparse_rows(mp.summand_matrix(d)),
-                          order_rows(orders))
+    rels = order_rows(orders)
+    return shared_subquot(mp.target.ring.p, len(orders),
+                          sparse_rows(mp.summand_matrix(d)) + rels, rels)
 
 
 def variable_multiplication_map(mod: GradedModulePresentation) -> ModuleMap:

@@ -3,7 +3,7 @@
 A slot's page is its cell orders with Z (cycles) and B (boundaries), both
 tuples of `_intlin` rows of (column, value) pairs inside the ambient slot
 group.  The zero lattice L = B + the ambient order rows always lies inside Z,
-so the page is Z / L and its cached `SubQuot` answers every question a page
+so the page is Z / L and its `SubQuot` answers every question a page
 turn asks: a vector is a cycle when `express` finds coordinates, and a zero
 class when they all vanish.  Differentials are supplied as explicit rules
 d_r(source vector) = target vector; a page turn applies all same-page rules
@@ -27,10 +27,10 @@ and its differentials are linear over that variable, so `_tower` places a rule
 or extension stated once at its base degree wherever both its slots are cells.
 
 Every lattice and coordinate question goes to `_intlin`: one `SmithForm`
-of a slot's rules gives their consistency kernel and each cycle's image, one
-of a page's cycles answers the d o d audit, and in `assemble` one per
-extension source and page gives every unit ratio asked of it, so this module
-runs no elimination of its own.
+of a slot's rules gives their consistency kernel and each cycle's image, a
+page's `SubQuot` answers the d o d audit with its relation solve, and in
+`assemble` one `SmithForm` per extension source and page gives every unit
+ratio asked of it, so this module runs no elimination of its own.
 
 The v-tower states no fact of its own: its cells are `closed_forms.hz_classes`
 (l1, a_i, b_i), its d_(p+...+p^n) differentials are `thc.tower_rule_set`
@@ -112,20 +112,21 @@ class SpectralSequence:
     """Each slot's cells are given by their ambient orders (a p-power, 0 if free).
 
     Pages are the only state: `pages` lists each distinct `Page` once, by
-    int key, and `key` maps each slot to the key of its current page.  A turn
-    gives each slot it touches a new page, (orders, new Z, B) at a source
-    and (orders, Z, B + images) at a target, and stores a page it has not
-    seen only once its zero lattice lies inside its cycles (an E1 page's
-    cycles are the whole slot).  A v-tower repeats a page from filtration to
-    filtration (76 pages serve the 90,300 slots of the v-tower at p=2, w=1200),
-    so the work is keyed by page keys: one `SubQuot` per page, one turn result
-    per (page, source key, target key, rule sources and targets), and one
-    passed rank-nullity audit.  Pages are tuples, so a cached answer is a
-    function of its key alone; a computation that raises `EngineError` stores
-    nothing, and the error ends the run.  The caches live on the instance, so
-    a fresh sequence (`EngineSetup.sign_flipped`) starts cold, and `restart`,
-    which puts every slot back on its E1 page, keeps them.  `turned` tells
-    whether `run` has turned a page since the E1 pages.
+    int key, with its `SubQuot` at the same key of `_subquots`, and `key`
+    maps each slot to the key of its current page.  A turn gives each slot
+    it touches a new page, (orders, new Z, B) at a source and (orders, Z,
+    B + images) at a target; a new page is stored only if its `SubQuot`
+    finds the zero lattice inside the cycles (the d o d audit).  A v-tower
+    repeats a page from filtration to filtration (76 pages serve the 90,300
+    slots of the v-tower at p=2, w=1200), so the work is keyed by page
+    keys: one `SubQuot` per page, one turn result per (page, source key,
+    target key, rule sources and targets), and one passed rank-nullity
+    audit.  Pages are tuples, so a cached answer is a function of its key
+    alone; a computation that raises `EngineError` stores nothing, and the
+    error ends the run.  The caches live on the instance, so a fresh
+    sequence (`EngineSetup.sign_flipped`) starts cold, and `restart`, which
+    puts every slot back on its E1 page, keeps them.  `turned` tells whether
+    `run` has turned a page since the E1 pages.
     """
 
     def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
@@ -133,34 +134,33 @@ class SpectralSequence:
         self.cells = cells
         self._ids: dict[Page, int] = {}      # page -> key
         self.pages: list[Page] = []          # key -> page
+        self._subquots: list[SubQuot] = []   # key -> the page's SubQuot
         self.restart()
-        self._subquots: dict[int, SubQuot] = {}
         self._turns: dict[tuple, tuple | None] = {}
         self._balanced: set[tuple] = set()  # (old, new) page keys that pass rank-nullity
 
     def restart(self) -> None:
         """Put every slot on its E1 page: every cell a cycle, no boundaries."""
-        ids = self._ids
-        self.key = {slot: ids.setdefault(
-                        Page(tuple(cs), tuple(((i, 1),) for i in range(len(cs))), ()),
-                        len(ids))
+        self.key = {slot: self._store(
+                        Page(tuple(cs), tuple(((i, 1),) for i in range(len(cs))), ()))
                     for slot, cs in self.cells.items()}
-        self.pages += list(ids)[len(self.pages):]
         self.turned = False
+
+    def _store(self, page: Page) -> int:
+        """The key of `page`; a new page is stored with its `SubQuot`, unless that raises."""
+        key = self._ids.get(page)
+        if key is None:
+            sq = SubQuot(self.p, len(page.orders), list(page.Z), page.zero_rows())
+            key = self._ids[page] = len(self.pages)
+            self.pages.append(page)
+            self._subquots.append(sq)
+        return key
 
     def page(self, slot) -> Page:
         return self.pages[self.key[slot]]
 
     def subquot(self, slot) -> SubQuot:
-        return self._subquot(self.key[slot])
-
-    def _subquot(self, key: int) -> SubQuot:
-        sq = self._subquots.get(key)
-        if sq is None:
-            page = self.pages[key]
-            sq = self._subquots[key] = SubQuot(self.p, len(page.orders), list(page.Z),
-                                               page.zero_rows())
-        return sq
+        return self._subquots[self.key[slot]]
 
     # -- page turns ---------------------------------------------------------
 
@@ -201,20 +201,13 @@ class SpectralSequence:
             orders, Z, B = pages.get(tgt) or self.pages[t_key]
             pages[tgt] = Page(orders, Z, B + images)
         for slot, page in pages.items():
-            key = self._ids.get(page)
-            if key is None:
+            try:
+                self.key[slot] = self._store(page)
+            except ValueError as err:
                 # a boundary that the page before maps to a nonzero class
                 # is not a cycle: d o d != 0
-                n = len(page.orders)
-                cycles = SmithForm(list(page.Z), n, p=self.p)
-                for row in page.zero_rows():
-                    sol = cycles.coordinates(dense_row(row, n))
-                    if sol is None or sol[1] % self.p == 0:
-                        raise EngineError(
-                            f"page {r}: a boundary at {slot} is not a cycle (d o d != 0)")
-                key = self._ids[page] = len(self.pages)
-                self.pages.append(page)
-            self.key[slot] = key
+                raise EngineError(
+                    f"page {r}: a boundary at {slot} is not a cycle (d o d != 0)") from err
         sources = {u[0] for u in updates}
         targets = {u[1] for u in updates}
         for src, tgt, s_key, t_key, *_ in updates:
@@ -223,7 +216,7 @@ class SpectralSequence:
             ask = (s_key, t_key, self.key[src], self.key[tgt])
             if ask in self._balanced:
                 continue
-            s_old, t_old, s_new, t_new = map(self._subquot, ask)
+            s_old, t_old, s_new, t_new = (self._subquots[k] for k in ask)
             if (s_new.free_rank() > s_old.free_rank()
                     or t_new.free_rank() > t_old.free_rank()):
                 raise EngineError(f"page {r}: slice rank grew at {src}->{tgt}")
@@ -244,7 +237,7 @@ class SpectralSequence:
         p = self.p
         source, target = self.pages[s_key], self.pages[t_key]
         dim_s, dim_t = len(source.orders), len(target.orders)
-        sq_s, sq_t = self._subquot(s_key), self._subquot(t_key)
+        sq_s, sq_t = self._subquots[s_key], self._subquots[t_key]
 
         X, Y = [], []
         for rule in slot_rules:

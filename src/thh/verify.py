@@ -178,8 +178,8 @@ def kernel_subquot(mp: ModuleMap, d: int) -> SubQuot:
 
     K is the set of x with x * M in L_b, for M the rows of the map's
     `summand_matrix(d)` and L_a, L_b the source and target order
-    lattices; M is the map times a p-unit, which leaves K as it is.  The
-    map must respect relations.
+    lattices; M is the map times a p-unit, which leaves K as it is.
+    Raises ValueError when the map does not respect relations (L_a is not in K).
     """
     p = mp.source.ring.p
     src = mp.source.vstep_at(d).orders

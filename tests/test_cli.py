@@ -98,6 +98,13 @@ def test_negative_max_degree_is_usage_error(capsys):
         assert "--max-degree: must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_negative_degree_is_usage_error(capsys):
+    for argv in (["group", "--degree", "-1"],
+                 ["chart", "torsion", "--degree", "-1", "--max-degree", "3"]):
+        assert cli.main(argv) == 2, argv
+        assert "--degree: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_negative_level_is_usage_error(capsys):
     assert cli.main(["verify", "--suite", "section4", "--level", "-1"]) == 2
     assert "--level: must be >= 0, got -1" in capsys.readouterr().err

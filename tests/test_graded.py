@@ -210,6 +210,9 @@ def test_module_map_respects_relations_and_kernel():
     assert not bad.respects_relations()
     assert ok.injective_at(0)
     assert not ok.surjective_at(0)
+    # s -> t has the kernel 4Z, which does not hold the relation 2s
+    with pytest.raises(ValueError):
+        kernel_subquot(bad, 0)
 
 
 def test_module_map_image_subquot():
@@ -353,8 +356,8 @@ def cell_image_subquot(mp, d):
                 for t, m in enumerate(mat[i]):
                     row[t] += c * m
         gen_rows.append(row)
-    return SubQuot(mp.target.ring.p, n_tgt, sparse_rows(gen_rows),
-                   mp.target.slice_relation_rows(td))
+    rels = mp.target.slice_relation_rows(td)
+    return SubQuot(mp.target.ring.p, n_tgt, sparse_rows(gen_rows) + rels, rels)
 
 
 def cell_kernel_subquot(mp, d):
@@ -364,10 +367,11 @@ def cell_kernel_subquot(mp, d):
     n_src = len(mat)
     tgt_rels = mp.target.slice_relation_rows(d + mp.degree_shift)
     n_tgt = len(mp.target.slice_cells(d + mp.degree_shift))
+    src_rels = mp.source.slice_relation_rows(d)
     rows = (None if n_tgt == 0 else
             sparse_rows([k[:n_src] for k in
-                         row_kernel(sparse_rows(mat) + tgt_rels, n_tgt, p)]))
-    return SubQuot(p, n_src, rows, mp.source.slice_relation_rows(d))
+                         row_kernel(sparse_rows(mat) + tgt_rels, n_tgt, p)]) + src_rels)
+    return SubQuot(p, n_src, rows, src_rels)
 
 
 def cell_cokernel_subquot(mp, d):

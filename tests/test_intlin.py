@@ -253,8 +253,11 @@ def test_subquot_orders_match_group_invariants(case):
 # likewise by 2 at p = 3, a unit that is not 1 mod the order 3
 @example((3, [[1, 0], [0, 1], [6, 15]]), 2)
 def test_subquot_express_round_trip(case, k):
+    # a SubQuot's generators must span its relations, so the relations
+    # rows[k:] join the generators rows[:k]
     p, rows = case
-    sq = SubQuot(p, len(rows[0]), sparse_rows(rows[:k]), sparse_rows(rows[k:]))
+    gens, rels = rows[:k], rows[k:]
+    sq = SubQuot(p, len(rows[0]), sparse_rows(gens + rels), sparse_rows(rels))
     orders = sq.orders
     for i in range(len(orders)):
         vec = sq.generator_vector(i)
@@ -264,14 +267,15 @@ def test_subquot_express_round_trip(case, k):
 
 
 def express_reference(p, n, gen_rows, rel_rows, v):
-    """`SubQuot(p, n, gen_rows, rel_rows).express(v)` in Fractions: v's
-    coordinates over the dense echelon basis times the dense Smith form's Q,
+    """`SubQuot(p, n, gen_rows, rel_rows).express(v)` in Fractions, for
+    rel_rows inside the span of gen_rows: v's coordinates over the dense
+    echelon basis of gen_rows times the dense Smith form's Q,
     torsion ones read mod their order, free ones over their least common
     denominator."""
     if gen_rows is None:
         k, coords, rel_coords = n, [Fraction(x) for x in v], rel_rows
     else:
-        basis, pivots = dense_row_hermite(gen_rows + rel_rows, n, p)
+        basis, pivots = dense_row_hermite(gen_rows, n, p)
         k, coords = len(basis), solve_reference(basis, pivots, v, p)
         if coords is None:
             return None
@@ -305,15 +309,24 @@ def express_reference(p, n, gen_rows, rel_rows, v):
 # [1, 0] is half the generator [2, 0]: the unit 2 comes from the membership solve
 @example((3, [[2, 0], [0, 3]]), 1, [1, 0, 0])
 def test_subquot_express_matches_fraction_reference(case, k, off):
+    # a SubQuot's generators must span its relations, so the relations
+    # rows[k:] join the generators rows[:k]
     p, rows = case
     n = len(rows[0])
-    for gens in (None, rows[:k]):
+    for gens in (None, rows):
         sq = SubQuot(p, n, None if gens is None else sparse_rows(gens),
                      sparse_rows(rows[k:]))
         vecs = [*rows, [sum(c) for c in zip(*rows)], off[:n],
                 *map(sq.generator_vector, range(len(sq.orders)))]
         for v in vecs:
             assert sq.express(v) == express_reference(p, n, gens, rows[k:], v)
+
+
+def test_subquot_refuses_relations_outside_its_generators():
+    # 1 lies outside 2 Z_(2), but 1 = 2 * (1/2) with 1/2 in Z_(3)
+    with pytest.raises(ValueError):
+        SubQuot(2, 1, [[(0, 2)]], [[(0, 1)]])
+    assert SubQuot(3, 1, [[(0, 2)]], [[(0, 1)]]).summands == []
 
 
 def test_subquot_express_pinned_unit():
@@ -443,7 +456,7 @@ def test_subquot_relation_coordinates_pinned(p, gens, rels):
         return SmithForm(rows, ncols, **kw)
 
     with mock.patch.object(_intlin, "SmithForm", smith):
-        sq = SubQuot(p, len(gens[0]), sparse_rows(gens), sparse_rows(rels))
+        sq = SubQuot(p, len(gens[0]), sparse_rows(gens + rels), sparse_rows(rels))
     # the relation coordinates are the lcm-of-denominators scaling of the
     # p-local coordinates
     want = []

@@ -401,6 +401,8 @@ def page_orders(make_setup):
     for r in pages:
         setup = make_setup()
         setup.ss.run(setup.rules, r)
+        # every stored page holds its SubQuot
+        assert len(setup.ss.pages) == len(setup.ss._subquots)
         out[str(r)] = {f"{d},{s}": setup.ss.subquot((d, s)).orders
                        for d, s in sorted(setup.ss.cells)}
     return out

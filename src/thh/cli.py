@@ -1,6 +1,7 @@
 """Command-line front end: group queries, verification suites, chart emission.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (among them
+an `--out` path that cannot be opened for writing).
 """
 
 from __future__ import annotations
@@ -261,7 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -110,6 +110,20 @@ def test_negative_level_is_usage_error(capsys):
     assert "--level: must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["group", "--degree", "3"],
+                                  ["verify", "--suite", "matching", "--max-degree", "10"],
+                                  ["chart", "torsion", "--max-degree", "10"]])
+@pytest.mark.parametrize("target", ["missing-dir/x.out", "."])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    # exit 1 would read as a failed check
+    out = str(tmp_path / target)
+    assert cli.main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_all_suite_runs_mod_eta_rows_once():
     code, out = run(["verify", "--suite", "all", "--prime", "2",
                      "--max-degree", "16", "--level", "1", "--format", "json"])
@@ -536,12 +550,40 @@ def test_group_json_past_the_bench_windows_is_pinned(argv):
     # recorded before the kernel took (column, value) rows; these windows
     # are past the benchmark goldens' w <= 259
     import hashlib
-    import pathlib
-    pins = json.loads((pathlib.Path(__file__).parent / "golden"
-                       / "group-sha256.json").read_text())
+    pin, = [p for p in pin_table() if p["argv"] == argv]
     code, out = run(argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == pins[argv]
+    assert code == pin["exit"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
+
+
+def pin_table() -> list[dict]:
+    import cli_pins
+    return json.loads(cli_pins.PINS.read_text())
+
+
+def test_cli_pin_table_is_well_formed():
+    # read without running any command
+    import re
+    pins = pin_table()
+    assert len({p["argv"] for p in pins}) == len(pins)
+    parser = cli.build_parser()
+    for p in pins:
+        assert set(p) == {"argv", "exit", "sha256", "why"}
+        parser.parse_args(p["argv"].split())
+        assert re.fullmatch("[0-9a-f]{64}", p["sha256"]), p["argv"]
+        assert p["exit"] in (0, 1), p["argv"]
+
+
+def test_cli_pin_runner_names_each_mismatch():
+    import cli_pins
+    pin, = [p for p in pin_table() if p["argv"].endswith("--format csv")]
+    altered = dict(pin, sha256=pin["sha256"][::-1])
+    wrong_exit = dict(pin, exit=1)
+    held, digest, code = (cli_pins.mismatches([p]) for p in (pin, altered, wrong_exit))
+    assert held == []
+    ran = f"thh {pin['argv']}: sha256 {pin['sha256']} exit 0,"
+    assert digest == [f"{ran} pinned {altered['sha256']} exit 0"]
+    assert code == [f"{ran} pinned {pin['sha256']} exit 1"]
 
 
 def readme_commands() -> list[str]:

@@ -7,7 +7,9 @@ an `--out` path that cannot be opened for writing).
 from __future__ import annotations
 
 import argparse
+import errno
 import io
+import os
 import sys
 
 from _json import encode_basestring_ascii as _enc  # json.encoder's, without json
@@ -260,6 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out: str | None) -> None:
+    """Before any computation, reject an `--out` that is a directory or whose
+    parent directory does not exist; `_emit` reports any other failure."""
+    if out and os.path.isdir(out):
+        raise UsageError(f"cannot write --out {out}: {os.strerror(errno.EISDIR)}")
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"cannot write --out {out}: {os.strerror(errno.ENOENT)}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -280,28 +291,23 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         p = PrimeContext(args.prime).p
+        _check_out(args.out)
+        window = (args.max_degree if args.max_degree is not None
+                  else default_window(p))
         if args.command == "group":
             coeffs = args.coefficients or args.target
-            if args.degree is not None:
-                degrees = [args.degree]
-            else:
-                degrees = list(range((args.max_degree
-                                      if args.max_degree is not None
-                                      else default_window(p)) + 1))
+            degrees = ([args.degree] if args.degree is not None
+                       else list(range(window + 1)))
             recs = group_records(p, args.target, coeffs, degrees, args.reduced)
             _emit(_format_group(recs, args.format), args.out)
             return 0
         if args.command == "verify":
-            window = (args.max_degree if args.max_degree is not None
-                      else default_window(p))
             rows = run_suite(args.suite, p, window, args.level)
             _emit(_format_verify(rows, args.format), args.out)
             return 0 if all(r.ok for r in rows) else 1
         # chart
         lo = args.degree if args.degree is not None else 0
-        hi = (args.max_degree if args.max_degree is not None
-              else default_window(p))
-        spec = charts.ChartSpec(args.kind, p, lo, hi, args.paper_style)
+        spec = charts.ChartSpec(args.kind, p, lo, window, args.paper_style)
         if args.format == "json":
             import json
             dots, lines = charts.chart_data(spec)

@@ -410,20 +410,20 @@ class GradedModulePresentation:
         """A printable label for each cyclic summand of the degree-d group."""
         sq = self.subquot_at(d)
         cells = self.slice_cells(d)
+        p = self.ring.p
         out = []
         for idx in range(len(sq.summands)):
-            vec = sq.generator_vector(idx)
+            # the first p-unit entry, or else the first nonzero one with its p-power
             pick = None
-            for i, c in enumerate(vec):
-                if c and c % self.ring.p != 0:
-                    pick = (1, i, c)
+            for i, c in enumerate(sq.generator_vector(idx)):
+                if not c:
+                    continue
+                if c % p:
+                    pick = (1, i)
                     break
-            if pick is None:
-                for i, c in enumerate(vec):
-                    if c:
-                        pick = (self.ring.p ** nu(self.ring.p, c), i, c)
-                        break
-            mult, i, _ = pick
+                if pick is None:
+                    pick = (p ** nu(p, c), i)
+            mult, i = pick
             gid, e = cells[i]
             name = self.generators[gid].display()
             label = name if e == 0 else f"v^{e} {name}"

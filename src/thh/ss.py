@@ -124,9 +124,9 @@ class SpectralSequence:
     audit.  Pages are tuples, so a cached answer is a function of its key
     alone; a computation that raises `EngineError` stores nothing, and the
     error ends the run.  The caches live on the instance, so a fresh
-    sequence (`EngineSetup.sign_flipped`) starts cold, and `restart`, which
-    puts every slot back on its E1 page, keeps them.  `turned` tells whether
-    `run` has turned a page since the E1 pages.
+    sequence starts cold, and `restart`, which puts every slot back on its
+    E1 page, keeps them.  `turned` tells whether `run` has turned a page
+    since the E1 pages.
     """
 
     def __init__(self, p: int, cells: dict[tuple[int, int], list[int]]):
@@ -164,14 +164,13 @@ class SpectralSequence:
 
     # -- page turns ---------------------------------------------------------
 
-    def run(self, rules: list[Rule], last_page: int) -> None:
+    def run(self, rules: list[Rule]) -> None:
+        """Turn every page that `rules` name, in page order."""
         self.turned = True
         by_page: dict[int, list[Rule]] = {}
         for rule in rules:
             by_page.setdefault(rule.page, []).append(rule)
         for r in sorted(by_page):
-            if r > last_page:
-                break
             self._turn(r, by_page[r])
 
     def _turn(self, r: int, rules: list[Rule]) -> None:
@@ -428,15 +427,8 @@ class EngineSetup(NamedTuple):
         and reads its page-keyed caches, so it gives the same table."""
         if self.ss.turned:
             self.ss.restart()
-        self.ss.run(self.rules, max((rule.page for rule in self.rules), default=0))
+        self.ss.run(self.rules)
         return self.ss.assemble(self.extensions, self.window, self.chain_smax)
-
-    def sign_flipped(self) -> "EngineSetup":
-        flipped = [Rule(r.page, r.slot, r.source,
-                        tuple(-t for t in r.target), r.name)
-                   for r in self.rules]
-        return EngineSetup(SpectralSequence(self.ss.p, self.ss.cells),
-                           flipped, self.extensions, self.window, self.chain_smax)
 
 
 def _tower(base: dict[int, list[int]], shift: int, height: int, top: int):
@@ -466,10 +458,10 @@ def v0_tower_setup(ctx: PrimeContext, window: int) -> EngineSetup:
     by_deg: dict[int, list[tuple[int, int, int]]] = {}
     for d, e1, e2, i in cf.hfp_monomials(p, window + 1):
         by_deg.setdefault(d, []).append((e1, e2, i))
-    last_page = max((nu(p, i) + 1 for mons in by_deg.values()
-                     for _, _, i in mons if i), default=1)
+    top_page = max((nu(p, i) + 1 for mons in by_deg.values()
+                    for _, _, i in mons if i), default=1)
     cells, pairs = _tower({d: [p] * len(mons) for d, mons in by_deg.items()},
-                          0, chain_smax + last_page, window + 1)
+                          0, chain_smax + top_page, window + 1)
     rules = []
     for d, mons in by_deg.items():
         for j, (e1, e2, i) in enumerate(mons):

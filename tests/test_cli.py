@@ -110,11 +110,14 @@ def test_negative_level_is_usage_error(capsys):
     assert "--level: must be >= 0, got -1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["group", "--degree", "3"],
-                                  ["verify", "--suite", "matching", "--max-degree", "10"],
-                                  ["chart", "torsion", "--max-degree", "10"]])
-@pytest.mark.parametrize("target", ["missing-dir/x.out", "."])
-def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+UNWRITABLE_OUT = pytest.mark.parametrize("target", ["missing-dir/x.out", "."])
+OUT_COMMANDS = pytest.mark.parametrize(
+    "argv", [["group", "--degree", "3"],
+             ["verify", "--suite", "matching", "--max-degree", "10"],
+             ["chart", "torsion", "--max-degree", "10"]])
+
+
+def assert_out_rejected(capsys, tmp_path, argv, target):
     # exit 1 would read as a failed check
     out = str(tmp_path / target)
     assert cli.main(argv + ["--out", out]) == 2
@@ -122,6 +125,27 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write --out {out}: ")
     assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@OUT_COMMANDS
+@UNWRITABLE_OUT
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv, target):
+    assert_out_rejected(capsys, tmp_path, argv, target)
+
+
+@OUT_COMMANDS
+@UNWRITABLE_OUT
+def test_unwritable_out_is_rejected_before_computing(monkeypatch, capsys, tmp_path,
+                                                     argv, target):
+    # a directory or a missing parent is caught before the computation starts
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    for owner, name in ((cli, "run_suite"), (cli, "group_records"),
+                        (cli.charts, "chart_data")):
+        monkeypatch.setattr(owner, name, computed)
+    assert_out_rejected(capsys, tmp_path, argv, target)
 
 
 def test_all_suite_runs_mod_eta_rows_once():

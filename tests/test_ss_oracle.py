@@ -79,7 +79,7 @@ def _engine(p, orders, maps):
     rules = [ss.Rule(1, slots[k], tuple(int(i == c) for c in range(len(d))), tuple(row),
                      f"d1(x{k}.{i})")
              for k, d in enumerate(maps) for i, row in enumerate(d)]
-    seq.run(rules, 1)
+    seq.run(rules)
     return seq, slots
 
 

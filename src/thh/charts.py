@@ -79,8 +79,8 @@ def _k1_chart(spec: ChartSpec):
     ctx = PrimeContext(spec.prime)
     dots, lines = [], []
     seen = {}
-    for d in range(spec.lo, spec.hi + 1):
-        for fam, level, m, vpow in enumerate_k1_basis(ctx, d):
+    for d, entries in enumerate_k1_basis(ctx, range(spec.lo, spec.hi + 1)).items():
+        for fam, level, m, vpow in entries:
             dots.append((d, vpow, "tor"))
             prev = seen.get((fam, level, m, vpow - 1))
             if prev is not None:

@@ -13,7 +13,10 @@ a torsion-free chain on lambda_1 and the suspended torsion blocks.  The
 chains F and F' are both `_divided_chain`, the ko-side levels are
 `ko_levels`, and the ku-side blocks T'_n are `build_Tn_prime`.  The hidden
 extensions are stated once: `hidden_extension` on the b_m, and
-`ko_hidden_extension`, which thh_ko and the eta tower both read.  Fixed id
+`ko_hidden_extension`, which thh_ko and the eta tower both read.  The
+k(1) generators x_{n,m}, x'_{n,m} and their truncations are stated once, in
+`k1_generators`: thh_ell_k1, the k(1) basis (`verify.enumerate_k1_basis`)
+and the first matching (`verify.matching_B1`) all read it.  Fixed id
 prefixes (F:, F':, Fko:, T'[n]:, ko<n>:) name the pieces other code reads.
 """
 from __future__ import annotations
@@ -180,20 +183,22 @@ def thh_ell_HFp(ctx: PrimeContext, window: int) -> dict[int, int]:
 
 
 def k1_generators(p: int, window: int):
-    """(gid, degree, truncation length, label) for the k(1)-answer's module generators."""
-    out = []
+    """Yield the k(1)-answer's module generators in degrees <= window as
+    (family, n, m, degree, r(n)): x_{n,m} and x'_{n,m} for m not congruent
+    to p-1 mod p, by n, then m, with x before x'.  |x'_{n,m}| > |x_{n,m}|,
+    so the x degree bounds both loops."""
     n = 1
     while x_degree(p, n, 0) <= window:
+        r = r_truncation(p, n)
         m = 0
-        while x_degree(p, n, m) <= window or x_prime_degree(p, n, m) <= window:
+        while (d := x_degree(p, n, m)) <= window:
             if m % p != p - 1:
-                if x_degree(p, n, m) <= window:
-                    out.append((f"x[{n},{m}]", x_degree(p, n, m), r_truncation(p, n), f"x({n},{m})"))
-                if x_prime_degree(p, n, m) <= window:
-                    out.append((f"x'[{n},{m}]", x_prime_degree(p, n, m), r_truncation(p, n), f"x'({n},{m})"))
+                yield "x", n, m, d, r
+                d_prime = x_prime_degree(p, n, m)
+                if d_prime <= window:
+                    yield "x'", n, m, d_prime, r
             m += 1
         n += 1
-    return out
 
 
 def thh_ell_k1(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedModulePresentation:
@@ -202,10 +207,12 @@ def thh_ell_k1(ctx: PrimeContext, window: int, reduced: bool = True) -> GradedMo
     gens = []
     if not reduced:
         gens.append(Generator("one", 0, "1"))
-    entries = k1_generators(p, window)
-    gens.extend(Generator(gid, d, lab) for gid, d, _, lab in entries)
-    rels = [Relation(((p, 0, g.gid),)) for g in gens]
-    rels += [Relation(((1, trunc, gid),)) for gid, _, trunc, _ in entries]
+    truncations = []
+    for family, n, m, d, r in k1_generators(p, window):
+        gid = f"{family}[{n},{m}]"
+        gens.append(Generator(gid, d, f"{family}({n},{m})"))
+        truncations.append(Relation(((1, r, gid),)))
+    rels = [Relation(((p, 0, g.gid),)) for g in gens] + truncations
     return GradedModulePresentation(ell_ring(p), gens, rels, window + 1)
 
 

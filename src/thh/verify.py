@@ -1,10 +1,11 @@
-"""Independent oracles and cross-checks for the assembled answers.
+"""Oracles and cross-checks for the assembled answers.
 
-Nothing here reuses the closed-form structure theory it is checking: the
-enumerations are exhaustive scans with documented index bounds, the matching
-is reconstructed combinatorially, and the cofiber identities compare orders
-computed on both sides of a short exact sequence.  Every suite returns
-`Check` rows, the record `thh verify` prints.
+The cofiber identities compare orders computed on both sides of a short
+exact sequence, and the dueling rows set the assembled v-tower against the
+closed form.  The k(1) basis and the first matching are read off the one
+statement of the x and x' generators, `closed_forms.k1_generators`; the
+tests keep a per-degree scan of the same formulas as their reference.
+Every suite returns `Check` rows, the record `thh verify` prints.
 
 Most suites build the answers they check from a window.  The two that read
 the reduced ko answer, `cofiber_checks_ko` and `eta_square_annihilates`,
@@ -14,14 +15,14 @@ and hands it to both.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from bisect import bisect_left
+from typing import Iterable, NamedTuple
 
 from ._intlin import SubQuot, order_rows, row_kernel, shared_subquot, sparse_rows
 from . import closed_forms as cf
 from .graded import (GradedModulePresentation, ModuleMap,
                      variable_multiplication_map)
-from .padic import (PrimeContext, lambda_degree, lambda_monomial, mu_degree,
-                    nu, r_truncation, x_degree, x_prime_degree)
+from .padic import PrimeContext, lambda_monomial, nu, r_truncation
 
 
 def truncation(p: int, n: int) -> int:
@@ -45,40 +46,34 @@ def agree(name: str, index: int | tuple, lhs, rhs) -> Check:
     return Check(name, index, lhs == rhs, (lhs, rhs))
 
 
-# -- exhaustive basis scans ------------------------------------------------------
+# -- the k(1) basis --------------------------------------------------------------
 
 
-def enumerate_k1_basis(ctx: PrimeContext,
-                       d: int) -> tuple[tuple[str, int, int, int], ...]:
-    """All x and x' generators times v-powers in degree d, by exhaustive scan,
-    as sorted (family, level, m, v-power) entries.
-
-    Index bounds: the level j is bounded by the generator degrees being
-    monotone in j, m linearly by degree, and the v-power by the truncation
-    length r(j).  The infinite tower on 1 is excluded (reduced answer).
-    """
+def enumerate_k1_basis(ctx: PrimeContext, degrees: Iterable[int]
+                       ) -> dict[int, tuple[tuple[str, int, int, int], ...]]:
+    """The x and x' generators times v-powers in each requested degree, as
+    sorted (family, level, m, v-power) entries: one pass over
+    `closed_forms.k1_generators`, where a generator in degree g times v^k,
+    k < r(n), lies in degree g + |v| k.  Only requested degrees get an
+    entry.  The infinite tower on 1 is excluded (reduced answer)."""
     p = ctx.p
     vd = 2 * p - 2
-    found = []
-    j = 1
-    while x_degree(p, j, 0) <= d:
-        for family, base in (("x", x_degree), ("x'", x_prime_degree)):
-            m = 0
-            while base(p, j, m) <= d:
-                if m % p != p - 1:
-                    rem = d - base(p, j, m)
-                    if rem % vd == 0 and rem // vd < truncation(p, j):
-                        found.append((family, j, m, rem // vd))
-                m += 1
-        j += 1
-    return tuple(sorted(found))
+    found: dict[int, list] = {d: [] for d in degrees}
+    lanes: dict[int, list[int]] = {}  # requested degrees by residue mod |v|
+    for d in sorted(found):
+        lanes.setdefault(d % vd, []).append(d)
+    for family, n, m, g, r in cf.k1_generators(p, max(found, default=-1)):
+        lane = lanes.get(g % vd, [])
+        for d in lane[bisect_left(lane, g):bisect_left(lane, g + vd * r)]:
+            found[d].append((family, n, m, (d - g) // vd))
+    return {d: tuple(sorted(entries)) for d, entries in found.items()}
 
 
 def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[Check]:
     """The single-generator and vanishing claims feeding the tower arguments.
 
-    For each level n the scan must find exactly the named witness (or nothing
-    in the vanishing degrees).
+    For each level n the k(1) basis must hold exactly the named witness (or
+    nothing in the vanishing degrees).
     """
     p = ctx.p
     claims = []
@@ -94,8 +89,8 @@ def lemma_suite_section4(ctx: PrimeContext, n_max: int) -> list[Check]:
                     (("x", n + 2, 0, truncation(p, n)),)),
                    ("odd-free-next", 2 * p ** (n + 2) + 2 * p - 3,
                     (("x", n + 2, 0, truncation(p, n) + 1),))]
-    return [agree(name, d, expected, enumerate_k1_basis(ctx, d))
-            for name, d, expected in claims]
+    basis = enumerate_k1_basis(ctx, [d for _, d, _ in claims])
+    return [agree(name, d, expected, basis[d]) for name, d, expected in claims]
 
 
 # -- reconstruction of the first matching ----------------------------------------
@@ -128,28 +123,20 @@ def matching_B1(ctx: PrimeContext, window: int) -> MatchingReport:
     p = ctx.p
     vd = 2 * p - 2
     report = MatchingReport(window)
-    # named generators as monomials; a source at degree d pairs with a
-    # generator at degree d - |v| r - 1 < d, so the window bounds both sides
-    def degree(key):
-        e1, e2, i = key
-        return e1 * lambda_degree(p, 1) + e2 * lambda_degree(p, 2) + i * mu_degree(p)
-
+    # each generator as a monomial: x_{n,m} = lambda_n mu^(p^(n-1) m) and
+    # x'_{n,m} = x_{n,m} lambda_{n+1}, in the degree k1_generators gives it
+    # (lambda_n and lambda_{n+1} differ in parity, so their exterior parts
+    # never cancel); a source in degree d kills the tower on a generator in
+    # degree d - |v| r - 1 < d, so the window bounds both sides
     gens: dict[tuple[int, int, int], tuple[str, int, int]] = {}
-    j = 1
-    while x_degree(p, j, 0) <= window:
-        e1, e2, base = lambda_monomial(p, j)
-        f1, f2, nxt = lambda_monomial(p, j + 1)
-        m = 0
-        while x_degree(p, j, m) <= window:
-            if m % p != p - 1:
-                key = (e1, e2, base + p ** (j - 1) * m)
-                if degree(key) <= window:
-                    gens[key] = ("x", j, m)
-                key = (e1 ^ f1, e2 ^ f2, base + nxt + p ** (j - 1) * m)
-                if degree(key) <= window:
-                    gens[key] = ("x'", j, m)
-            m += 1
-        j += 1
+    killers: dict[int, list[tuple[str, int, int, int]]] = {}
+    for family, n, m, d, r in cf.k1_generators(p, window):
+        e1, e2, i = lambda_monomial(p, n)
+        if family == "x'":
+            f1, f2, nxt = lambda_monomial(p, n + 1)
+            e1, e2, i = e1 ^ f1, e2 ^ f2, i + nxt
+        gens[(e1, e2, i + p ** (n - 1) * m)] = (family, n, m)
+        killers.setdefault(d + vd * r + 1, []).append((family, n, m, r))
 
     for d, e1, e2, i in cf.hfp_monomials(p, window):
         key = (e1, e2, i)
@@ -159,13 +146,11 @@ def matching_B1(ctx: PrimeContext, window: int) -> MatchingReport:
         if key in gens:
             report.survivors[label] = gens[key]
             continue
-        candidates = [(gens[g], degree(g)) for g in gens
-                      if degree(g) + vd * truncation(p, gens[g][1]) + 1 == d]
+        candidates = killers.get(d, [])
         if len(candidates) != 1:
             report.leftovers.append(label)
             continue
-        (family, j, m), gd = candidates[0]
-        report.pairs[label] = (family, j, m, truncation(p, j))
+        report.pairs[label] = candidates[0]
     return report
 
 
@@ -298,16 +283,19 @@ def cofiber_checks_ko(ko: GradedModulePresentation, window: int) -> list[Check]:
 
 def dueling_comparison(ctx: PrimeContext, window: int) -> list[Check]:
     """Cross-checks between the two Bockstein routes to the integral answer:
-    the assembled divided-tower output against the closed form, and the
-    mod-(p,v)-page budget the closed form demands against the exhaustive scan."""
+    the assembled divided-tower output against the closed form, and (the
+    scan-budget row) the k(1) basis, `closed_forms.k1_generators` with its
+    truncations, counted directly against `thh_ell`'s mod-p dimension.  The
+    cofiber `mod-p` row checks `graded`'s reduction of `thh_ell_k1` against
+    that same dimension."""
     from .ss import v1_tower_setup
     ell = cf.thh_ell(ctx, window)
     assembled = v1_tower_setup(ctx, window).run()
+    basis = enumerate_k1_basis(ctx, range(window + 1))
     out = []
     for n in range(window + 1):
         out.append(agree("assembled-vs-closed", n, assembled[n], ell.group_at(n)))
-        have = len(enumerate_k1_basis(ctx, n))
-        out.append(agree("scan-budget", n, (have,), (_mod_p_dim(ell, n),)))
+        out.append(agree("scan-budget", n, (len(basis[n]),), (_mod_p_dim(ell, n),)))
     return out
 
 

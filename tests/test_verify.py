@@ -1,28 +1,77 @@
 import pytest
 
 from thh import closed_forms as cf, verify
-from thh.padic import PrimeContext
+from thh.padic import (PrimeContext, lambda_degree, lambda_monomial, mu_degree,
+                       r_truncation, x_degree, x_prime_degree)
 
 
 def _clean(checks):
     return [c for c in checks if not c.ok]
 
 
+def _scan(ctx, d):
+    """The k(1) basis in degree d by exhaustive scan, as sorted (family,
+    level, m, v-power) entries: the reference `enumerate_k1_basis` must meet.
+
+    Index bounds: the level j is bounded by the generator degrees being
+    monotone in j, m linearly by degree, and the v-power by the truncation
+    length r(j).  The infinite tower on 1 is excluded (reduced answer).
+    """
+    p = ctx.p
+    vd = 2 * p - 2
+    found = []
+    j = 1
+    while x_degree(p, j, 0) <= d:
+        for family, base in (("x", x_degree), ("x'", x_prime_degree)):
+            m = 0
+            while base(p, j, m) <= d:
+                if m % p != p - 1:
+                    rem = d - base(p, j, m)
+                    if rem % vd == 0 and rem // vd < r_truncation(p, j):
+                        found.append((family, j, m, rem // vd))
+                m += 1
+        j += 1
+    return tuple(sorted(found))
+
+
 def test_k1_enumeration_spot_values():
     ctx = PrimeContext(2)
-    assert [e[:3] for e in verify.enumerate_k1_basis(ctx, 7)] == [("x", 2, 0)]
-    assert verify.enumerate_k1_basis(ctx, 8) == ()
-    assert [e[:3] for e in verify.enumerate_k1_basis(ctx, 12)] == [("x'", 1, 0)]
+    basis = verify.enumerate_k1_basis(ctx, [7, 8, 12])
+    assert [e[:3] for e in basis[7]] == [("x", 2, 0)]
+    assert basis[8] == ()
+    assert [e[:3] for e in basis[12]] == [("x'", 1, 0)]
 
 
 def test_k1_dimension_budget_low_degrees():
-    # the scan agrees with the closed-form k(1) module dimension per degree
+    # the basis agrees with the closed-form k(1) module dimension per degree
     for p in (2, 3):
         ctx = PrimeContext(p)
         k1 = cf.thh_ell_k1(ctx, 40)
+        basis = verify.enumerate_k1_basis(ctx, range(40))
         for d in range(40):
             rank, tors = k1.group_at(d)
-            assert len(verify.enumerate_k1_basis(ctx, d)) == rank + len(tors)
+            assert len(basis[d]) == rank + len(tors)
+
+
+@pytest.mark.parametrize("p, hi", [(2, 600), (3, 900), (5, 1500), (7, 2000)])
+def test_k1_basis_equals_the_per_degree_scan(p, hi):
+    ctx = PrimeContext(p)
+    basis = verify.enumerate_k1_basis(ctx, range(hi + 1))
+    assert list(basis) == list(range(hi + 1))
+    for d in range(hi + 1):
+        assert basis[d] == _scan(ctx, d), d
+
+
+def test_k1_basis_in_sparse_degrees_equals_the_scan():
+    # the section-4 claims at p=5 level 4 ask for 24 degrees up to 2*5^6 + 8;
+    # only those get an entry
+    ctx = PrimeContext(5)
+    degrees = [c.index for c in verify.lemma_suite_section4(ctx, 4)]
+    assert max(degrees) == 2 * 5**6 + 8
+    basis = verify.enumerate_k1_basis(ctx, degrees)
+    assert set(basis) == set(degrees)
+    for d in degrees:
+        assert basis[d] == _scan(ctx, d), d
 
 
 def test_lemma_suite_passes():
@@ -45,6 +94,59 @@ def test_matching_survivors_window_twelve():
     assert rep.ok
     # reduced convention: the unit monomial is not tracked
     assert set(rep.survivors) == {"l1", "l2", "l1*l2", "l1*mu"}
+
+
+def _all_pairs_matching(p, window):
+    """(survivors, pairs, leftovers) of the first matching with each tower's
+    killer found by a search over all generators: the reference
+    `matching_B1` must meet."""
+    vd = 2 * p - 2
+
+    def degree(key):
+        e1, e2, i = key
+        return e1 * lambda_degree(p, 1) + e2 * lambda_degree(p, 2) + i * mu_degree(p)
+
+    gens = {}
+    j = 1
+    while x_degree(p, j, 0) <= window:
+        e1, e2, base = lambda_monomial(p, j)
+        f1, f2, nxt = lambda_monomial(p, j + 1)
+        m = 0
+        while x_degree(p, j, m) <= window:
+            if m % p != p - 1:
+                key = (e1, e2, base + p ** (j - 1) * m)
+                if degree(key) <= window:
+                    gens[key] = ("x", j, m)
+                key = (e1 ^ f1, e2 ^ f2, base + nxt + p ** (j - 1) * m)
+                if degree(key) <= window:
+                    gens[key] = ("x'", j, m)
+            m += 1
+        j += 1
+    survivors, pairs, leftovers = {}, {}, []
+    for d, e1, e2, i in cf.hfp_monomials(p, window):
+        key = (e1, e2, i)
+        label = cf.monomial_label(e1, e2, i)
+        if key == (0, 0, 0):
+            continue
+        if key in gens:
+            survivors[label] = gens[key]
+            continue
+        candidates = [gens[g] for g in gens
+                      if degree(g) + vd * r_truncation(p, gens[g][1]) + 1 == d]
+        if len(candidates) != 1:
+            leftovers.append(label)
+            continue
+        family, j, m = candidates[0]
+        pairs[label] = (family, j, m, r_truncation(p, j))
+    return survivors, pairs, leftovers
+
+
+@pytest.mark.parametrize("p, window", [(2, 600), (3, 900)])
+def test_matching_equals_the_all_pairs_search(p, window):
+    rep = verify.matching_B1(PrimeContext(p), window)
+    survivors, pairs, leftovers = _all_pairs_matching(p, window)
+    assert pairs
+    assert (rep.survivors, rep.pairs, rep.leftovers) == (survivors, pairs, leftovers)
 
 
 def test_matching_empty_window():

@@ -153,67 +153,69 @@ def _ko_answer_checks(suite: str,
             [] if suite == "cofiber" else verify.eta_square_annihilates(ko, window))
 
 
-def run_suite(suite: str, p: int, window: int, level: int) -> list[verify.Check]:
-    """The suite's `verify.Check` rows, each name prefixed by its suite."""
+def run_suite(suite: str, p: int, window: int, level: int) -> list[tuple[str, list[verify.Check]]]:
+    """The suites' own rows grouped by tag, in print order: one (tag, rows)
+    pair per suite, `rows` the `verify.Check` list it returned (under
+    `cofiber` at p=2 followed by the mod-eta rows), no row rebuilt."""
     ctx = PrimeContext(p)
-    rows = []
-
-    def take(checks, tag):
-        rows.extend(verify.Check(f"{tag}:{name}", index, ok, detail)
-                    for name, index, ok, detail in checks)
-
+    groups = []
     mod_eta, eta_squared = (_ko_answer_checks(suite, window)
                             if p == 2 and suite in ("cofiber", "ko", "all")
                             else ([], []))
     if suite in ("section4", "all"):
-        take(verify.lemma_suite_section4(ctx, level), "section4")
+        groups.append(("section4", verify.lemma_suite_section4(ctx, level)))
     if suite in ("matching", "all"):
-        take([verify.matching_B1(ctx, window).check()], "matching")
+        groups.append(("matching", [verify.matching_B1(ctx, window).check()]))
     if suite in ("cofiber", "all"):
-        take(verify.cofiber_checks(ctx, window) + mod_eta, "cofiber")
+        groups.append(("cofiber", verify.cofiber_checks(ctx, window) + mod_eta))
     if suite in ("dueling", "all"):
-        take(verify.dueling_comparison(ctx, window), "dueling")
+        groups.append(("dueling", verify.dueling_comparison(ctx, window)))
     if suite in ("duality", "all"):
-        take(verify.duality_check(ctx, level, window), "duality")
+        groups.append(("duality", verify.duality_check(ctx, level, window)))
     if suite in ("ko", "all"):
         if p != 2:
             if suite == "ko":
                 raise UsageError("the ko suite requires --prime 2")
         else:
             # under "all" the cofiber suite already ran the mod-eta rows
-            take((mod_eta if suite == "ko" else [])
-                 + verify.ko_ku_comparison(min(window, 64))
-                 + eta_squared
-                 + verify.ko_base_homotopy(min(window, 40)), "ko")
+            groups.append(("ko", (mod_eta if suite == "ko" else [])
+                           + verify.ko_ku_comparison(min(window, 64))
+                           + eta_squared
+                           + verify.ko_base_homotopy(min(window, 40))))
     if suite in ("units", "all"):
-        take(thc.unit_check_suite(ctx, window), "units")
-    return rows
+        groups.append(("units", thc.unit_check_suite(ctx, window)))
+    return groups
 
 
-def _format_verify(rows: list[verify.Check], fmt: str) -> str:
+def _format_verify(groups: list[tuple[str, list[verify.Check]]], fmt: str) -> str:
+    """The text of `run_suite`'s groups, each row printed under the name
+    `tag:name`, encoded once per run since each tag comes once."""
     if fmt == "json":
         # the rows have one fixed shape, written here directly in the bytes
         # of json.dumps(payload, indent=2): one template per row, its lists
-        # laid out as `_json_list` lays them out, and each check name
-        # encoded once
-        names: dict[str, str] = {}
+        # laid out as `_json_list` lays them out, and each `tag:name`
+        # encoded once; the two-entry detail that `verify.agree` makes for
+        # nearly every row is written inline, without a join
         objects = []
-        for n, d, ok, det in rows:
-            name = names.get(n)
-            if name is None:
-                name = names[n] = _enc(n)
-            index = (("[\n      " + ",\n      ".join(map(str, d)) + "\n    ]" if d else "[]")
-                     if isinstance(d, tuple) else d)
-            detail = ("[\n      " + ",\n      ".join([_enc(str(x)) for x in det])
-                      + "\n    ]" if det else "[]")
-            objects.append(f'  {{\n    "check": {name},\n    "index": {index},\n'
-                           f'    "ok": {"true" if ok else "false"},\n    "detail": {detail}\n  }}')
+        for tag, rows in groups:
+            names: dict[str, str] = {}
+            for n, d, ok, det in rows:
+                name = names.get(n)
+                if name is None:
+                    name = names[n] = _enc(f"{tag}:{n}")
+                index = (("[\n      " + ",\n      ".join(map(str, d)) + "\n    ]" if d else "[]")
+                         if isinstance(d, tuple) else d)
+                detail = (f'[\n      {_enc(str(det[0]))},\n      {_enc(str(det[1]))}\n    ]'
+                          if len(det) == 2 else
+                          "[\n      " + ",\n      ".join([_enc(str(x)) for x in det]) + "\n    ]"
+                          if det else "[]")
+                objects.append(f'  {{\n    "check": {name},\n    "index": {index},\n'
+                               f'    "ok": {"true" if ok else "false"},\n    "detail": {detail}\n  }}')
         return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
-    failures = [r for r in rows if not r[2]]
-    lines = [f"{len(rows)} checks, {len(failures)} failures"]
-    for n, d, ok, det in failures:
-        lines.append(f"FAIL {n} @ {d}: {det}")
-    return "\n".join(lines) + "\n"
+    lines = [f"FAIL {tag}:{n} @ {d}: {det}"
+             for tag, rows in groups for n, d, ok, det in rows if not ok]
+    count = sum(len(rows) for _, rows in groups)
+    return "\n".join([f"{count} checks, {len(lines)} failures", *lines]) + "\n"
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -302,9 +304,9 @@ def main(argv=None) -> int:
             _emit(_format_group(recs, args.format), args.out)
             return 0
         if args.command == "verify":
-            rows = run_suite(args.suite, p, window, args.level)
-            _emit(_format_verify(rows, args.format), args.out)
-            return 0 if all(r.ok for r in rows) else 1
+            groups = run_suite(args.suite, p, window, args.level)
+            _emit(_format_verify(groups, args.format), args.out)
+            return 0 if all(r.ok for _, rows in groups for r in rows) else 1
         # chart
         lo = args.degree if args.degree is not None else 0
         spec = charts.ChartSpec(args.kind, p, lo, window, args.paper_style)

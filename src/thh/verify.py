@@ -5,7 +5,8 @@ exact sequence, and the dueling rows set the assembled v-tower against the
 closed form.  The k(1) basis and the first matching are read off the one
 statement of the x and x' generators, `closed_forms.k1_generators`; the
 tests keep a per-degree scan of the same formulas as their reference.
-Every suite returns `Check` rows, the record `thh verify` prints.
+Every suite returns a list of `Check` rows; a `thh verify` run is these
+lists grouped by tag, each row printed as `tag:name`, encoded once per run.
 
 Most suites build the answers they check from a window.  The two that read
 the reduced ko answer, `cofiber_checks_ko` and `eta_square_annihilates`,
@@ -441,10 +442,9 @@ def duality_check(ctx: PrimeContext, n_max: int, window: int) -> list[Check]:
     for n in range(n_max + 1):
         tn = cf.build_Tn(ctx, n)
         top = cf.tn_top_degree(ctx.p, n)
+        name = f"block-{n}-self-dual"
         for d in range(top + 1):
-            lo_r, lo_t = tn.group_at(d)
-            hi_r, hi_t = tn.group_at(top - d)
-            out.append(agree(f"block-{n}-self-dual", d, (lo_r, lo_t), (hi_r, hi_t)))
+            out.append(agree(name, d, tn.group_at(d), tn.group_at(top - d)))
     mirror = thc.thh_ell_HZ_mirror(ctx, window)
     direct = thc.thc_ell_HZ(ctx, window)
     for d in range(window + 1):

@@ -434,13 +434,28 @@ def test_verify_json_is_pinned(argv, name):
 
 @pytest.mark.parametrize("p, window", [(2, 40), (3, 60), (5, 80)])
 def test_verify_json_is_what_json_dumps_writes(p, window):
-    suites = [s for s in cli.SUITES if s != "all" and (p == 2 or s != "ko")]
-    made_up = [verify.Check("made-up", (), False, ("\u03b7 \"quoted\"", ())),
-               verify.Check("made-up", -1, True, ())]
-    for rows in [[], made_up] + [cli.run_suite(s, p, window, 2) for s in suites]:
-        payload = [{"check": n, "index": d, "ok": ok, "detail": list(map(str, det))}
-                   for n, d, ok, det in rows]
-        assert cli._format_verify(rows, "json") == json.dumps(payload, indent=2) + "\n"
+    # `all` is the one run whose output holds several suites; at p=2 its
+    # mod-eta rows print under `cofiber`
+    suites = [s for s in cli.SUITES if p == 2 or s != "ko"]
+    made_up = [("made-up", [verify.Check("\u03b7 \"row\"", (), False, ("\u03b7 \"quoted\"", ())),
+                            verify.Check("\u03b7 \"row\"", -1, True, ())])]
+    runs = [[], [("empty", [])], made_up] + [cli.run_suite(s, p, window, 2) for s in suites]
+    for groups in runs:
+        payload = [{"check": f"{tag}:{n}", "index": d, "ok": ok,
+                    "detail": list(map(str, det))}
+                   for tag, rows in groups for n, d, ok, det in rows]
+        assert cli._format_verify(groups, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_run_suite_hands_back_each_suites_own_rows(monkeypatch, p):
+    tags = [tag for tag, _ in cli.run_suite("all", p, 16, 1)]
+    assert tags == [s for s in cli.SUITES if s != "all" and (p == 2 or s != "ko")]
+    # the rows are the list the suite returned, not a copy made per row
+    sentinel = [verify.Check("sentinel", 0, True, ())]
+    monkeypatch.setattr(verify, "dueling_comparison", lambda ctx, window: sentinel)
+    for suite in ("dueling", "all"):
+        assert dict(cli.run_suite(suite, p, 16, 1))["dueling"] is sentinel
 
 
 @pytest.mark.parametrize("argv, table", [

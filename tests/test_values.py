@@ -87,7 +87,8 @@ def test_printed_rows_and_chart_data_hold_no_value_type():
     # --format json` passes the chart data to json.dumps; both would take a
     # value type for a plain tuple
     for p, window in ((2, 64), (3, 120)):
-        rows = cli.run_suite("all", p, window, 2)
-        assert not any(_holds_value(r.index) or _holds_value(r.detail) for r in rows)
+        groups = cli.run_suite("all", p, window, 2)
+        assert not any(_holds_value(r.index) or _holds_value(r.detail)
+                       for _, rows in groups for r in rows)
     for kind, p in (("eta-page", 2), ("ko-answer", 2), ("v1-page", 3), ("k1-page", 3)):
         assert not _holds_value(charts.chart_data(charts.ChartSpec(kind, p, 0, 64)))
